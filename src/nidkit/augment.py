@@ -14,7 +14,7 @@ time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,7 +43,6 @@ class AugmentationSpec:
     k: int = 2
     overlap_fraction: float = 0.0
     alpha: float = 0.9
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -187,19 +186,6 @@ def mixup_partners(b: int, rng: np.random.Generator) -> np.ndarray:
     partners = rng.integers(0, b - 1, size=b)
     partners[partners >= np.arange(b)] += 1
     return partners
-
-
-def mixup(representations: np.ndarray, alpha: float,
-          rng: np.random.Generator) -> np.ndarray:
-    """Convex-combine each row with a distinct random partner row.
-
-    out_i = alpha * y_i + (1 - alpha) * y_j  with j != i drawn uniformly.
-    Operates on encoder outputs; the two views of a pair should call this
-    with independent generator states so their partners differ.
-    """
-    y = np.asarray(representations)
-    partners = mixup_partners(y.shape[0], rng)
-    return alpha * y + (1.0 - alpha) * y[partners]
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,12 @@ class Autoencoder(nn.Module):
     """
 
     def __init__(self, input_dim: int, rng, hidden: int = 256, latent: int = 64,
-                 linear: bool = False, dtype=np.float64):
+                 linear: bool = False):
         super().__init__()
         widths = [input_dim, hidden, latent, hidden, input_dim]
         self.linear = linear
-        self.layers = [nn.Linear(widths[i], widths[i + 1], rng, dtype=dtype)
-                       for i in range(4)]
-        self.norms = [] if linear else [
-            nn.BatchNorm1d(w, dtype=dtype) for w in widths[1:4]]
+        self.layers = [nn.Linear(widths[i], widths[i + 1], rng) for i in range(4)]
+        self.norms = [] if linear else [nn.BatchNorm1d(w) for w in widths[1:4]]
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
@@ -71,13 +69,12 @@ class DeepSVDD(nn.Module):
     network's outputs and never updated afterwards.
     """
 
-    def __init__(self, input_dim: int, rng, widths=(256, 64, 32),
-                 dtype=np.float64):
+    def __init__(self, input_dim: int, rng, widths=(256, 64, 32)):
         super().__init__()
         dims = [input_dim, *widths]
-        self.layers = [nn.Linear(dims[i], dims[i + 1], rng, bias=False, dtype=dtype)
+        self.layers = [nn.Linear(dims[i], dims[i + 1], rng, bias=False)
                        for i in range(len(dims) - 1)]
-        self.center = Tensor(np.zeros(dims[-1], dtype=dtype))
+        self.center = Tensor(np.zeros(dims[-1]))
         self._center_set = False
 
     def forward(self, x: Tensor) -> Tensor:
@@ -134,32 +131,27 @@ def svdd_score(model: DeepSVDD, features: np.ndarray,
     return out
 
 
-def _epoch_batches(n: int, batch_size: int, rng) -> list:
-    order = rng.permutation(n)
-    return [order[s:s + batch_size] for s in range(0, n - batch_size + 1, batch_size)]
-
-
 def train_baseline(model, features: np.ndarray, loss_fn, optimizer: nn.Adam,
-                   epochs: int, batch_size: int, rng) -> list:
-    """Minibatch training loop shared by both baselines.
+                   epochs: int, batch_size: int, rng, log_path=None) -> list:
+    """Train either baseline with :func:`nn.fit`; returns the per-step
+    losses and leaves the model in eval mode.
 
     For DeepSVDD the center must already be fixed; it is stored outside the
     optimizer's parameter list, so its bits cannot change during training.
-    Returns the per-step loss history.
     """
     if isinstance(model, DeepSVDD) and not model._center_set:
         raise nn.ConfigError("DeepSVDD center must be initialized before training")
-    features = np.asarray(features)
-    history = []
+
+    def step(batch):
+        T.reset_tape()
+        model.zero_grad()
+        loss = loss_fn(model, Tensor(batch))
+        T.backward(loss)
+        optimizer.step()
+        T.reset_tape()
+        return float(loss.values)
+
     model.train()
-    for _ in range(epochs):
-        for idx in _epoch_batches(features.shape[0], batch_size, rng):
-            T.reset_tape()
-            model.zero_grad()
-            loss = loss_fn(model, Tensor(features[idx]))
-            T.backward(loss)
-            optimizer.step()
-            history.append(float(loss.values))
-            T.reset_tape()
+    history = nn.fit(step, features, epochs, batch_size, rng, log_path=log_path)
     model.eval()
     return history

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -106,6 +106,9 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
         aug = dict(_require(doc, "augmentation", source))
         if aug.get("kind") not in AUG_KINDS:
             raise ConfigError(f"{source}: unknown augmentation kind {aug.get('kind')!r}")
+        unknown = set(aug) - {f.name for f in fields(AugmentationSpec)}
+        if unknown:
+            raise ConfigError(f"{source}: unknown augmentation key(s) {sorted(unknown)}")
         AugmentationSpec(**aug)  # reuse the hyperparameter validation
     else:
         aug = dict(doc["augmentation"]) if doc.get("augmentation") else None

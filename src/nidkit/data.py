@@ -49,12 +49,14 @@ class RawTable:
     """Typed columnar table straight off the parser.
 
     Numeric columns are float64 (NaN marks missing), categorical and label
-    columns are object arrays of strings.
+    columns are object arrays of strings. ``normal_values`` are the label
+    strings of normal traffic, carried over from the schema.
     """
 
     columns: list
     kinds: dict
     cells: dict
+    normal_values: set
 
     @property
     def n_rows(self) -> int:
@@ -184,19 +186,20 @@ def load_csv(path, schema: Schema, max_reject_fraction: float = 0.1):
         else:
             kinds[name] = "categorical"
             cells[name] = np.array(column, dtype=object)
-    return RawTable(columns=names, kinds=kinds, cells=cells), rejects
+    return RawTable(columns=names, kinds=kinds, cells=cells,
+                    normal_values=set(schema.normal_values)), rejects
 
 
 # ---------------------------------------------------------------------------
 # Preprocessing
 
 
-def preprocess(raw: RawTable, normal_values=("normal", "Normal", "0", "benign", "Benign")) -> Dataset:
+def preprocess(raw: RawTable) -> Dataset:
     """Standard tabular cleanup: NaN rows out, duplicate columns/rows out,
     one-hot, min-max, merged binary labels.
 
-    Label values found in ``normal_values`` map to 0; every other value is an
-    attack class and maps to 1.
+    Label values found in ``raw.normal_values`` map to 0; every other value
+    is an attack class and maps to 1.
     """
     label_cols = [c for c in raw.columns if raw.kinds[c] == "label"]
     if len(label_cols) != 1:
@@ -231,8 +234,8 @@ def preprocess(raw: RawTable, normal_values=("normal", "Normal", "0", "benign", 
         kept_cols.append(c)
 
     # 3. drop duplicated rows (features + label)
-    normal_set = {str(v) for v in normal_values}
-    labels = np.array([0 if str(v) in normal_set else 1 for v in labels_raw], dtype=np.int64)
+    labels = np.array([0 if str(v) in raw.normal_values else 1 for v in labels_raw],
+                      dtype=np.int64)
     row_keys = {}
     row_keep = []
     for i in range(len(labels)):
@@ -280,16 +283,6 @@ def preprocess(raw: RawTable, normal_values=("normal", "Normal", "0", "benign", 
                    numeric_idx=np.asarray(numeric_idx, dtype=np.int64),
                    onehot_groups=onehot_groups, norm_stats=norm_stats,
                    ids=row_ids)
-
-
-def dataset_as_raw(ds: Dataset) -> RawTable:
-    """View a Dataset as a RawTable (all numeric + label), e.g. to re-run
-    preprocessing for the idempotence property."""
-    cells = {name: ds.features[:, j].copy() for j, name in enumerate(ds.feature_names)}
-    kinds = {name: "numeric" for name in ds.feature_names}
-    cells["label"] = np.array(["attack" if y else "normal" for y in ds.labels], dtype=object)
-    kinds["label"] = "label"
-    return RawTable(columns=list(ds.feature_names) + ["label"], kinds=kinds, cells=cells)
 
 
 # ---------------------------------------------------------------------------

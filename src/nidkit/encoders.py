@@ -74,17 +74,6 @@ def cnn_width_trace(input_width: int) -> list:
     return trace
 
 
-def cnn_min_width() -> int:
-    """Smallest input width the conv stack accepts, found from the trace."""
-    w = 10
-    while True:
-        try:
-            cnn_width_trace(w)
-            return w
-        except T.ShapeError:
-            w += 1
-
-
 def representation_dim(config: EncoderConfig) -> int:
     if config.kind == "mlp":
         return config.hidden_dim
@@ -102,13 +91,12 @@ class MLPEncoder(nn.Module):
     """Four fully connected layers, 256 wide, BN+ReLU after the first three."""
 
     def __init__(self, input_width: int, rng: np.random.Generator,
-                 hidden_dim: int = 256, dtype=np.float64):
+                 hidden_dim: int = 256):
         super().__init__()
         self.input_width = input_width
         widths = [input_width, hidden_dim, hidden_dim, hidden_dim, hidden_dim]
-        self.linears = [nn.Linear(widths[i], widths[i + 1], rng, dtype=dtype)
-                        for i in range(4)]
-        self.norms = [nn.BatchNorm1d(hidden_dim, dtype=dtype) for _ in range(3)]
+        self.linears = [nn.Linear(widths[i], widths[i + 1], rng) for i in range(4)]
+        self.norms = [nn.BatchNorm1d(hidden_dim) for _ in range(3)]
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.input_width:
@@ -122,7 +110,7 @@ class MLPEncoder(nn.Module):
 class CNNEncoder(nn.Module):
     """1xW convolutional stack over the feature vector viewed as a 1-row map."""
 
-    def __init__(self, input_width: int, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, input_width: int, rng: np.random.Generator):
         super().__init__()
         cnn_width_trace(input_width)  # fail fast while naming the layer
         self.input_width = input_width
@@ -130,7 +118,7 @@ class CNNEncoder(nn.Module):
         c_in = 1
         for kind, size, c_out in CNN_STACK:
             if kind == "conv":
-                self.stages.append(nn.Conv2d1xW(c_in, c_out, size, rng, dtype=dtype))
+                self.stages.append(nn.Conv2d1xW(c_in, c_out, size, rng))
                 c_in = c_out
             else:
                 self.stages.append(nn.MaxPool1xK(size))
@@ -146,32 +134,19 @@ class CNNEncoder(nn.Module):
                 h = T.relu(h)
         return T.reshape(h, (b, h.shape[1] * h.shape[3]))
 
-    def intermediate_shapes(self, x: Tensor) -> list:
-        """(channels, width) after each stage — used to audit the stack."""
-        b = x.shape[0]
-        h = T.reshape(x, (b, 1, 1, self.input_width))
-        shapes = []
-        with T.no_grad():
-            for stage in self.stages:
-                h = stage(h)
-                if isinstance(stage, nn.Conv2d1xW):
-                    h = T.relu(h)
-                shapes.append((h.shape[1], h.shape[3]))
-        return shapes
-
 
 class _TransformerBlock(nn.Module):
     """Pre-norm block: x + MHA(LN(x)), then x + FFN(LN(x)) with GELU."""
 
     def __init__(self, dim: int, heads: int, dropout: float,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         super().__init__()
-        self.ln1 = nn.LayerNorm(dim, dtype=dtype)
-        self.attn = nn.MultiHeadAttention(dim, heads, rng, dropout=dropout, dtype=dtype)
-        self.ln2 = nn.LayerNorm(dim, dtype=dtype)
+        self.ln1 = nn.LayerNorm(dim)
+        self.attn = nn.MultiHeadAttention(dim, heads, rng, dropout=dropout)
+        self.ln2 = nn.LayerNorm(dim)
         ffn_hidden = int(round(4.0 / 3.0 * dim))
-        self.ffn_in = nn.Linear(dim, ffn_hidden, rng, dtype=dtype)
-        self.ffn_out = nn.Linear(ffn_hidden, dim, rng, dtype=dtype)
+        self.ffn_in = nn.Linear(dim, ffn_hidden, rng)
+        self.ffn_out = nn.Linear(ffn_hidden, dim, rng)
         self.ffn_drop = nn.Dropout(dropout, rng)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -191,7 +166,7 @@ class FTTransformerEncoder(nn.Module):
 
     def __init__(self, input_width: int, numeric_cols, cat_groups: dict,
                  rng: np.random.Generator, token_dim: int = 32, heads: int = 4,
-                 layers: int = 4, dropout: float = 0.1, dtype=np.float64):
+                 layers: int = 4, dropout: float = 0.1):
         super().__init__()
         self.input_width = input_width
         if not numeric_cols and not cat_groups:
@@ -205,15 +180,14 @@ class FTTransformerEncoder(nn.Module):
 
         std = 1.0 / np.sqrt(token_dim)
         n_num = len(self.numeric_cols)
-        self.num_weight = Tensor(rng.normal(scale=std, size=(n_num, token_dim)).astype(dtype),
+        self.num_weight = Tensor(rng.normal(scale=std, size=(n_num, token_dim)),
                                  requires_grad=True)
-        self.num_bias = Tensor(rng.normal(scale=std, size=(n_num, token_dim)).astype(dtype),
+        self.num_bias = Tensor(rng.normal(scale=std, size=(n_num, token_dim)),
                                requires_grad=True)
         self.embeddings = [
-            Tensor(rng.normal(scale=std, size=(len(cols), token_dim)).astype(dtype),
-                   requires_grad=True)
+            Tensor(rng.normal(scale=std, size=(len(cols), token_dim)), requires_grad=True)
             for cols in self.group_cols]
-        self.blocks = [_TransformerBlock(token_dim, heads, dropout, rng, dtype=dtype)
+        self.blocks = [_TransformerBlock(token_dim, heads, dropout, rng)
                        for _ in range(layers)]
 
     def tokenize(self, x: Tensor) -> Tensor:
@@ -231,22 +205,6 @@ class FTTransformerEncoder(nn.Module):
             parts.append(T.reshape(token, (b, 1, self.token_dim)))
         return parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
 
-    def tokenize_indices(self, x_num: Tensor, cat_indices) -> Tensor:
-        """Tokenizer entry point for pre-split inputs with explicit indices."""
-        b = x_num.shape[0]
-        parts = []
-        if len(self.numeric_cols):
-            vals = T.reshape(x_num, (b, len(self.numeric_cols), 1))
-            parts.append(T.add(T.mul(vals, self.num_weight), self.num_bias))
-        for g, (emb, idx) in enumerate(zip(self.embeddings, cat_indices)):
-            idx = np.asarray(idx)
-            if idx.min() < 0 or idx.max() >= emb.shape[0]:
-                raise SchemaError(
-                    f"ft: category index out of range for group {self.group_names[g]!r} "
-                    f"(cardinality {emb.shape[0]})")
-            parts.append(T.reshape(emb[idx], (b, 1, self.token_dim)))
-        return parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
-
     def forward(self, x: Tensor) -> Tensor:
         tokens = self.tokenize(x)
         for block in self.blocks:
@@ -255,16 +213,14 @@ class FTTransformerEncoder(nn.Module):
         return T.reshape(tokens, (b, self.n_features * self.token_dim))
 
 
-def build_encoder(config: EncoderConfig, rng: np.random.Generator,
-                  dtype=np.float64) -> nn.Module:
+def build_encoder(config: EncoderConfig, rng: np.random.Generator) -> nn.Module:
     if config.kind == "mlp":
-        return MLPEncoder(config.input_width, rng, hidden_dim=config.hidden_dim,
-                          dtype=dtype)
+        return MLPEncoder(config.input_width, rng, hidden_dim=config.hidden_dim)
     if config.kind == "cnn":
-        return CNNEncoder(config.input_width, rng, dtype=dtype)
+        return CNNEncoder(config.input_width, rng)
     if config.kind == "ft_transformer":
         return FTTransformerEncoder(
             config.input_width, list(config.numeric_cols), dict(config.cat_groups),
             rng, token_dim=config.token_dim, heads=config.heads,
-            layers=config.layers, dropout=config.dropout, dtype=dtype)
+            layers=config.layers, dropout=config.dropout)
     raise ConfigError(f"unknown encoder kind {config.kind!r}")

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats as _sstats
 
 
 class MetricError(ValueError):
-    """Metric preconditions violated (single-class input, empty report list)."""
+    """Metric preconditions violated (single-class input, non-finite scores,
+    empty report list)."""
 
 
 @dataclass
@@ -34,6 +34,9 @@ def _check_two_class(scores, labels):
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise MetricError("scores and labels must be parallel 1-D arrays")
+    n_bad = int(np.sum(~np.isfinite(scores)))
+    if n_bad:
+        raise MetricError(f"{n_bad} of {scores.size} scores are not finite")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
@@ -44,10 +47,13 @@ def _check_two_class(scores, labels):
 def auroc(scores, labels) -> float:
     """P(score_attack > score_normal), ties counted half.
 
-    Mann-Whitney formulation via midranks, O(n log n).
+    Mann-Whitney formulation via midranks, O(n log n): a run of c tied
+    scores ending at 1-based rank e shares rank e - (c - 1) / 2. Midranks
+    are half-integers, so their sum is exact.
     """
     scores, labels, n_pos, n_neg = _check_two_class(scores, labels)
-    ranks = _sstats.rankdata(scores, method="average")
+    _, run, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[run]
     u = float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

@@ -1,4 +1,5 @@
-"""Layers, parameter containers, the ADAM optimizer, and checkpoint I/O.
+"""Layers, parameter containers, the ADAM optimizer, the minibatch training
+loop, and checkpoint I/O.
 
 Layers compose the primitives in :mod:`nidkit.tensor`, so backward rules come
 for free from the tape. Construction is explicit about randomness: every
@@ -7,7 +8,8 @@ layer that draws initial weights takes a ``numpy.random.Generator``.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import os
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -118,24 +120,23 @@ class Module:
 # Core layers
 
 
-def _kaiming_uniform(rng: np.random.Generator, fan_in: int, shape,
-                     dtype) -> np.ndarray:
+def _kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Linear(Module):
     """Affine map x @ W + b with fan-in-scaled uniform initialization."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
-                 bias: bool = True, dtype=np.float64):
+                 bias: bool = True):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Tensor(
-            _kaiming_uniform(rng, in_features, (in_features, out_features), dtype),
+            _kaiming_uniform(rng, in_features, (in_features, out_features)),
             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
@@ -155,16 +156,15 @@ class BatchNorm1d(Module):
     momentum; eval mode normalizes with the running estimates.
     """
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5,
-                 dtype=np.float64):
+    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
         self.num_features = num_features
         self.momentum = momentum
         self.eps = eps
-        self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
-        self.running_mean = Tensor(np.zeros(num_features, dtype=dtype))
-        self.running_var = Tensor(np.ones(num_features, dtype=dtype))
+        self.gamma = Tensor(np.ones(num_features), requires_grad=True)
+        self.beta = Tensor(np.zeros(num_features), requires_grad=True)
+        self.running_mean = Tensor(np.zeros(num_features))
+        self.running_var = Tensor(np.ones(num_features))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.num_features:
@@ -189,12 +189,12 @@ class BatchNorm1d(Module):
 class LayerNorm(Module):
     """Per-row normalization over the last axis with affine parameters."""
 
-    def __init__(self, dim: int, eps: float = 1e-5, dtype=np.float64):
+    def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
         self.dim = dim
         self.eps = eps
-        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+        self.gamma = Tensor(np.ones(dim), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.dim:
@@ -233,16 +233,16 @@ class Conv2d1xW(Module):
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_width: int,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_width = kernel_width
         fan_in = in_channels * kernel_width
         self.weight = Tensor(
-            _kaiming_uniform(rng, fan_in, (fan_in, out_channels), dtype),
+            _kaiming_uniform(rng, fan_in, (fan_in, out_channels)),
             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != self.in_channels or x.shape[2] != 1:
@@ -299,17 +299,17 @@ class MultiHeadAttention(Module):
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 dropout: float = 0.0, dtype=np.float64):
+                 dropout: float = 0.0):
         super().__init__()
         if dim % heads != 0:
             raise ConfigError(f"attention dim {dim} not divisible by {heads} heads")
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
-        self.wq = Linear(dim, dim, rng, dtype=dtype)
-        self.wk = Linear(dim, dim, rng, dtype=dtype)
-        self.wv = Linear(dim, dim, rng, dtype=dtype)
-        self.wo = Linear(dim, dim, rng, dtype=dtype)
+        self.wq = Linear(dim, dim, rng)
+        self.wk = Linear(dim, dim, rng)
+        self.wv = Linear(dim, dim, rng)
+        self.wo = Linear(dim, dim, rng)
         self.drop = Dropout(dropout, rng)
 
     def _split(self, x: Tensor, b: int, t: int) -> Tensor:
@@ -372,9 +372,36 @@ class Adam:
             v_hat = v / (1 - b2 ** t)
             p.values = p.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def zero_grad(self) -> None:
-        for _, p in self.named:
-            p.zero_grad()
+
+# ---------------------------------------------------------------------------
+# Training loop
+
+
+def fit(step: Callable, features: np.ndarray, epochs: int, batch_size: int,
+        rng: np.random.Generator, log_path=None, term_names=()) -> list:
+    """The minibatch loop of every trainer; returns the ``step`` results.
+
+    Each epoch draws one ``rng.permutation`` and drops the trailing partial
+    batch. ``step(batch)`` takes one optimization step and returns its loss,
+    a float or a record with a ``total`` and a ``terms`` dict. ``log_path``
+    gets a ``step,total,<term_names>`` CSV row per step. A non-finite total
+    raises ``FloatingPointError`` naming the step.
+    """
+    features = np.asarray(features)
+    history = []
+    with open(log_path or os.devnull, "w") as log:
+        log.write(",".join(["step", "total", *term_names]) + "\n")
+        for _ in range(epochs):
+            order = rng.permutation(features.shape[0])
+            for start in range(0, features.shape[0] - batch_size + 1, batch_size):
+                out = step(features[order[start:start + batch_size]])
+                total = float(getattr(out, "total", out))
+                log.write(",".join([str(len(history)), repr(total),
+                                    *(repr(out.terms[t]) for t in term_names)]) + "\n")
+                if not np.isfinite(total):
+                    raise FloatingPointError(f"non-finite loss {total!r} at step {len(history)}")
+                history.append(out)
+    return history
 
 
 # ---------------------------------------------------------------------------

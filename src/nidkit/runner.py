@@ -63,17 +63,6 @@ def load_experiment_dataset(cfg: ExperimentConfig):
     return preprocess(raw)
 
 
-def _totals(history) -> list:
-    return [float(getattr(step, "total", step)) for step in history]
-
-
-def _write_loss_csv(path, totals) -> None:
-    with open(path, "w") as fh:
-        fh.write("step,total\n")
-        for i, t in enumerate(totals):
-            fh.write(f"{i},{t!r}\n")
-
-
 def _run_ssl(cfg: ExperimentConfig, train, rng, run_dir: Path):
     d = train.n_features
     aug = AugmentationSpec(**cfg.augmentation)
@@ -94,7 +83,7 @@ def _run_ssl(cfg: ExperimentConfig, train, rng, run_dir: Path):
                        feature_permutation=perm,
                        log_path=run_dir / "loss.csv")
     detector = fit_center(model.encoder, train.features, subset_columns=cols)
-    return model, detector.score, _totals(history)
+    return model, detector.score, [h.total for h in history]
 
 
 def _run_baseline(cfg: ExperimentConfig, train, rng, run_dir: Path):
@@ -110,8 +99,8 @@ def _run_baseline(cfg: ExperimentConfig, train, rng, run_dir: Path):
         loss_fn, score_fn = svdd_loss, svdd_score
     optimizer = nn.Adam(model, lr=cfg.learning_rate)
     history = train_baseline(model, train.features, loss_fn, optimizer,
-                             cfg.epochs, cfg.batch_size, rng)
-    _write_loss_csv(run_dir / "loss.csv", history)
+                             cfg.epochs, cfg.batch_size, rng,
+                             log_path=run_dir / "loss.csv")
     return model, (lambda feats: score_fn(model, feats)), history
 
 
@@ -191,7 +180,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         lines.append(format_aggregate(aggregate, len(reports)))
     (exp_dir / "report.txt").write_text("\n".join(lines) + "\n")
     if aggregate is not None:
-        # presence of aggregate.yaml is the grid's "cell complete" marker
+        # the grid treats a cell as complete once n_runs_ok equals its runs
         (exp_dir / "aggregate.yaml").write_text(yaml.safe_dump({
             "config_hash": cfg.hash, "model": cfg.model,
             "n_runs_ok": len(reports),
@@ -242,8 +231,8 @@ def _run_cell(args):
            "encoder": cfg.encoder.get("kind", "-"),
            "augmentation": (cfg.augmentation or {}).get("kind", "-"),
            "hash": cfg.hash}
-    if agg_path.exists():
-        stored = yaml.safe_load(agg_path.read_text())
+    stored = yaml.safe_load(agg_path.read_text()) if agg_path.exists() else None
+    if stored and stored["n_runs_ok"] == cfg.n_runs:
         row.update(status="cached", metrics=stored["metrics"])
         return row
     try:
@@ -263,7 +252,8 @@ def _run_cell(args):
 
 
 def run_grid(doc: dict, base_dir=".", workers: int = 1) -> dict:
-    """Run every grid cell (skipping completed ones) and rank the results.
+    """Run every grid cell (skipping those whose runs all succeeded before)
+    and rank the results.
 
     Cells are independent; with workers > 1 they execute in separate
     processes, each still fully deterministic given its config and seeds.

@@ -14,7 +14,6 @@ provides exact backward rules, including through the Cholesky whitening.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -189,12 +188,11 @@ def wmse_loss(z: Tensor, z2: Tensor, slice_size: int = 32, eps: float = 1e-4) ->
 class ProjectionHead(nn.Module):
     """Two fully connected layers with BN+ReLU between, fixed 256-wide output."""
 
-    def __init__(self, in_dim: int, rng: np.random.Generator, dim: int = 256,
-                 dtype=np.float64):
+    def __init__(self, in_dim: int, rng: np.random.Generator, dim: int = 256):
         super().__init__()
-        self.fc1 = nn.Linear(in_dim, dim, rng, dtype=dtype)
-        self.bn = nn.BatchNorm1d(dim, dtype=dtype)
-        self.fc2 = nn.Linear(dim, dim, rng, dtype=dtype)
+        self.fc1 = nn.Linear(in_dim, dim, rng)
+        self.bn = nn.BatchNorm1d(dim)
+        self.fc2 = nn.Linear(dim, dim, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc2(T.relu(self.bn(self.fc1(x))))
@@ -222,6 +220,7 @@ def ema_update(online: nn.Module, target: nn.Module, tau: float) -> None:
 
 
 def _mixup_tensor(y: Tensor, alpha: float, partners: np.ndarray) -> Tensor:
+    """Representation-space mixup: alpha * y_i + (1 - alpha) * y_partners[i]."""
     a = Tensor(np.asarray(alpha, dtype=y.dtype))
     b = Tensor(np.asarray(1.0 - alpha, dtype=y.dtype))
     return T.add(T.mul(y, a), T.mul(y[partners], b))
@@ -239,11 +238,10 @@ class SSLModel(nn.Module):
     term_names: tuple = ()
 
     def __init__(self, encoder: nn.Module, rep_dim: int,
-                 rng: np.random.Generator, dim: int = 256, dtype=np.float64):
+                 rng: np.random.Generator, dim: int = 256):
         super().__init__()
         self.encoder = encoder
-        self.projector = ProjectionHead(rep_dim, rng, dim=dim, dtype=dtype)
-        self.embed_dim = dim
+        self.projector = ProjectionHead(rep_dim, rng, dim=dim)
 
     # -- per-kind hooks ------------------------------------------------------
 
@@ -300,13 +298,13 @@ class BYOL(SSLModel):
 
     def __init__(self, encoder: nn.Module, target_encoder: nn.Module,
                  rep_dim: int, rng: np.random.Generator, dim: int = 256,
-                 tau: float = 0.99, dtype=np.float64):
-        super().__init__(encoder, rep_dim, rng, dim=dim, dtype=dtype)
-        self.predictor = ProjectionHead(dim, rng, dim=dim, dtype=dtype)
+                 tau: float = 0.99):
+        super().__init__(encoder, rep_dim, rng, dim=dim)
+        self.predictor = ProjectionHead(dim, rng, dim=dim)
         self.tau = tau
         target_encoder.load_state_dict(encoder.state_dict())
         self.target_encoder = _freeze(target_encoder)
-        self.target_projector = ProjectionHead(rep_dim, rng, dim=dim, dtype=dtype)
+        self.target_projector = ProjectionHead(rep_dim, rng, dim=dim)
         self.target_projector.load_state_dict(self.projector.state_dict())
         _freeze(self.target_projector)
 
@@ -335,9 +333,9 @@ class SimSiam(SSLModel):
 
     kind = "simsiam"
 
-    def __init__(self, encoder, rep_dim, rng, dim=256, dtype=np.float64):
-        super().__init__(encoder, rep_dim, rng, dim=dim, dtype=dtype)
-        self.predictor = ProjectionHead(dim, rng, dim=dim, dtype=dtype)
+    def __init__(self, encoder, rep_dim, rng, dim=256):
+        super().__init__(encoder, rep_dim, rng, dim=dim)
+        self.predictor = ProjectionHead(dim, rng, dim=dim)
 
     def _view_state(self, view, partners, alpha):
         state = super()._view_state(view, partners, alpha)
@@ -353,9 +351,8 @@ class BarlowTwins(SSLModel):
     kind = "barlow_twins"
     term_names = ("on_diag", "off_diag")
 
-    def __init__(self, encoder, rep_dim, rng, dim=256, lambda_bt=5e-3,
-                 dtype=np.float64):
-        super().__init__(encoder, rep_dim, rng, dim=dim, dtype=dtype)
+    def __init__(self, encoder, rep_dim, rng, dim=256, lambda_bt=5e-3):
+        super().__init__(encoder, rep_dim, rng, dim=dim)
         self.lambda_bt = lambda_bt
 
     def _pair_loss(self, si, sj):
@@ -368,8 +365,8 @@ class VICReg(SSLModel):
     term_names = ("invariance", "variance", "covariance")
 
     def __init__(self, encoder, rep_dim, rng, dim=256, lam=25.0, mu=25.0,
-                 nu=1.0, gamma=1.0, eps=1e-4, dtype=np.float64):
-        super().__init__(encoder, rep_dim, rng, dim=dim, dtype=dtype)
+                 nu=1.0, gamma=1.0, eps=1e-4):
+        super().__init__(encoder, rep_dim, rng, dim=dim)
         self.lam, self.mu, self.nu = lam, mu, nu
         self.gamma, self.eps = gamma, eps
 
@@ -382,9 +379,8 @@ class VICReg(SSLModel):
 class WMSE(SSLModel):
     kind = "wmse"
 
-    def __init__(self, encoder, rep_dim, rng, dim=256, slice_size=32,
-                 eps=1e-4, dtype=np.float64):
-        super().__init__(encoder, rep_dim, rng, dim=dim, dtype=dtype)
+    def __init__(self, encoder, rep_dim, rng, dim=256, slice_size=32, eps=1e-4):
+        super().__init__(encoder, rep_dim, rng, dim=dim)
         self.slice_size = slice_size
         self.eps = eps
 
@@ -392,23 +388,17 @@ class WMSE(SSLModel):
         return wmse_loss(si["z"], sj["z"], self.slice_size, self.eps), {}
 
 
+_MODEL_CLASSES = {cls.kind: cls for cls in (BYOL, SimSiam, BarlowTwins, VICReg, WMSE)}
+
+
 def build_model(kind: str, encoder_factory, rep_dim: int,
-                rng: np.random.Generator, dim: int = 256, dtype=np.float64,
-                **hyper) -> SSLModel:
+                rng: np.random.Generator, dim: int = 256, **hyper) -> SSLModel:
     """Construct an SSL model; ``encoder_factory()`` must build a fresh
     encoder each call (BYOL needs a second copy for the EMA target)."""
-    if kind == "byol":
-        return BYOL(encoder_factory(), encoder_factory(), rep_dim, rng,
-                    dim=dim, dtype=dtype, **hyper)
-    if kind == "simsiam":
-        return SimSiam(encoder_factory(), rep_dim, rng, dim=dim, dtype=dtype, **hyper)
-    if kind == "barlow_twins":
-        return BarlowTwins(encoder_factory(), rep_dim, rng, dim=dim, dtype=dtype, **hyper)
-    if kind == "vicreg":
-        return VICReg(encoder_factory(), rep_dim, rng, dim=dim, dtype=dtype, **hyper)
-    if kind == "wmse":
-        return WMSE(encoder_factory(), rep_dim, rng, dim=dim, dtype=dtype, **hyper)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    if kind not in _MODEL_CLASSES:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    encoders = [encoder_factory() for _ in range(2 if kind == "byol" else 1)]
+    return _MODEL_CLASSES[kind](*encoders, rep_dim, rng, dim=dim, **hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -434,38 +424,17 @@ def pretrain(model: SSLModel, features: np.ndarray, spec: AugmentationSpec,
              rng: np.random.Generator,
              feature_permutation: Optional[np.ndarray] = None,
              log_path=None) -> list:
-    """Self-supervised pretraining over a feature matrix of normal traffic.
-
-    Batches are drawn without replacement each epoch (trailing partial batch
-    dropped to keep batch statistics uniform); the feature matrix itself is
-    the donor pool for swap noise. Returns the per-step LossBreakdown list
-    and, when ``log_path`` is given, writes a step,total,<terms> CSV.
-    """
-    n = features.shape[0]
+    """Self-supervised pretraining over a feature matrix of normal traffic;
+    returns the per-step LossBreakdown list. Batching, the loss log and the
+    non-finite guard are :func:`nn.fit`'s; the feature matrix itself is the
+    donor pool for swap noise."""
     if batch_size < 2:
         raise ConfigError("batch_size must be >= 2")
-    history = []
-    log_fh = open(log_path, "w", newline="") if log_path else None
-    try:
-        writer = None
-        if log_fh:
-            writer = csv.writer(log_fh)
-            writer.writerow(["step", "total", *model.term_names])
-        step = 0
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            for start in range(0, n - batch_size + 1, batch_size):
-                batch = features[order[start:start + batch_size]]
-                view_set = make_views(batch, spec, rng, donor_pool=features,
-                                      feature_permutation=feature_permutation)
-                breakdown = train_step(model, view_set, optimizer,
-                                       alpha=spec.alpha, rng=rng)
-                history.append(breakdown)
-                if writer:
-                    writer.writerow([step, repr(breakdown.total),
-                                     *(repr(breakdown.terms[t]) for t in model.term_names)])
-                step += 1
-    finally:
-        if log_fh:
-            log_fh.close()
-    return history
+
+    def step(batch):
+        view_set = make_views(batch, spec, rng, donor_pool=features,
+                              feature_permutation=feature_permutation)
+        return train_step(model, view_set, optimizer, alpha=spec.alpha, rng=rng)
+
+    return nn.fit(step, features, epochs, batch_size, rng, log_path=log_path,
+                  term_names=model.term_names)

@@ -124,20 +124,17 @@ def _record(output: "Tensor", inputs: tuple, backward_fn: Callable) -> None:
 class Tensor:
     """Dense n-dimensional array that can participate in gradient recording.
 
-    ``values`` is always a float numpy array (float64 by default, float32 for
-    reduced-precision training). ``grad`` is populated by ``backward`` and has
+    ``values`` is always a float numpy array: a float input keeps its dtype,
+    anything else becomes float64. ``grad`` is populated by ``backward`` and has
     the same shape as ``values``; repeated backward calls accumulate into it.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "is_leaf")
 
-    def __init__(self, values: ArrayLike, requires_grad: bool = False,
-                 dtype: Optional[np.dtype] = None):
+    def __init__(self, values: ArrayLike, requires_grad: bool = False):
         arr = np.asarray(values)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
-        if dtype is not None:
-            arr = arr.astype(dtype)
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None

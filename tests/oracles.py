@@ -2,12 +2,26 @@
 
 Everything here deliberately avoids the library's own code paths: gradients
 come from central finite differences on the raw numpy arrays, ranking metrics
-from O(n^2) pairwise counting, thresholds from exhaustive enumeration.
+from O(n^2) pairwise counting, thresholds from exhaustive enumeration. The
+one exception, ``cnn_stage_shapes``, runs an encoder's own stages one at a
+time to audit the shape each one produces.
 """
 
 import numpy as np
 
 from nidkit import tensor as T
+
+
+def cnn_stage_shapes(encoder, x):
+    """(channels, width) after each stage of a CNNEncoder, found by running
+    its stages one at a time on ``x``."""
+    h = T.reshape(x, (x.shape[0], 1, 1, encoder.input_width))
+    shapes = []
+    with T.no_grad():
+        for stage in encoder.stages:
+            h = stage(h)
+            shapes.append((h.shape[1], h.shape[3]))
+    return shapes
 
 
 def finite_difference_grad(fn, arrays, wrt, h=1e-5):

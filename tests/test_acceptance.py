@@ -35,6 +35,7 @@ from nidkit.ssl_models import (MODEL_KINDS, barlow_twins_loss, build_model,
                                byol_loss, pretrain, simsiam_loss, vicreg_loss,
                                whiten_slice, wmse_loss)
 from nidkit.tensor import Tensor
+from oracles import cnn_stage_shapes
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -272,7 +273,7 @@ def test_criterion_02_cnn_shape_conformance():
     rng = np.random.default_rng(0)
     enc = CNNEncoder(196, rng)
     x = Tensor(rng.normal(size=(2, 196)))
-    got = enc.intermediate_shapes(x)          # (channels, width) per stage
+    got = cnn_stage_shapes(enc, x)            # (channels, width) per stage
     expected = [(32, 195), (64, 194), (128, 193), (128, 64),
                 (256, 63), (256, 31), (512, 30), (512, 7)]
     with T.no_grad():

@@ -14,11 +14,13 @@ import pytest
 from scipy import stats
 
 from nidkit.augment import (KINDS, AugmentationSpec, ViewSet, gaussian_noise,
-                            make_subsets, make_views, mixup, mixup_partners,
+                            make_subsets, make_views, mixup_partners,
                             random_shuffle, subset_columns, swap_noise,
                             zero_out)
 from nidkit.data import SchemaError
 from nidkit.nn import BatchSizeError, ConfigError
+from nidkit.ssl_models import _mixup_tensor
+from nidkit.tensor import Tensor
 
 N_MC = 100_000  # element draws for frequency/moment estimates
 MC_TOL = 0.01
@@ -169,6 +171,11 @@ def test_subsets_validation():
 
 # ---------------------------------------------------------------------------
 # mixup
+
+
+def mixup(y, alpha, rng):
+    """Representation-space mixup of a numpy batch, as the trainer does it."""
+    return _mixup_tensor(Tensor(y), alpha, mixup_partners(y.shape[0], rng)).values
 
 
 def test_mixup_is_convex_combination_with_distinct_partner():

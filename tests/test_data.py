@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from nidkit.data import (DataError, Dataset, RawTable, SchemaError,
-                         dataset_as_raw, load_csv, load_dataset, load_schema,
-                         preprocess, protocol_split, save_dataset,
-                         synth_generate)
+                         load_csv, load_dataset, load_schema, preprocess,
+                         protocol_split, save_dataset, synth_generate)
 from oracles import auroc_bruteforce
 
 SCHEMA_YAML = """\
@@ -65,6 +64,20 @@ def test_load_csv_parses_and_drops_columns(tmp_path):
     np.testing.assert_allclose(table.cells["dur"], [0.5, 1.5])
     assert list(table.cells["proto"]) == ["tcp", "udp"]
     assert table.kinds["label"] == "label"
+    assert table.normal_values == {"normal", "benign"}
+
+
+def test_schema_normal_values_label_the_rows(tmp_path):
+    text = SCHEMA_YAML.replace("[normal, benign]", '["BENIGN"]')
+    schema = _write_schema(tmp_path, text)
+    path = _write_csv(tmp_path, (
+        "id,dur,bytes,proto,label\n"
+        "1,0.5,100,tcp,BENIGN\n"
+        "2,1.5,300,udp,DoS\n"
+        "3,2.5,200,tcp,BENIGN\n"
+        "4,3.5,400,udp,DoS\n"))
+    raw, _ = load_csv(path, schema)
+    np.testing.assert_array_equal(preprocess(raw).labels, [0, 1, 0, 1])
 
 
 def test_load_csv_reject_report_is_hand_countable(tmp_path):
@@ -114,10 +127,21 @@ def test_load_csv_header_mismatch_and_missing_file(tmp_path):
 # preprocessing
 
 
-def _raw(columns, kinds, cells):
+def _raw(columns, kinds, cells, normal_values=("normal", "Normal")):
     return RawTable(columns=columns, kinds=kinds,
                     cells={k: np.array(v, dtype=(np.float64 if kinds[k] == "numeric" else object))
-                           for k, v in cells.items()})
+                           for k, v in cells.items()},
+                    normal_values=set(normal_values))
+
+
+def _dataset_as_raw(ds):
+    """A Dataset as a RawTable (all numeric + label), to re-run preprocessing."""
+    cells = {name: ds.features[:, j].copy() for j, name in enumerate(ds.feature_names)}
+    kinds = {name: "numeric" for name in ds.feature_names}
+    cells["label"] = np.array(["attack" if y else "normal" for y in ds.labels], dtype=object)
+    kinds["label"] = "label"
+    return RawTable(columns=list(ds.feature_names) + ["label"], kinds=kinds, cells=cells,
+                    normal_values={"normal"})
 
 
 def test_preprocess_basic_pipeline():
@@ -186,7 +210,7 @@ def test_preprocess_drops_constant_and_single_category_columns():
 
 def test_preprocess_is_idempotent():
     ds = synth_generate(60, 40, d=12, separation=2.0, seed=3)
-    again = preprocess(dataset_as_raw(ds))
+    again = preprocess(_dataset_as_raw(ds))
     np.testing.assert_allclose(again.features, ds.features, atol=1e-12)
     np.testing.assert_array_equal(again.labels, ds.labels)
 

@@ -40,6 +40,15 @@ def test_auroc_single_class_raises():
         auroc(np.array([1.0, 2.0]), np.array([0, 0]))
 
 
+def test_non_finite_scores_raise():
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    with pytest.raises(MetricError, match="6 of 6 scores are not finite"):
+        optimal_threshold_metrics(np.full(6, np.nan), labels)
+    one_bad = np.array([0.1, 0.2, np.inf, 0.7, 0.8, 0.9])
+    with pytest.raises(MetricError, match="1 of 6"):
+        auroc(one_bad, labels)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_auroc_invariant_under_monotone_transform(seed):

@@ -294,6 +294,33 @@ def test_adam_converges_on_quadratic():
 
 
 # ---------------------------------------------------------------------------
+# Training loop
+
+def _counting_step(nan_at=None):
+    batches = []
+
+    def step(batch):
+        batches.append(batch[:, 0].copy())
+        return float("nan") if len(batches) == nan_at else float(len(batches))
+    return step, batches
+
+
+def test_fit_draws_full_batches_without_replacement():
+    step, batches = _counting_step()
+    history = nn.fit(step, np.arange(10.0)[:, None], 1, 3, rng_(40))
+    assert history == [1.0, 2.0, 3.0]               # trailing row dropped
+    assert len(np.unique(np.concatenate(batches))) == 9
+
+
+def test_fit_stops_at_a_non_finite_loss_and_names_the_step(tmp_path):
+    step, _ = _counting_step(nan_at=4)
+    log = tmp_path / "loss.csv"
+    with pytest.raises(FloatingPointError, match="non-finite loss nan at step 3"):
+        nn.fit(step, np.arange(10.0)[:, None], 2, 3, rng_(41), log_path=log)
+    assert log.read_text() == "step,total\n0,1.0\n1,2.0\n2,3.0\n3,nan\n"
+
+
+# ---------------------------------------------------------------------------
 # Checkpoints
 
 def test_checkpoint_roundtrip(tmp_path):

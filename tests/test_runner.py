@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from nidkit import cli
+from nidkit import cli, runner
 from nidkit.config import config_hash, validate_config
 from nidkit.data import save_dataset, synth_generate
 from nidkit.nn import ConfigError
@@ -176,6 +176,19 @@ def test_failed_runs_record_stage_and_do_not_abort_later_seeds(tmp_path):
     assert "FAILED at train" in read_report(result["dir"])
 
 
+def test_non_finite_loss_fails_the_run_at_train(tmp_path):
+    # a feature column of NaN makes every reconstruction loss NaN
+    ds = synth_generate(300, 80, 12, 6.0, seed=3)
+    ds.features[:, 0] = np.nan
+    save_dataset(tmp_path / "nan.npz", ds)
+    cfg = validate_config(make_doc(dataset={"cache": "nan.npz"}, model="autoencoder"),
+                          base_dir=tmp_path)
+    result = run_experiment(cfg)
+    rec = yaml.safe_load((result["dir"] / "run0" / "record.yaml").read_text())
+    assert rec["status"] == "failed" and rec["stage"] == "train", rec
+    assert "non-finite loss nan at step 0" in rec["error"]
+
+
 def test_synthetic_attacks_are_separable_end_to_end(tmp_path):
     # well-separated synthetic traffic should be near-trivial after pretraining
     doc = make_doc(
@@ -258,6 +271,28 @@ def test_run_grid_ranks_by_mean_f1_and_resumes_from_cache(tmp_path):
     assert [r["hash"] for r in again["ranking"]] == [r["hash"] for r in result["ranking"]]
 
 
+def test_grid_reruns_a_cell_with_a_failed_seed(tmp_path, monkeypatch):
+    doc = grid_doc(runs=2)
+    doc["grid"] = {"model": ["autoencoder"]}
+    calls = []
+    real = runner.train_baseline
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "train_baseline", flaky)
+    first = run_grid(doc, base_dir=tmp_path)["rows"][0]
+    agg_path = tmp_path / "runs" / first["hash"] / "aggregate.yaml"
+    assert yaml.safe_load(agg_path.read_text())["n_runs_ok"] == 1
+    again = run_grid(doc, base_dir=tmp_path)["rows"][0]
+    assert again["status"] == "ok" and len(calls) == 4
+    assert yaml.safe_load(agg_path.read_text())["n_runs_ok"] == 2
+    assert run_grid(doc, base_dir=tmp_path)["rows"][0]["status"] == "cached"
+
+
 def test_grid_reports_failed_cells_without_stopping(tmp_path):
     doc = grid_doc()
     doc["grid"]["encoder"] = [{"kind": "cnn"}]  # too narrow for every cell
@@ -295,6 +330,15 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
     path.write_text(yaml.safe_dump(make_doc(model="contrastive")))
     assert cli.main(["validate-config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["sigmaa", "seed"])
+def test_cli_rejects_unknown_augmentation_key(tmp_path, capsys, key):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(make_doc(augmentation={"kind": "zero_out", key: 0.2})))
+    assert cli.main(["validate-config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
 
 
 def test_cli_seed_and_runs_overrides(tmp_path, capsys):
