@@ -127,6 +127,9 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
     n_runs = int(doc.get("runs", 1))
     if n_runs < 1:
         raise ConfigError(f"{source}: runs must be >= 1")
+    train_fraction = float(doc.get("train_fraction", 0.5))
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError(f"{source}: train_fraction must be in (0, 1), got {train_fraction}")
 
     normalized = dict(doc)
     normalized["dataset"] = dataset
@@ -143,7 +146,7 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
         loss_params=dict(doc.get("loss", {})),
         n_runs=n_runs,
         base_seed=int(doc.get("base_seed", 0)),
-        train_fraction=float(doc.get("train_fraction", 0.5)),
+        train_fraction=train_fraction,
         output_dir=base_dir / str(doc.get("output_dir", "runs")),
     )
 

@@ -11,6 +11,8 @@ remaining normals plus every attack sample.
 from __future__ import annotations
 
 import csv
+import itertools
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -115,12 +117,21 @@ def load_schema(path) -> Schema:
     )
 
 
+# rows parsed per batch: bounds the raw text held in memory at once
+_CHUNK_ROWS = 8192
+
+
 def load_csv(path, schema: Schema, max_reject_fraction: float = 0.1):
     """Parse a CSV into a RawTable, routing malformed rows to a reject report.
 
     Returns (table, rejects) where rejects is a list of
-    {"row": line_number, "reason": str}. Raises DataError when the reject
-    fraction exceeds ``max_reject_fraction``.
+    {"row": line_number, "reason": str}, ordered by line. A row is rejected
+    when its field count differs from the header's, or for its first bad
+    numeric cell in header order: a non-number, or a non-finite value such
+    as ``inf``. An empty cell or a literal ``nan`` is a missing value.
+    Raises SchemaError on a header that repeats a name or disagrees with the
+    schema, and DataError when the reject fraction exceeds
+    ``max_reject_fraction``.
     """
     path = Path(path)
     if not path.exists():
@@ -132,6 +143,9 @@ def load_csv(path, schema: Schema, max_reject_fraction: float = 0.1):
         except StopIteration:
             raise SchemaError(f"{path}: empty file")
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise SchemaError(f"{path}: duplicate column name(s) {repeated} in header")
         expected = set(schema.columns) | {schema.label_column} | set(schema.drop)
         missing = (set(schema.columns) | {schema.label_column}) - set(header)
         unknown = set(header) - expected
@@ -139,59 +153,114 @@ def load_csv(path, schema: Schema, max_reject_fraction: float = 0.1):
             raise SchemaError(
                 f"{path}: header mismatch (missing {sorted(missing)}, unknown {sorted(unknown)})")
 
-        keep = [i for i, h in enumerate(header) if h not in schema.drop]
-        names = [header[i] for i in keep]
-        rows, rejects = [], []
+        kinds = {h: "label" if h == schema.label_column else schema.columns[h]
+                 for h in header if h not in schema.drop}
+        parts = {name: [np.empty(0, np.float64 if kind == "numeric" else object)]
+                 for name, kind in kinds.items()}
+        rows, lines, rejects = [], [], []
+        lineno = 1
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 rejects.append({"row": lineno, "reason": f"expected {len(header)} fields, got {len(row)}"})
                 continue
-            parsed, bad = [], None
-            for i in keep:
-                name, value = header[i], row[i].strip()
-                if name == schema.label_column:
-                    parsed.append(value)
-                elif schema.columns[name] == "numeric":
-                    if value == "":
-                        parsed.append(np.nan)
-                    else:
-                        try:
-                            parsed.append(float(value))
-                        except ValueError:
-                            bad = f"non-numeric value {value!r} in column {name!r}"
-                            break
-                else:
-                    parsed.append(value)
-            if bad:
-                rejects.append({"row": lineno, "reason": bad})
-            else:
-                rows.append(parsed)
+            rows.append(row)
+            lines.append(lineno)
+            if len(rows) == _CHUNK_ROWS:
+                rejects += _parse_rows(rows, lines, header, kinds, parts)
+                rows, lines = [], []
+        rejects += _parse_rows(rows, lines, header, kinds, parts)
+    rejects.sort(key=lambda r: r["row"])
 
-    total = len(rows) + len(rejects)
+    cells = {name: np.concatenate(chunks) for name, chunks in parts.items()}
+    total = lineno - 1   # data rows read
     if total and len(rejects) / total > max_reject_fraction:
         raise DataError(
             f"{path}: {len(rejects)}/{total} rows rejected "
             f"(> {max_reject_fraction:.0%})")
-
-    cells = {}
-    kinds = {}
-    for j, name in enumerate(names):
-        column = [r[j] for r in rows]
-        if name == schema.label_column:
-            kinds[name] = "label"
-            cells[name] = np.array(column, dtype=object)
-        elif schema.columns[name] == "numeric":
-            kinds[name] = "numeric"
-            cells[name] = np.array(column, dtype=np.float64)
-        else:
-            kinds[name] = "categorical"
-            cells[name] = np.array(column, dtype=object)
-    return RawTable(columns=names, kinds=kinds, cells=cells,
+    return RawTable(columns=list(kinds), kinds=kinds, cells=cells,
                     normal_values=set(schema.normal_values)), rejects
+
+
+_strip = np.frompyfunc(str.strip, 1, 1)
+
+
+def _parse_rows(rows, lines, header, kinds, parts):
+    """Parse a batch of full-width rows column by column into ``parts``.
+
+    Rows with a bad numeric cell are left out; returns their rejects.
+    """
+    if not rows:
+        return []
+    table = np.array(rows, dtype=object)
+    bad = {}      # row position -> reason of its first bad cell in header order
+    columns = {}
+    for j, name in enumerate(header):
+        if name not in kinds:
+            continue
+        if kinds[name] == "numeric":
+            columns[name] = _parse_numeric(table[:, j].tolist(), name, bad)
+        else:
+            columns[name] = _strip(table[:, j])
+    if bad:
+        ok = np.ones(len(rows), dtype=bool)
+        ok[list(bad)] = False
+        columns = {name: values[ok] for name, values in columns.items()}
+    for name, values in columns.items():
+        parts[name].append(values)
+    return [{"row": lines[pos], "reason": reason} for pos, reason in bad.items()]
+
+
+def _parse_numeric(cells, name, bad):
+    """float64 values of one column's cells, NaN where a cell is empty.
+
+    ``float`` parses the column in one pass, and stops only at a cell it
+    cannot read; that cell is missing if blank, else its row goes to ``bad``.
+    """
+    values = []
+    parsed = map(float, cells)
+    while True:
+        try:
+            values.extend(parsed)
+            break
+        except ValueError:
+            # extend keeps the values parsed before the failing cell, and
+            # the map resumes after it
+            pos = len(values)
+            text = cells[pos].strip()
+            if text:
+                bad.setdefault(pos, f"non-numeric value {text!r} in column {name!r}")
+            values.append(np.nan)
+    values = np.array(values, dtype=np.float64)
+    for pos in np.flatnonzero(np.isinf(values)).tolist():
+        bad.setdefault(pos, f"non-finite value {cells[pos].strip()!r} in column {name!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Preprocessing
+
+
+# the str form of every cell of an object array; preprocess compares,
+# sorts and deduplicates categorical cells by it
+_as_text = np.frompyfunc(str, 1, 1)
+
+
+def _codes(text):
+    """Sorted distinct values of an object array of str, and the index of
+    each cell's value among them."""
+    first = {}   # value -> position of its first cell
+    pos = np.fromiter(map(first.setdefault, text, itertools.count()), np.int64, len(text))
+    values = sorted(first)
+    rank = np.empty(len(text), dtype=np.int64)
+    rank[[first[v] for v in values]] = np.arange(len(values))
+    return values, rank[pos]
+
+
+def _first_rows(keys):
+    """Ascending indices of the first occurrence of each distinct row."""
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    return np.sort(np.unique(rows, return_index=True)[1])
 
 
 def preprocess(raw: RawTable) -> Dataset:
@@ -199,28 +268,27 @@ def preprocess(raw: RawTable) -> Dataset:
     one-hot, min-max, merged binary labels.
 
     Label values found in ``raw.normal_values`` map to 0; every other value
-    is an attack class and maps to 1.
+    is an attack class and maps to 1. Two rows are duplicates when every
+    kept feature cell has the same ``str`` form and the binary labels agree.
     """
     label_cols = [c for c in raw.columns if raw.kinds[c] == "label"]
     if len(label_cols) != 1:
         raise SchemaError(f"expected exactly one label column, found {label_cols}")
     label_col = label_cols[0]
     feat_cols = [c for c in raw.columns if c != label_col]
+    numeric = {c for c in feat_cols if raw.kinds[c] == "numeric"}
 
     # 1. drop rows with any missing value
-    n = raw.n_rows
-    keep = np.ones(n, dtype=bool)
-    for c in feat_cols:
-        col = raw.cells[c]
-        if raw.kinds[c] == "numeric":
-            keep &= ~np.isnan(col.astype(np.float64))
+    keep = np.ones(raw.n_rows, dtype=bool)
+    text = {}
+    for c in raw.columns:
+        if c in numeric:
+            keep &= ~np.isnan(raw.cells[c].astype(np.float64, copy=False))
         else:
-            keep &= np.array([v is not None and str(v) != "" for v in col])
-    keep &= np.array([v is not None and str(v) != "" for v in raw.cells[label_col]])
+            text[c] = _as_text(raw.cells[c])
+            keep &= (text[c] != "") & np.not_equal(raw.cells[c], None)
     row_ids = np.flatnonzero(keep)
-
-    cols = {c: raw.cells[c][keep] for c in feat_cols}
-    labels_raw = raw.cells[label_col][keep]
+    cols = {c: (raw.cells[c] if c in numeric else text[c])[keep] for c in feat_cols}
 
     # 2. drop duplicated feature columns (identical value sequences), keep first
     kept_cols, seen = [], {}
@@ -233,52 +301,55 @@ def preprocess(raw: RawTable) -> Dataset:
         seen[key] = c
         kept_cols.append(c)
 
-    # 3. drop duplicated rows (features + label)
-    labels = np.array([0 if str(v) in raw.normal_values else 1 for v in labels_raw],
-                      dtype=np.int64)
-    row_keys = {}
-    row_keep = []
-    for i in range(len(labels)):
-        key = tuple(str(cols[c][i]) for c in kept_cols) + (labels[i],)
-        if key not in row_keys:
-            row_keys[key] = i
-            row_keep.append(i)
-    row_keep = np.asarray(row_keep, dtype=np.int64)
-    cols = {c: cols[c][row_keep] for c in kept_cols}
+    # 3. drop duplicated rows (features + label): one integer key per cell,
+    # the float64 bit pattern of a number (so -0.0 and 0.0 differ, as their
+    # str forms do) or the code of a category
+    label_values, label_codes = _codes(text[label_col][keep])
+    is_attack = np.array([v not in raw.normal_values for v in label_values], dtype=np.int64)
+    labels = is_attack[label_codes]
+    categories = {c: _codes(cols[c]) for c in kept_cols if c not in numeric}
+    keys = np.empty((len(labels), len(kept_cols) + 1), dtype=np.int64)
+    for j, c in enumerate(kept_cols):
+        keys[:, j] = (cols[c].astype(np.float64, copy=False).view(np.int64) if c in numeric
+                      else categories[c][1])
+    keys[:, -1] = labels
+    row_keep = _first_rows(keys)
     labels = labels[row_keep]
     row_ids = row_ids[row_keep]
 
-    # 4. one-hot encode categoricals; 5. min-max normalize numerics
-    blocks, names = [], []
+    # 4. one-hot encode categoricals; 5. min-max normalize numerics. The
+    # column layout is settled first, then one matrix is filled
+    names, scaled, hot = [], [], []
     numeric_idx, onehot_groups, norm_stats = [], {}, {}
     for c in kept_cols:
-        if raw.kinds[c] == "numeric":
-            col = cols[c].astype(np.float64)
+        if c in numeric:
+            col = cols[c][row_keep].astype(np.float64, copy=False)
             lo, hi = float(col.min()), float(col.max())
             if hi == lo:
                 warnings.warn(f"dropping constant numeric column {c!r}")
                 continue
             numeric_idx.append(len(names))
             norm_stats[c] = (lo, hi)
+            scaled.append((len(names), col, lo, hi))
             names.append(c)
-            blocks.append(((col - lo) / (hi - lo))[:, None])
         else:
-            cats = sorted(set(str(v) for v in cols[c]))
+            cats, codes = categories[c]
             if len(cats) < 2:
                 warnings.warn(f"dropping single-category column {c!r}")
                 continue
             start = len(names)
-            lookup = {v: k for k, v in enumerate(cats)}
-            hot = np.zeros((len(labels), len(cats)))
-            for i, v in enumerate(cols[c]):
-                hot[i, lookup[str(v)]] = 1.0
-            blocks.append(hot)
+            hot.append(start + codes[row_keep])
             names.extend(f"{c}={v}" for v in cats)
             onehot_groups[c] = list(range(start, start + len(cats)))
 
-    if not blocks:
+    if not names:
         raise DataError("no usable feature columns after preprocessing")
-    features = np.hstack(blocks)
+    features = np.zeros((len(labels), len(names)))
+    for j, col, lo, hi in scaled:
+        features[:, j] = (col - lo) / (hi - lo)
+    rows = np.arange(len(labels))
+    for columns in hot:
+        features[rows, columns] = 1.0
     return Dataset(features=features, labels=labels, feature_names=names,
                    numeric_idx=np.asarray(numeric_idx, dtype=np.int64),
                    onehot_groups=onehot_groups, norm_stats=norm_stats,
@@ -325,9 +396,17 @@ def protocol_split(ds: Dataset, train_fraction_of_normals: float = 0.5,
     attack = np.flatnonzero(ds.labels == 1)
     if normal.size == 0:
         raise DataError("protocol_split: dataset has no normal samples")
+    # NaN in min or max marks a NaN cell; +-inf shows in one of them
+    finite = np.isfinite(ds.features.min(axis=0)) & np.isfinite(ds.features.max(axis=0))
+    if not finite.all():
+        names = [ds.feature_names[j] for j in np.flatnonzero(~finite)]
+        raise DataError(f"protocol_split: non-finite values in feature column(s) {names}")
+    n_train = int(round(train_fraction_of_normals * normal.size))
+    if n_train == 0:
+        raise DataError(f"protocol_split: train fraction {train_fraction_of_normals} of "
+                        f"{normal.size} normal rows leaves no training rows")
     rng = np.random.default_rng(seed)
     order = rng.permutation(normal)
-    n_train = int(round(train_fraction_of_normals * normal.size))
     train_idx = np.sort(order[:n_train])
     test_idx = np.sort(np.concatenate([order[n_train:], attack]))
 
@@ -450,21 +529,36 @@ def synth_generate(n_normal: int, n_attack: int, d: int, separation: float,
 
 
 def save_dataset(path, ds: Dataset) -> None:
-    """Versioned npz cache with feature metadata alongside the matrix."""
+    """Versioned npz cache with feature metadata alongside the matrix.
+
+    Like ``np.savez``, appends ``.npz`` to a path without it. The archive is
+    written to a temporary file beside the target and renamed over it, so a
+    failed write leaves any previous cache intact.
+    """
+    path = Path(path)
+    if not path.name.endswith(".npz"):
+        path = path.with_name(path.name + ".npz")
     meta = {
         "feature_names": list(ds.feature_names),
         "onehot_groups": {k: list(map(int, v)) for k, v in ds.onehot_groups.items()},
         "norm_stats": {k: [float(a), float(b)] for k, (a, b) in ds.norm_stats.items()},
     }
-    np.savez(
-        path,
-        __version__=np.asarray(DATASET_CACHE_VERSION),
-        features=ds.features,
-        labels=ds.labels,
-        numeric_idx=ds.numeric_idx,
-        ids=ds.ids,
-        meta=np.frombuffer(yaml.safe_dump(meta).encode(), dtype=np.uint8),
-    )
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh,
+                __version__=np.asarray(DATASET_CACHE_VERSION),
+                features=ds.features,
+                labels=ds.labels,
+                numeric_idx=ds.numeric_idx,
+                ids=ds.ids,
+                meta=np.frombuffer(yaml.safe_dump(meta).encode(), dtype=np.uint8),
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_dataset(path) -> Dataset:

@@ -2,14 +2,20 @@
 
 Everything here deliberately avoids the library's own code paths: gradients
 come from central finite differences on the raw numpy arrays, ranking metrics
-from O(n^2) pairwise counting, thresholds from exhaustive enumeration. The
-one exception, ``cnn_stage_shapes``, runs an encoder's own stages one at a
-time to audit the shape each one produces.
+from O(n^2) pairwise counting, thresholds from exhaustive enumeration, CSV
+ingest from a row-by-row parse and a per-row dedup key. The one exception,
+``cnn_stage_shapes``, runs an encoder's own stages one at a time to audit the
+shape each one produces.
 """
+
+import csv
+import warnings
+from pathlib import Path
 
 import numpy as np
 
 from nidkit import tensor as T
+from nidkit.data import DataError, Dataset, RawTable, SchemaError
 
 
 def cnn_stage_shapes(encoder, x):
@@ -183,3 +189,168 @@ def best_threshold_bruteforce(scores, labels):
         if f1 > best_f1:
             best_f1, best_thr = f1, thr
     return best_thr, best_f1
+
+
+def load_csv_rowwise(path, schema, max_reject_fraction=0.1):
+    """Reference for ``data.load_csv``: one row at a time, one cell at a time.
+
+    The first bad numeric cell of a row rejects it: a non-number, or a value
+    that parses to +-inf. A duplicated header name is left to ``load_csv``.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        expected = set(schema.columns) | {schema.label_column} | set(schema.drop)
+        missing = (set(schema.columns) | {schema.label_column}) - set(header)
+        unknown = set(header) - expected
+        if missing or unknown:
+            raise SchemaError(
+                f"{path}: header mismatch (missing {sorted(missing)}, unknown {sorted(unknown)})")
+
+        keep = [i for i, h in enumerate(header) if h not in schema.drop]
+        names = [header[i] for i in keep]
+        rows, rejects = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                rejects.append({"row": lineno, "reason": f"expected {len(header)} fields, got {len(row)}"})
+                continue
+            parsed, bad = [], None
+            for i in keep:
+                name, value = header[i], row[i].strip()
+                if name == schema.label_column:
+                    parsed.append(value)
+                elif schema.columns[name] == "numeric":
+                    if value == "":
+                        parsed.append(np.nan)
+                    else:
+                        try:
+                            number = float(value)
+                        except ValueError:
+                            bad = f"non-numeric value {value!r} in column {name!r}"
+                            break
+                        if number in (float("inf"), float("-inf")):
+                            bad = f"non-finite value {value!r} in column {name!r}"
+                            break
+                        parsed.append(number)
+                else:
+                    parsed.append(value)
+            if bad:
+                rejects.append({"row": lineno, "reason": bad})
+            else:
+                rows.append(parsed)
+
+    total = len(rows) + len(rejects)
+    if total and len(rejects) / total > max_reject_fraction:
+        raise DataError(
+            f"{path}: {len(rejects)}/{total} rows rejected "
+            f"(> {max_reject_fraction:.0%})")
+
+    cells = {}
+    kinds = {}
+    for j, name in enumerate(names):
+        column = [r[j] for r in rows]
+        if name == schema.label_column:
+            kinds[name] = "label"
+            cells[name] = np.array(column, dtype=object)
+        elif schema.columns[name] == "numeric":
+            kinds[name] = "numeric"
+            cells[name] = np.array(column, dtype=np.float64)
+        else:
+            kinds[name] = "categorical"
+            cells[name] = np.array(column, dtype=object)
+    return RawTable(columns=names, kinds=kinds, cells=cells,
+                    normal_values=set(schema.normal_values)), rejects
+
+
+def preprocess_rowwise(raw):
+    """Reference for ``data.preprocess``: a tuple of ``str`` cells as each
+    row's dedup key, a per-row one-hot loop, one block per column."""
+    label_cols = [c for c in raw.columns if raw.kinds[c] == "label"]
+    if len(label_cols) != 1:
+        raise SchemaError(f"expected exactly one label column, found {label_cols}")
+    label_col = label_cols[0]
+    feat_cols = [c for c in raw.columns if c != label_col]
+
+    # 1. drop rows with any missing value
+    n = raw.n_rows
+    keep = np.ones(n, dtype=bool)
+    for c in feat_cols:
+        col = raw.cells[c]
+        if raw.kinds[c] == "numeric":
+            keep &= ~np.isnan(col.astype(np.float64))
+        else:
+            keep &= np.array([v is not None and str(v) != "" for v in col])
+    keep &= np.array([v is not None and str(v) != "" for v in raw.cells[label_col]])
+    row_ids = np.flatnonzero(keep)
+
+    cols = {c: raw.cells[c][keep] for c in feat_cols}
+    labels_raw = raw.cells[label_col][keep]
+
+    # 2. drop duplicated feature columns (identical value sequences), keep first
+    kept_cols, seen = [], {}
+    for c in feat_cols:
+        col = cols[c]
+        key = col.tobytes() if col.dtype != object else col.astype(str).tobytes()
+        if key in seen:
+            warnings.warn(f"dropping column {c!r}: duplicate of {seen[key]!r}")
+            continue
+        seen[key] = c
+        kept_cols.append(c)
+
+    # 3. drop duplicated rows (features + label)
+    labels = np.array([0 if str(v) in raw.normal_values else 1 for v in labels_raw],
+                      dtype=np.int64)
+    row_keys = {}
+    row_keep = []
+    for i in range(len(labels)):
+        key = tuple(str(cols[c][i]) for c in kept_cols) + (labels[i],)
+        if key not in row_keys:
+            row_keys[key] = i
+            row_keep.append(i)
+    row_keep = np.asarray(row_keep, dtype=np.int64)
+    cols = {c: cols[c][row_keep] for c in kept_cols}
+    labels = labels[row_keep]
+    row_ids = row_ids[row_keep]
+
+    # 4. one-hot encode categoricals; 5. min-max normalize numerics
+    blocks, names = [], []
+    numeric_idx, onehot_groups, norm_stats = [], {}, {}
+    for c in kept_cols:
+        if raw.kinds[c] == "numeric":
+            col = cols[c].astype(np.float64)
+            lo, hi = float(col.min()), float(col.max())
+            if hi == lo:
+                warnings.warn(f"dropping constant numeric column {c!r}")
+                continue
+            numeric_idx.append(len(names))
+            norm_stats[c] = (lo, hi)
+            names.append(c)
+            blocks.append(((col - lo) / (hi - lo))[:, None])
+        else:
+            cats = sorted(set(str(v) for v in cols[c]))
+            if len(cats) < 2:
+                warnings.warn(f"dropping single-category column {c!r}")
+                continue
+            start = len(names)
+            lookup = {v: k for k, v in enumerate(cats)}
+            hot = np.zeros((len(labels), len(cats)))
+            for i, v in enumerate(cols[c]):
+                hot[i, lookup[str(v)]] = 1.0
+            blocks.append(hot)
+            names.extend(f"{c}={v}" for v in cats)
+            onehot_groups[c] = list(range(start, start + len(cats)))
+
+    if not blocks:
+        raise DataError("no usable feature columns after preprocessing")
+    features = np.hstack(blocks)
+    return Dataset(features=features, labels=labels, feature_names=names,
+                   numeric_idx=np.asarray(numeric_idx, dtype=np.int64),
+                   onehot_groups=onehot_groups, norm_stats=norm_stats,
+                   ids=row_ids)

@@ -1,10 +1,14 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
+from nidkit import data
 from nidkit.data import (DataError, Dataset, RawTable, SchemaError,
                          load_csv, load_dataset, load_schema, preprocess,
                          protocol_split, save_dataset, synth_generate)
-from oracles import auroc_bruteforce
+from oracles import auroc_bruteforce, load_csv_rowwise, preprocess_rowwise
 
 SCHEMA_YAML = """\
 version: 1
@@ -121,6 +125,34 @@ def test_load_csv_header_mismatch_and_missing_file(tmp_path):
     path = _write_csv(tmp_path, "id,dur,bytes,proto,extra,label\n", name="b.csv")
     with pytest.raises(SchemaError):
         load_csv(path, schema)  # unknown column
+
+
+def test_load_csv_rejects_non_finite_values(tmp_path):
+    schema = _write_schema(tmp_path)
+    path = _write_csv(tmp_path, (
+        "id,dur,bytes,proto,label\n"
+        "1,0.5,100,tcp,normal\n"
+        "2,inf,300,udp,dos\n"
+        "3,1.5,-Infinity,tcp,normal\n"
+        "4,oops,inf,tcp,normal\n"
+        "5,nan,200,udp,dos\n"
+        "6,2.5,1e400,udp,dos\n"))
+    table, rejects = load_csv(path, schema, max_reject_fraction=0.9)
+    assert rejects == [
+        {"row": 3, "reason": "non-finite value 'inf' in column 'dur'"},
+        {"row": 4, "reason": "non-finite value '-Infinity' in column 'bytes'"},
+        {"row": 5, "reason": "non-numeric value 'oops' in column 'dur'"},
+        {"row": 7, "reason": "non-finite value '1e400' in column 'bytes'"},
+    ]
+    assert table.n_rows == 2
+    assert np.isnan(table.cells["dur"][1])   # a literal nan is a missing value
+
+
+def test_load_csv_rejects_duplicate_header_names(tmp_path):
+    schema = _write_schema(tmp_path)
+    path = _write_csv(tmp_path, "id,dur,bytes,dur,proto,label\n1,0.5,100,9.5,tcp,normal\n")
+    with pytest.raises(SchemaError, match="duplicate column name.*'dur'"):
+        load_csv(path, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +315,22 @@ def test_split_ignores_test_rows_for_statistics():
     assert test_after.features[:, ds.numeric_idx].max() > 1e5
 
 
+def test_split_rejects_non_finite_features():
+    ds = synth_generate(60, 10, d=10, separation=1.0, seed=9)
+    ds.features[5, 1] = np.inf
+    ds.features[7, 8] = np.nan
+    with pytest.raises(DataError, match=r"non-finite values in feature column\(s\) "
+                                        r"\['num1', 'cat1=2'\]"):
+        protocol_split(ds)
+
+
+def test_split_rejects_a_fraction_that_leaves_no_training_rows():
+    ds = synth_generate(100, 10, d=10, separation=1.0, seed=9)
+    with pytest.raises(DataError, match="leaves no training rows"):
+        protocol_split(ds, train_fraction_of_normals=0.001)
+    assert protocol_split(ds, train_fraction_of_normals=0.01)[0].n_rows == 1
+
+
 def test_split_requires_normals():
     ds = synth_generate(5, 5, d=10, separation=1.0, seed=10)
     all_attacks = Dataset(features=ds.features, labels=np.ones_like(ds.labels),
@@ -371,6 +419,31 @@ def test_dataset_cache_version_gate(tmp_path):
         load_dataset(path)
 
 
+def test_dataset_cache_write_is_atomic(tmp_path):
+    before = synth_generate(25, 15, d=11, separation=2.0, seed=14)
+    path = tmp_path / "cache.npz"
+    save_dataset(path, before)
+
+    class WriteFails:
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("disk full")
+
+    after = synth_generate(30, 10, d=12, separation=2.0, seed=15)
+    after.ids = WriteFails()   # written after the features and labels
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(path, after)
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.npz"]
+    back = load_dataset(path)
+    assert back.features.tobytes() == before.features.tobytes()
+    np.testing.assert_array_equal(back.ids, before.ids)
+
+
+def test_dataset_cache_appends_npz_suffix(tmp_path):
+    ds = synth_generate(5, 5, d=10, separation=1.0, seed=15)
+    save_dataset(tmp_path / "cache", ds)
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.npz"]
+
+
 def test_shipped_dataset_schemas_load():
     from pathlib import Path
 
@@ -380,3 +453,134 @@ def test_shipped_dataset_schemas_load():
         assert schema.label_column
         assert schema.normal_values
         assert "categorical" in schema.columns.values()
+
+
+# ---------------------------------------------------------------------------
+# columnar ingest against the row-by-row oracle
+
+DIFF_SCHEMA = """\
+version: 1
+label:
+  column: label
+  normal_values: [BENIGN]
+columns:
+  n0: numeric
+  n1: numeric
+  n2: numeric
+  n3: numeric
+  c0: categorical
+  c1: categorical
+  c2: categorical
+drop: [id]
+"""
+NUMBERS = ["0.0", "-0.0", "0", "1.5", " 2 ", "3", "-7.25", "1e3", "1_0", "nan", "4"]
+ODD_NUMBERS = ["", "  ", "abc", "1.5.2", "1,5", "inf", "-Infinity", "1e400"]
+CATEGORIES = ["tcp", "udp", "a,b", " icmp ", "x y", '"q"', ""]
+LABELS = ["BENIGN", "DoS", "Probe", " BENIGN", ""]
+
+
+def _random_csv(path, rng):
+    """A small CSV in the DIFF_SCHEMA layout with every defect ingest handles.
+
+    Cells come from small pools, so rows repeat; some repeats change the
+    attack label or the sign of a zero. Columns may be constant, hold one
+    category, or copy another column; rows may be short or long.
+    """
+    pick = lambda pool: pool[rng.integers(len(pool))]
+    odd = rng.uniform(0.0, 0.15)
+    constant, single = rng.random() < 0.3, rng.random() < 0.3
+    copy_n, copy_c = rng.random() < 0.3, rng.random() < 0.3
+    rows = []
+    for i in range(int(rng.integers(1, 40))):
+        if rows and rng.random() < 0.25:
+            row = list(rows[rng.integers(len(rows))])
+            if rng.random() < 0.5:
+                row[-1] = pick(LABELS)
+            if row[1] in ("0.0", "-0.0") and rng.random() < 0.5:
+                row[1] = "-0.0" if row[1] == "0.0" else "0.0"
+        else:
+            nums = [pick(ODD_NUMBERS if rng.random() < odd else NUMBERS) for _ in range(4)]
+            cats = [pick(CATEGORIES[:-1] if rng.random() > odd else CATEGORIES)
+                    for _ in range(3)]
+            row = ["", *nums, *cats, pick(LABELS)]
+            if constant:
+                row[3] = "5"
+            if single:
+                row[6] = "tcp"
+            if copy_n:
+                row[4] = row[2]
+            if copy_c:
+                row[7] = row[5]
+        row[0] = str(i)
+        shape = rng.random()
+        if shape < 0.04:
+            row = row[:-1]
+        elif shape < 0.08:
+            row = row + ["extra"]
+        rows.append(row)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "n0", "n1", "n2", "n3", "c0", "c1", "c2", "label"])
+        writer.writerows(rows)
+
+
+def _table_fields(raw):
+    cells = {c: (v.dtype.str, v.tobytes() if v.dtype != object
+                 else [(type(x), x) for x in v.tolist()])
+             for c, v in raw.cells.items()}
+    return raw.columns, raw.kinds, raw.normal_values, cells
+
+
+def _dataset_fields(ds):
+    return (ds.features.dtype.str, ds.features.shape, ds.features.flags.c_contiguous,
+            ds.features.tobytes(), ds.labels.dtype.str, ds.labels.tolist(),
+            ds.feature_names, ds.numeric_idx.dtype.str, ds.numeric_idx.tolist(),
+            ds.onehot_groups, ds.norm_stats, ds.ids.dtype.str, ds.ids.tolist())
+
+
+def _outcome(step, *args):
+    """What ``step`` returns or raises, and the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = step(*args)
+        except ValueError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _compare_preprocess(raw):
+    new, new_warnings = _outcome(preprocess, raw)
+    ref, ref_warnings = _outcome(preprocess_rowwise, raw)
+    assert new_warnings == ref_warnings
+    if isinstance(ref, Dataset):
+        assert _dataset_fields(new) == _dataset_fields(ref)
+    else:
+        assert new == ref
+    return ref
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_columnar_ingest_matches_the_row_by_row_oracle(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    if seed % 3:   # several batches per file, cut at varied rows
+        monkeypatch.setattr(data, "_CHUNK_ROWS", 1 + seed % 7)
+    schema = _write_schema(tmp_path, DIFF_SCHEMA)
+    path = tmp_path / "flows.csv"
+    _random_csv(path, rng)
+
+    new, _ = _outcome(load_csv, path, schema, 0.5)
+    ref, _ = _outcome(load_csv_rowwise, path, schema, 0.5)
+    if not isinstance(ref, tuple) or len(ref) != 2 or not isinstance(ref[0], RawTable):
+        assert new == ref
+        return
+    (raw, rejects), (ref_raw, ref_rejects) = new, ref
+    assert rejects == ref_rejects
+    assert _table_fields(raw) == _table_fields(ref_raw)
+    _compare_preprocess(raw)
+
+    # a hand-built table may mark a missing category with None
+    if raw.n_rows:
+        cells = dict(raw.cells, c0=raw.cells["c0"].copy())
+        cells["c0"][rng.integers(raw.n_rows)] = None
+        _compare_preprocess(RawTable(raw.columns, raw.kinds, cells, raw.normal_values))

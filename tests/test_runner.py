@@ -64,6 +64,8 @@ def test_hash_changes_with_content():
     lambda d: d["training"].__setitem__("epochs", 0),
     lambda d: d["training"].__setitem__("batch_size", 1),
     lambda d: d.__setitem__("runs", 0),
+    lambda d: d.__setitem__("train_fraction", 0.0),
+    lambda d: d.__setitem__("train_fraction", 1.0),
 ])
 def test_validate_rejects_bad_documents(mangle):
     doc = make_doc()
@@ -177,16 +179,30 @@ def test_failed_runs_record_stage_and_do_not_abort_later_seeds(tmp_path):
 
 
 def test_non_finite_loss_fails_the_run_at_train(tmp_path):
-    # a feature column of NaN makes every reconstruction loss NaN
+    # finite but huge one-hot cells (the split leaves them unscaled) make
+    # the first reconstruction loss overflow to inf
+    ds = synth_generate(300, 80, 12, 6.0, seed=3)
+    ds.features[:, ds.onehot_groups["cat0"][0]] *= 1e200
+    save_dataset(tmp_path / "huge.npz", ds)
+    cfg = validate_config(make_doc(dataset={"cache": "huge.npz"}, model="autoencoder"),
+                          base_dir=tmp_path)
+    with np.errstate(over="ignore"):
+        result = run_experiment(cfg)
+    rec = yaml.safe_load((result["dir"] / "run0" / "record.yaml").read_text())
+    assert rec["status"] == "failed" and rec["stage"] == "train", rec
+    assert "non-finite loss inf at step 0" in rec["error"]
+
+
+def test_non_finite_features_fail_the_run_at_split(tmp_path):
+    # a NaN feature would pass relu as 0 and train on finite losses
     ds = synth_generate(300, 80, 12, 6.0, seed=3)
     ds.features[:, 0] = np.nan
     save_dataset(tmp_path / "nan.npz", ds)
-    cfg = validate_config(make_doc(dataset={"cache": "nan.npz"}, model="autoencoder"),
-                          base_dir=tmp_path)
+    cfg = validate_config(make_doc(dataset={"cache": "nan.npz"}), base_dir=tmp_path)
     result = run_experiment(cfg)
     rec = yaml.safe_load((result["dir"] / "run0" / "record.yaml").read_text())
-    assert rec["status"] == "failed" and rec["stage"] == "train", rec
-    assert "non-finite loss nan at step 0" in rec["error"]
+    assert rec["status"] == "failed" and rec["stage"] == "split", rec
+    assert "non-finite values in feature column(s) ['num0']" in rec["error"]
 
 
 def test_synthetic_attacks_are_separable_end_to_end(tmp_path):
@@ -339,6 +355,14 @@ def test_cli_rejects_unknown_augmentation_key(tmp_path, capsys, key):
     assert cli.main(["validate-config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize("fraction", [0, 1.5])
+def test_cli_rejects_train_fraction_outside_unit_interval(tmp_path, capsys, fraction):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(make_doc(train_fraction=fraction)))
+    assert cli.main(["validate-config", str(path)]) == 2
+    assert "train_fraction must be in (0, 1)" in capsys.readouterr().err
 
 
 def test_cli_seed_and_runs_overrides(tmp_path, capsys):
