@@ -125,10 +125,11 @@ def load_csv(path, schema: Schema, max_reject_fraction: float = 0.1):
     """Parse a CSV into a RawTable, routing malformed rows to a reject report.
 
     Returns (table, rejects) where rejects is a list of
-    {"row": line_number, "reason": str}, ordered by line. A row is rejected
-    when its field count differs from the header's, or for its first bad
-    numeric cell in header order: a non-number, or a non-finite value such
-    as ``inf``. An empty cell or a literal ``nan`` is a missing value.
+    {"row": line_number, "reason": str}, ordered by line; line_number is the
+    file line the record starts on. A row is rejected when its field count
+    differs from the header's, or for its first bad numeric cell in header
+    order: a non-number, or a non-finite value such as ``inf``. An empty
+    cell or a literal ``nan`` is a missing value.
     Raises SchemaError on a header that repeats a name or disagrees with the
     schema, and DataError when the reject fraction exceeds
     ``max_reject_fraction``.
@@ -158,8 +159,12 @@ def load_csv(path, schema: Schema, max_reject_fraction: float = 0.1):
         parts = {name: [np.empty(0, np.float64 if kind == "numeric" else object)]
                  for name, kind in kinds.items()}
         rows, lines, rejects = [], [], []
-        lineno = 1
-        for lineno, row in enumerate(reader, start=2):
+        total = 0   # data records read; a quoted newline spans lines
+        start = reader.line_num + 1
+        for row in reader:
+            total += 1
+            # a record starts on the line after the previous one ended
+            lineno, start = start, reader.line_num + 1
             if len(row) != len(header):
                 rejects.append({"row": lineno, "reason": f"expected {len(header)} fields, got {len(row)}"})
                 continue
@@ -172,7 +177,6 @@ def load_csv(path, schema: Schema, max_reject_fraction: float = 0.1):
     rejects.sort(key=lambda r: r["row"])
 
     cells = {name: np.concatenate(chunks) for name, chunks in parts.items()}
-    total = lineno - 1   # data rows read
     if total and len(rejects) / total > max_reject_fraction:
         raise DataError(
             f"{path}: {len(rejects)}/{total} rows rejected "
@@ -288,6 +292,9 @@ def preprocess(raw: RawTable) -> Dataset:
             text[c] = _as_text(raw.cells[c])
             keep &= (text[c] != "") & np.not_equal(raw.cells[c], None)
     row_ids = np.flatnonzero(keep)
+    if not len(row_ids):
+        raise DataError(f"no rows left after dropping rows with missing values "
+                        f"({raw.n_rows} read)")
     cols = {c: (raw.cells[c] if c in numeric else text[c])[keep] for c in feat_cols}
 
     # 2. drop duplicated feature columns (identical value sequences), keep first

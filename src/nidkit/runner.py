@@ -8,14 +8,19 @@ a bare feature matrix, and labels surface only at the metrics stage.
 
 from __future__ import annotations
 
+import os
+import resource
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy
 import yaml
 
 from . import nn
@@ -138,11 +143,36 @@ def run_single(cfg: ExperimentConfig, ds, seed: int, run_dir: Path) -> RunRecord
                          duration_s=time.perf_counter() - t0)
 
 
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@lru_cache(maxsize=None)
+def _static_env() -> dict:
+    """Library versions, numpy's BLAS, the BLAS thread variables and the CPU
+    count: fixed for the life of the process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy < 1.26 has no dict form
+        blas = {}
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {v: os.environ.get(v) for v in _THREAD_VARIABLES},
+            "cpu_count": os.cpu_count()}
+
+
+def _run_env() -> dict:
+    """The settings a run executed under, and the process's peak RSS so far."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss   # KiB; bytes on macOS
+    peak /= 2.0 ** (20 if sys.platform == "darwin" else 10)
+    return {**_static_env(), "peak_rss_mb": round(peak, 1)}
+
+
 def _record_doc(rec: RunRecord) -> dict:
     doc = {
         "config_hash": rec.config_hash, "seed": rec.seed, "status": rec.status,
         "duration_s": rec.duration_s, "checkpoint": rec.checkpoint,
         "loss_first": rec.loss_first, "loss_last": rec.loss_last,
+        "env": _run_env(),
     }
     if rec.status == "failed":
         doc.update(stage=rec.stage, error=rec.error)

@@ -9,7 +9,9 @@ terms (cross-correlation to identity, variance hinge + covariance penalty,
 and hard whitening respectively).
 
 Gradient-bearing math uses :mod:`nidkit.tensor` throughout so the tape
-provides exact backward rules, including through the Cholesky whitening.
+provides exact backward rules, including through the Cholesky whitening,
+which runs on numpy's LAPACK: one factorisation and one blocked triangular
+inverse per 32-row sub-batch and branch.
 """
 
 from __future__ import annotations

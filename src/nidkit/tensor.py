@@ -5,6 +5,9 @@ module-level tape. ``backward`` replays the tape in reverse and accumulates
 gradients onto leaf tensors flagged with ``requires_grad``. The tape is
 intended to live for a single training step: call ``reset_tape`` (or use the
 optimizer helpers in :mod:`nidkit.nn`) after each update.
+
+All linear algebra runs on numpy, so every BLAS and LAPACK call goes through
+numpy's one OpenBLAS thread pool; scipy serves only ``special.erf``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
 from scipy.special import erf
 
 __all__ = [
@@ -87,11 +89,15 @@ class _OpRecord:
 
 _tape: list[_OpRecord] = []
 _grad_enabled: bool = True
+# id(factor values) -> (factor values, inverse of their lower triangle), for
+# the triangular factors of recorded ops; it lives as long as the tape does
+_inverses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def reset_tape() -> None:
     """Drop every recorded operation. Call between training steps."""
     _tape.clear()
+    _inverses.clear()
 
 
 def tape_length() -> int:
@@ -418,22 +424,19 @@ def cholesky(a: Tensor) -> Tensor:
     av = a.values
     if av.ndim != 2 or av.shape[0] != av.shape[1]:
         raise ShapeError(f"cholesky: expected a square matrix, got {av.shape}")
-    potrf, = lapack.get_lapack_funcs(("potrf",), (av,))
-    c, info = potrf(av, lower=1, overwrite_a=False)
-    if info > 0:
-        raise DecompositionError(pivot=info - 1)
-    if info < 0:
-        raise ValueError(f"cholesky: illegal argument {-info}")
-    lv = np.tril(c)
+    try:
+        lv = np.linalg.cholesky(av)
+    except np.linalg.LinAlgError:
+        raise DecompositionError(pivot=_failing_pivot(av)) from None
 
     def bwd(g):
         # Murray (2016)-style reverse rule:  S = L^{-T} Phi(L^T g) L^{-1},
         # where Phi keeps the lower triangle and halves the diagonal. The
         # stored-lower-triangle convention folds S + S^T into the lower part.
+        x = _factor_inverse(lv, keep=False)
         p = np.tril(lv.T @ g)
         p[np.diag_indices_from(p)] *= 0.5
-        tmp = solve_triangular(lv, p.T, lower=True, trans="T")
-        s = solve_triangular(lv, tmp.T, lower=True, trans="T").T
+        s = x.T @ p.T @ x
         ga = np.tril(s + s.T)
         ga[np.diag_indices_from(ga)] = np.diag(s)
         return (ga,)
@@ -441,8 +444,24 @@ def cholesky(a: Tensor) -> Tensor:
     return _result(lv, (a,), bwd)
 
 
+def _failing_pivot(av: np.ndarray) -> int:
+    """Index of the pivot where the Cholesky factorisation of ``av`` fails:
+    the order of its smallest leading minor that is not positive definite,
+    less one. Bisects on the minors' factorisations; the full matrix fails."""
+    lo, hi = 0, av.shape[0]   # the minor of order lo factors, that of order hi fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(av[:mid, :mid])
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    return hi - 1
+
+
 def triangular_solve(l: Tensor, b: Tensor) -> Tensor:
-    """Solve l @ x = b for lower-triangular ``l``."""
+    """Solve l @ x = b for lower-triangular ``l``; its upper triangle is not
+    read."""
     lv, bv = l.values, b.values
     if lv.ndim != 2 or lv.shape[0] != lv.shape[1]:
         raise ShapeError(f"triangular_solve: expected square matrix, got {lv.shape}")
@@ -450,14 +469,59 @@ def triangular_solve(l: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"triangular_solve: rhs shape {bv.shape} incompatible with {lv.shape}")
     if np.any(np.diag(lv) == 0.0):
         raise SingularityError("triangular_solve: zero diagonal element")
-    xv = solve_triangular(lv, bv, lower=True)
+    linv = _factor_inverse(lv, keep=_grad_enabled and l.requires_grad)
+    xv = linv @ bv
 
     def bwd(g):
-        gb = solve_triangular(lv, g, lower=True, trans="T")
+        gb = linv.T @ g
         gl = np.tril(-gb @ xv.T)
         return gl, gb
 
     return _result(xv, (l, b), bwd)
+
+
+def _factor_inverse(lv: np.ndarray, keep: bool) -> np.ndarray:
+    """Inverse of the lower triangle of ``lv``, computed once per factor.
+
+    With ``keep`` the inverse is held until ``reset_tape``, so the backward
+    rule of the ``cholesky`` that produced ``lv`` reuses it.
+    """
+    hit = _inverses.get(id(lv))
+    if hit is not None and hit[0] is lv:
+        return hit[1]
+    linv = _lower_inverse(np.tril(lv))
+    if keep:
+        _inverses[id(lv)] = (lv, linv)
+    return linv
+
+
+# order of the diagonal blocks of the blocked triangular inverse
+_BLOCK = 32
+
+
+def _lower_inverse(lv: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix with a nonzero diagonal.
+
+    One batched ``np.linalg.inv`` inverts the diagonal blocks (a short last
+    block is padded with the identity). Block row i of the inverse X is then
+    X[i, :i] = -D_i^{-1} (L[i, :i] X[:i, :i]), two GEMMs per block row.
+    """
+    n = lv.shape[0]
+    size = min(n, _BLOCK)
+    starts = range(0, n, size)
+    blocks = np.tile(np.eye(size, dtype=lv.dtype), (len(starts), 1, 1))
+    for k, i in enumerate(starts):
+        m = min(size, n - i)
+        blocks[k, :m, :m] = lv[i:i + m, i:i + m]
+    # pivoting may leave rounding residue above the diagonal
+    dinv = np.tril(np.linalg.inv(blocks))
+    x = np.zeros_like(lv)
+    for k, i in enumerate(starts):
+        m = min(size, n - i)
+        x[i:i + m, i:i + m] = dinv[k, :m, :m]
+        if i:
+            x[i:i + m, :i] = -dinv[k, :m, :m] @ (lv[i:i + m, :i] @ x[:i, :i])
+    return x
 
 
 # ---------------------------------------------------------------------------

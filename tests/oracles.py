@@ -217,7 +217,9 @@ def load_csv_rowwise(path, schema, max_reject_fraction=0.1):
         keep = [i for i, h in enumerate(header) if h not in schema.drop]
         names = [header[i] for i in keep]
         rows, rejects = [], []
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if len(row) != len(header):
                 rejects.append({"row": lineno, "reason": f"expected {len(header)} fields, got {len(row)}"})
                 continue
@@ -289,6 +291,9 @@ def preprocess_rowwise(raw):
             keep &= np.array([v is not None and str(v) != "" for v in col])
     keep &= np.array([v is not None and str(v) != "" for v in raw.cells[label_col]])
     row_ids = np.flatnonzero(keep)
+    if not len(row_ids):
+        raise DataError(f"no rows left after dropping rows with missing values "
+                        f"({n} read)")
 
     cols = {c: raw.cells[c][keep] for c in feat_cols}
     labels_raw = raw.cells[label_col][keep]

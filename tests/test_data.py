@@ -103,6 +103,22 @@ def test_load_csv_reject_report_is_hand_countable(tmp_path):
     assert "fields" in rejects[1]["reason"]
 
 
+def test_load_csv_rejects_name_the_file_line_a_record_starts_on(tmp_path):
+    schema = _write_schema(tmp_path, SCHEMA_YAML.replace("  bytes: numeric\n", ""))
+    # the first record's quoted field holds a newline, so it spans lines 2-3
+    path = _write_csv(tmp_path, (
+        "dur,proto,label\n"
+        '1.0,"tc\np",normal\n'
+        "2.0,udp,normal\n"
+        "oops,udp,normal\n"))
+    table, rejects = load_csv(path, schema, max_reject_fraction=0.5)
+    assert list(table.cells["proto"]) == ["tc\np", "udp"]
+    assert rejects == [{"row": 5, "reason": "non-numeric value 'oops' in column 'dur'"}]
+    # the reject fraction counts records (1 of 3), not lines (1 of 4)
+    with pytest.raises(DataError, match="1/3 rows rejected"):
+        load_csv(path, schema, max_reject_fraction=0.3)
+
+
 def test_load_csv_reject_fraction_threshold(tmp_path):
     schema = _write_schema(tmp_path)
     path = _write_csv(tmp_path, (
@@ -252,6 +268,17 @@ def test_preprocess_empty_result_raises():
                {"a": [7.0, 7.0], "label": ["normal", "dos"]})
     with pytest.warns(UserWarning):
         with pytest.raises(DataError):
+            preprocess(raw)
+
+
+def test_preprocess_all_rows_missing_raises_data_error():
+    raw = _raw(["a", "proto", "label"],
+               {"a": "numeric", "proto": "categorical", "label": "label"},
+               {"a": [np.nan, 1.0, np.nan], "proto": ["tcp", "", "udp"],
+                "label": ["normal", "dos", "normal"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # fails before any column is dropped
+        with pytest.raises(DataError, match="no rows left .* missing values"):
             preprocess(raw)
 
 

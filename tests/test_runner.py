@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 from nidkit import cli, runner
@@ -127,6 +128,24 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert lines[0].startswith("step,total")
     assert all(np.isfinite(float(row.split(",")[1])) for row in lines[1:])
     assert "auroc" in read_report(exp_dir)
+
+
+def test_record_carries_the_run_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    runner._static_env.cache_clear()
+    try:
+        cfg = validate_config(make_doc(output_dir="out"), base_dir=tmp_path)
+        env = _metrics_of(run_experiment(cfg)["dir"] / "run0")["env"]
+    finally:
+        runner._static_env.cache_clear()
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
+    assert env["blas"]["name"] and env["blas"]["version"]
+    assert env["threads"]["OMP_NUM_THREADS"] == "3"
+    assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS"}
+    assert env["cpu_count"] == os.cpu_count()
+    assert 10.0 < env["peak_rss_mb"] < 1e5
 
 
 def test_identical_config_and_seed_reproduce_metrics_exactly(tmp_path):

@@ -5,6 +5,11 @@ independently of the tape library, and gradients are checked against central
 finite differences.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,6 +241,27 @@ def test_wmse_remainder_rows_dropped():
     full = float(S.wmse_loss(Tensor(z), Tensor(z2), slice_size=4).values)
     trimmed = float(S.wmse_loss(Tensor(z[:8]), Tensor(z2[:8]), slice_size=4).values)
     assert full == trimmed
+
+
+def test_whitening_runs_without_scipy_linalg():
+    # scipy's LAPACK would bring a second OpenBLAS thread pool into training
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import nidkit.runner\n"
+        "from nidkit import tensor as T\n"
+        "from nidkit.ssl_models import wmse_loss\n"
+        "rng = np.random.default_rng(0)\n"
+        "z = T.Tensor(rng.normal(size=(64, 40)), requires_grad=True)\n"
+        "T.backward(wmse_loss(z, T.Tensor(rng.normal(size=(64, 40)))))\n"
+        "assert np.isfinite(z.grad).all() and z.grad.any()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+    src = str(Path(S.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_loss_batch_guards():

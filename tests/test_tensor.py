@@ -215,6 +215,88 @@ def test_composite_chain_grad_fd():
 
 
 # ---------------------------------------------------------------------------
+# linear algebra against a float64 reference (scipy's LAPACK) at orders that
+# straddle the 32-row blocks of the triangular inverse
+
+LINALG_ORDERS = (1, 31, 32, 33, 257)
+
+
+def _spd(rng, n):
+    m = rng.normal(size=(n + 8, n))
+    return m.T @ m / (n + 8) + 1e-2 * np.eye(n)
+
+
+def _cholesky_vjp_reference(l, g):
+    """The reverse rule of ``cholesky`` with two triangular solves."""
+    from scipy.linalg import solve_triangular
+    p = np.tril(l.T @ g)
+    p[np.diag_indices_from(p)] *= 0.5
+    tmp = solve_triangular(l, p.T, lower=True, trans="T")
+    s = solve_triangular(l, tmp.T, lower=True, trans="T").T
+    ga = np.tril(s + s.T)
+    ga[np.diag_indices_from(ga)] = np.diag(s)
+    return ga
+
+
+@pytest.mark.parametrize("n", LINALG_ORDERS)
+def test_cholesky_matches_float64_reference(n):
+    from scipy.linalg import cholesky
+    rng = np.random.default_rng(100 + n)
+    a = _spd(rng, n)
+    w = rng.normal(size=(n, n))
+    t = T.Tensor(a, requires_grad=True)
+    out = T.cholesky(t)
+    ref = cholesky(a, lower=True)
+    np.testing.assert_allclose(out.values, ref, rtol=1e-10, atol=1e-12)
+    T.backward(_weighted_sum(out, w))
+    expect = _cholesky_vjp_reference(ref, w)
+    np.testing.assert_allclose(t.grad, expect, rtol=1e-8, atol=1e-10 * np.abs(expect).max())
+    # the rule itself, along one random lower-triangular direction
+    e, h = np.tril(rng.normal(size=(n, n))), 1e-6
+    with T.no_grad():
+        fd = (np.sum(w * T.cholesky(T.Tensor(a + h * e)).values)
+              - np.sum(w * T.cholesky(T.Tensor(a - h * e)).values)) / (2 * h)
+    assert abs(np.sum(t.grad * e) - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("n", LINALG_ORDERS)
+def test_triangular_solve_matches_float64_reference(n):
+    from scipy.linalg import solve_triangular
+    rng = np.random.default_rng(200 + n)
+    l = np.linalg.cholesky(_spd(rng, n))
+    junk = l + 1e3 * np.triu(rng.normal(size=(n, n)), 1)   # must not be read
+    b = rng.normal(size=(n, 32))
+    w = rng.normal(size=(n, 32))
+    tl, tb = T.Tensor(junk, requires_grad=True), T.Tensor(b, requires_grad=True)
+    out = T.triangular_solve(tl, tb)
+    x = solve_triangular(l, b, lower=True)
+    np.testing.assert_allclose(out.values, x, rtol=1e-10, atol=1e-11 * np.abs(x).max())
+    T.backward(_weighted_sum(out, w))
+    gb = solve_triangular(l, w, lower=True, trans="T")
+    gl = np.tril(-gb @ x.T)
+    np.testing.assert_allclose(tb.grad, gb, rtol=1e-10, atol=1e-11 * np.abs(gb).max())
+    np.testing.assert_allclose(tl.grad, gl, rtol=1e-9, atol=1e-10 * np.abs(gl).max())
+    assert not np.triu(tl.grad, 1).any()
+
+
+def test_whitening_inverts_each_factor_once(monkeypatch):
+    calls, inverse = [], T._lower_inverse
+
+    def counted(lv):
+        calls.append(lv.shape)
+        return inverse(lv)
+
+    monkeypatch.setattr(T, "_lower_inverse", counted)
+    rng = np.random.default_rng(15)
+    a = T.Tensor(_spd(rng, 40), requires_grad=True)
+    l = T.cholesky(a)
+    T.backward(T.tsum(T.triangular_solve(l, T.Tensor(rng.normal(size=(40, 32))))))
+    assert calls == [(40, 40)]   # the solve's inverse serves cholesky's backward
+    T.reset_tape()
+    assert not T._inverses
+
+
+# ---------------------------------------------------------------------------
 # structural invariants
 
 def test_cholesky_reconstruction_up_to_64():
