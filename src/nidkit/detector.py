@@ -82,12 +82,16 @@ def fit_center(encoder: nn.Module, train_features,
 
 
 def dump_scores(path, ids, scores, labels=None) -> None:
-    """Score CSV: sample_id, score, label (label blank when unknown)."""
+    """Score CSV: sample_id, score, label (label blank when unknown); the
+    three columns must have equal lengths."""
     ids = np.asarray(ids)
-    scores = np.asarray(scores)
+    scores = np.asarray(scores, dtype=float)
+    labels = ([""] * len(ids) if labels is None
+              else list(map(int, np.asarray(labels).tolist())))
+    if not len(ids) == len(scores) == len(labels):
+        raise ValueError(f"dump_scores: {len(ids)} ids, {len(scores)} scores and "
+                         f"{len(labels)} labels")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "score", "label"])
-        for i in range(len(ids)):
-            label = "" if labels is None else int(np.asarray(labels)[i])
-            writer.writerow([ids[i], repr(float(scores[i])), label])
+        writer.writerows(zip(ids, map(repr, scores.tolist()), labels))

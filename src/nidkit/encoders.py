@@ -108,7 +108,12 @@ class MLPEncoder(nn.Module):
 
 
 class CNNEncoder(nn.Module):
-    """1xW convolutional stack over the feature vector viewed as a 1-row map."""
+    """1xW convolutional stack over the feature vector viewed as a 1-row map.
+
+    The stages pass channel-last memory to each other as (b, C, 1, W) views,
+    so conv, ReLU and pool copy no map; the final flatten is C-major, as
+    checkpoints and ``representation_dim`` expect, and copies once.
+    """
 
     def __init__(self, input_width: int, rng: np.random.Generator):
         super().__init__()

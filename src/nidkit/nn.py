@@ -139,13 +139,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_features:
-            raise T.ShapeError(
-                f"linear: input width {x.shape[-1]} != {self.in_features}")
-        out = T.matmul(x, self.weight)
-        if self.bias is not None:
-            out = T.add(out, self.bias)
-        return out
+        return T.linear(x, self.weight, self.bias)
 
 
 class BatchNorm1d(Module):
@@ -225,11 +219,26 @@ class Dropout(Module):
         return T.mul(x, Tensor(mask))
 
 
+def _channel_last(x: Tensor) -> Tensor:
+    """(b, C, 1, W) -> (b, W, C); a view, contiguous when the map came out of
+    another 1xW stage."""
+    b, c, _, w = x.shape
+    return T.transpose(T.reshape(x, (b, c, w)), (0, 2, 1))
+
+
+def _channel_first(h: Tensor) -> Tensor:
+    """(b, W, C) -> (b, C, 1, W), as a view of the same memory."""
+    b, w, c = h.shape
+    return T.reshape(T.transpose(h, (0, 2, 1)), (b, c, 1, w))
+
+
 class Conv2d1xW(Module):
     """Valid cross-correlation with 1-row kernels over (b, C_in, 1, W) maps.
 
     Stride 1 and no padding, matching the width bookkeeping an intrusion-
-    detection feature vector needs when treated as a 1xW image.
+    detection feature vector needs when treated as a 1xW image. The map is
+    convolved channel-last by :func:`nidkit.tensor.conv1xw`, one GEMM per
+    kernel tap; the output is a (b, C_out, 1, W_out) view of that memory.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_width: int,
@@ -248,19 +257,8 @@ class Conv2d1xW(Module):
         if x.ndim != 4 or x.shape[1] != self.in_channels or x.shape[2] != 1:
             raise T.ShapeError(
                 f"conv2d_1xw: expected (b, {self.in_channels}, 1, W), got {x.shape}")
-        b, c, _, w = x.shape
-        kw = self.kernel_width
-        if w < kw:
-            raise T.ShapeError(f"conv2d_1xw: width {w} < kernel width {kw}")
-        w_out = w - kw + 1
-        x3 = T.reshape(x, (b, c, w))
-        idx = np.arange(w_out)[:, None] + np.arange(kw)[None, :]
-        windows = x3[(slice(None), slice(None), idx)]        # (b, c, w_out, kw)
-        windows = T.transpose(windows, (0, 2, 1, 3))          # (b, w_out, c, kw)
-        windows = T.reshape(windows, (b, w_out, c * kw))
-        out = T.add(T.matmul(windows, self.weight), self.bias)  # (b, w_out, c_out)
-        out = T.transpose(out, (0, 2, 1))
-        return T.reshape(out, (b, self.out_channels, 1, w_out))
+        return _channel_first(T.conv1xw(_channel_last(x), self.weight, self.bias,
+                                        self.kernel_width))
 
 
 class MaxPool1xK(Module):
@@ -273,22 +271,7 @@ class MaxPool1xK(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[2] != 1:
             raise T.ShapeError(f"maxpool_1xk: expected (b, C, 1, W), got {x.shape}")
-        b, c, _, w = x.shape
-        k = self.k
-        if w < k:
-            raise T.ShapeError(f"maxpool_1xk: width {w} < window {k}")
-        w_out = w // k
-        x3 = T.reshape(x, (b, c, w))
-        if w_out * k != w:
-            x3 = x3[(slice(None), slice(None), slice(0, w_out * k))]
-        xr = T.reshape(x3, (b, c, w_out, k))
-        # winner positions are data, not graph: gather routes the gradient
-        am = np.argmax(xr.values, axis=-1)
-        bi = np.arange(b)[:, None, None]
-        ci = np.arange(c)[None, :, None]
-        wi = np.arange(w_out)[None, None, :]
-        out = xr[(bi, ci, wi, am)]
-        return T.reshape(out, (b, c, 1, w_out))
+        return _channel_first(T.maxpool1xk(_channel_last(x), self.k))
 
 
 class MultiHeadAttention(Module):

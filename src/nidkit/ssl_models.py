@@ -82,8 +82,7 @@ def _column_standardize(z: Tensor) -> Tensor:
 
 
 def _offdiag_sumsq(c: Tensor) -> Tensor:
-    d = c.shape[0]
-    diag = c[(np.arange(d), np.arange(d))]
+    diag = T.diagonal(c)
     return T.sub(T.tsum(T.mul(c, c)), T.tsum(T.mul(diag, diag)))
 
 
@@ -99,9 +98,8 @@ def barlow_twins_loss(z: Tensor, z2: Tensor, lambda_bt: float = 5e-3):
     b = z.shape[0]
     c = T.mul(T.matmul(T.transpose(_column_standardize(z)), _column_standardize(z2)),
               Tensor(np.asarray(1.0 / b, dtype=z.dtype)))
-    d = c.shape[0]
-    diag = c[(np.arange(d), np.arange(d))]
-    one = Tensor(np.ones(d, dtype=z.dtype))
+    diag = T.diagonal(c)
+    one = Tensor(np.ones(c.shape[0], dtype=z.dtype))
     on_diag = T.tsum(T.power(T.sub(one, diag), 2.0))
     off_diag = _offdiag_sumsq(c)
     total = T.add(on_diag, T.mul(off_diag, Tensor(np.asarray(lambda_bt, dtype=z.dtype))))

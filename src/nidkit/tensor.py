@@ -39,6 +39,9 @@ __all__ = [
     "gelu",
     "negate",
     "matmul",
+    "linear",
+    "conv1xw",
+    "maxpool1xk",
     "tsum",
     "tmean",
     "tvar",
@@ -46,6 +49,7 @@ __all__ = [
     "reshape",
     "transpose",
     "take",
+    "diagonal",
     "concat",
     "cholesky",
     "triangular_solve",
@@ -363,13 +367,13 @@ def power(a: Tensor, exponent: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(a, 0); a NaN input stays NaN (and passes no gradient)."""
     av = a.values
-    mask = av > 0.0
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (av > 0.0),)
 
-    return _result(np.where(mask, av, 0.0), (a,), bwd)
+    return _result(np.maximum(av, 0.0), (a,), bwd)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -404,6 +408,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul: operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree ({a.shape} x {b.shape})")
+    if a.ndim > 2 and b.ndim == 2:
+        return linear(a, b)
     av, bv = a.values, b.values
 
     def bwd(g):
@@ -412,6 +418,102 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _result(av @ bv, (a, b), bwd)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``x @ weight + bias`` as one op and one (M, K) x (K, N) GEMM: the
+    leading dims of ``x`` fold into M, in the forward and the backward, and
+    the bias is added in place."""
+    xv, wv = x.values, weight.values
+    if xv.ndim < 2 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0]:
+        raise ShapeError(f"linear: input {xv.shape} and weight {wv.shape} disagree")
+    k, n = wv.shape
+    if bias is not None and bias.shape != (n,):
+        raise ShapeError(f"linear: bias {bias.shape} for {n} outputs")
+    out = xv.reshape(-1, k) @ wv
+    if bias is not None:
+        out += bias.values
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        grads = ((g2 @ wv.T).reshape(xv.shape), xv.reshape(-1, k).T @ g2)
+        return grads if bias is None else grads + (g2.sum(axis=0),)
+
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _result(out.reshape(*xv.shape[:-1], n), inputs, bwd)
+
+
+def conv1xw(x: Tensor, weight: Tensor, bias: Tensor, kernel_width: int) -> Tensor:
+    """Valid 1-row cross-correlation of a channel-last (b, W, C) map.
+
+    ``weight`` is (C * kw, O) with row c * kw + j holding tap j of input
+    channel c, so ``weight[j::kw]`` is tap j's (C, O) matrix. The output
+    (b, wo, O), wo = W - kw + 1, is ``sum_j x[:, j:j + wo] @ weight[j::kw]
+    + bias``: one GEMM per tap over all b * wo positions, with no window
+    buffer. The backward adds each tap's input gradient into its shifted
+    slice, and ``x`` is all it keeps.
+    """
+    xv, wv = x.values, weight.values
+    kw = kernel_width
+    if xv.ndim != 3 or wv.ndim != 2 or wv.shape[0] != xv.shape[2] * kw:
+        raise ShapeError(f"conv1xw: map {xv.shape} and weight {wv.shape} disagree "
+                         f"for kernel width {kw}")
+    b, w, c = xv.shape
+    o = wv.shape[1]
+    wo = w - kw + 1
+    if wo < 1:
+        raise ShapeError(f"conv1xw: width {w} < kernel width {kw}")
+
+    def tap(j):
+        return xv[:, j:j + wo].reshape(b * wo, c)
+
+    out = tap(0) @ wv[0::kw]
+    for j in range(1, kw):
+        out += tap(j) @ wv[j::kw]
+    out += bias.values
+
+    def bwd(g):
+        g2 = g.reshape(b * wo, o)
+        gx = np.zeros_like(xv)
+        gw = np.empty_like(wv)
+        for j in range(kw):
+            gx[:, j:j + wo] += (g2 @ wv[j::kw].T).reshape(b, wo, c)
+            gw[j::kw] = tap(j).T @ g2
+        return gx, gw, g2.sum(axis=0)
+
+    return _result(out.reshape(b, wo, o), (x, weight, bias), bwd)
+
+
+def maxpool1xk(x: Tensor, k: int) -> Tensor:
+    """Max over non-overlapping width windows of a channel-last (b, W, C)
+    map; stride ``k``, the last ``W % k`` positions are dropped.
+
+    The backward routes each window's gradient to its first maximum, as
+    ``argmax`` would, and gives the dropped positions none.
+    """
+    xv = x.values
+    if xv.ndim != 3:
+        raise ShapeError(f"maxpool1xk: expected a (b, W, C) map, got {xv.shape}")
+    b, w, c = xv.shape
+    wo = w // k
+    if wo < 1:
+        raise ShapeError(f"maxpool1xk: width {w} < window {k}")
+    windows = xv[:, :wo * k].reshape(b, wo, k, c)
+    out_v = windows.max(axis=2)
+
+    def bwd(g):
+        gx = np.empty_like(xv)
+        gx[:, wo * k:] = 0.0
+        gw = gx[:, :wo * k].reshape(b, wo, k, c)
+        open_ = np.ones(out_v.shape, dtype=bool)     # windows not yet routed
+        for j in range(k):
+            hit = windows[:, :, j] == out_v
+            hit &= open_
+            np.multiply(g, hit, out=gw[:, :, j])
+            open_ &= ~hit
+        return (gx,)
+
+    return _result(out_v, (x,), bwd)
 
 
 def cholesky(a: Tensor) -> Tensor:
@@ -428,6 +530,10 @@ def cholesky(a: Tensor) -> Tensor:
         lv = np.linalg.cholesky(av)
     except np.linalg.LinAlgError:
         raise DecompositionError(pivot=_failing_pivot(av)) from None
+    # LAPACK stops only at a pivot <= 0, which a NaN never is
+    bad_rows = ~np.isfinite(lv).all(axis=1)
+    if bad_rows.any():
+        raise DecompositionError(pivot=int(np.argmax(bad_rows)))
 
     def bwd(g):
         # Murray (2016)-style reverse rule:  S = L^{-T} Phi(L^T g) L^{-1},
@@ -634,6 +740,20 @@ def take(a: Tensor, key) -> Tensor:
         return (ga,)
 
     return _result(out_v, (a,), bwd)
+
+
+def diagonal(a: Tensor) -> Tensor:
+    """Main diagonal of a square matrix; backward fills it into zeros."""
+    av = a.values
+    if av.ndim != 2 or av.shape[0] != av.shape[1]:
+        raise ShapeError(f"diagonal: expected a square matrix, got {av.shape}")
+
+    def bwd(g):
+        ga = np.zeros_like(av)
+        np.fill_diagonal(ga, g)
+        return (ga,)
+
+    return _result(np.diagonal(av).copy(), (a,), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

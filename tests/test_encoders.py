@@ -1,9 +1,15 @@
 """Encoder shape conformance, determinism, and gradient checks."""
 
+import cProfile
+import pstats
+import tracemalloc
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from nidkit import encoders, nn, tensor as T
+from nidkit import encoders, nn, ssl_models, tensor as T
+from nidkit.augment import AugmentationSpec, make_views
 from nidkit.data import SchemaError
 from nidkit.tensor import Tensor
 from oracles import check_module_grad, cnn_stage_shapes
@@ -193,3 +199,74 @@ def test_encoders_finite_outputs():
         enc = encoders.build_encoder(cfg, rng_(25))
         out = enc(Tensor(x)).values
         assert np.isfinite(out).all(), kind
+
+
+# ---------------------------------------------------------------------------
+# CNN on whole GEMMs
+
+
+def _cnn_im2col_reference(enc, x):
+    """The CNN in plain numpy, channel-first: gathered (b, wo, C * kw)
+    windows times the weight, and max-pool by ``argmax``."""
+    h = x[:, None, :]                                        # (b, C, W)
+    for stage in enc.stages:
+        b, c, w = h.shape
+        if isinstance(stage, nn.Conv2d1xW):
+            kw = stage.kernel_width
+            wo = w - kw + 1
+            idx = np.arange(wo)[:, None] + np.arange(kw)[None, :]
+            windows = h[:, :, idx].transpose(0, 2, 1, 3).reshape(b, wo, c * kw)
+            out = windows @ stage.weight.values + stage.bias.values
+            h = np.maximum(out, 0.0).transpose(0, 2, 1)
+        else:
+            wo = w // stage.k
+            groups = h[:, :, :wo * stage.k].reshape(b, c, wo, stage.k)
+            am = np.argmax(groups, axis=-1)
+            h = np.take_along_axis(groups, am[..., None], axis=-1)[..., 0]
+    return h.reshape(h.shape[0], -1)
+
+
+def test_cnn_matches_im2col_reference_at_d40():
+    enc = encoders.CNNEncoder(40, rng_(60))
+    x = rng_(61).normal(size=(5, 40))
+    ref = _cnn_im2col_reference(enc, x)
+    with T.no_grad():
+        got = enc(Tensor(x)).values
+    assert got.shape == ref.shape == (5, 512)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def _vicreg_cnn(batch, width=40):
+    """A VICReg model on a CNN, one view set, and a one-step closure."""
+    rng = rng_(62)
+    cfg = encoders.EncoderConfig(kind="cnn", input_width=width)
+    model = ssl_models.build_model("vicreg", lambda: encoders.build_encoder(cfg, rng),
+                                   encoders.representation_dim(cfg), rng, dim=256)
+    views = make_views(rng.normal(size=(batch, width)),
+                       AugmentationSpec(kind="random_shuffle"), rng)
+    return model, views, lambda: ssl_models.train_step(model, views, nn.Adam(model), rng=rng)
+
+
+def test_vicreg_cnn_step_peak_memory():
+    _, _, step = _vicreg_cnn(64)
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6, f"one VICReg-CNN step peaked at {peak / 1e6:.0f} MB"
+
+
+def test_cnn_runs_no_scatter_add_and_no_forward_argmax():
+    def called(fn):
+        prof = cProfile.Profile()
+        prof.runcall(fn)
+        return [name for _, _, name in pstats.Stats(prof).stats]
+
+    model, views, step = _vicreg_cnn(8)
+    assert not [n for n in called(step) if "'at' of 'numpy.ufunc'" in n]
+    x = Tensor(views.views[0])
+    for grad in (True, False):
+        with nullcontext() if grad else T.no_grad():
+            assert not [n for n in called(lambda: model.encoder(x)) if "argmax" in n]

@@ -408,3 +408,164 @@ def test_upper_triangle_of_cholesky_input_is_ignored():
     t = T.Tensor(a, requires_grad=True)
     T.backward(_weighted_sum(T.cholesky(t), w))
     assert np.allclose(np.triu(t.grad, 1), 0.0)
+
+
+def test_cholesky_nan_in_lower_triangle_raises_at_first_bad_row():
+    # LAPACK's potrf stops only at a pivot <= 0, and NaN compares false
+    a = np.array([[4.0, 0.0, 0.0], [np.nan, 4.0, 0.0], [0.0, 0.0, 4.0]])
+    with pytest.raises(T.DecompositionError) as exc:
+        T.cholesky(T.Tensor(a))
+    assert exc.value.pivot == 1
+
+
+def test_relu_keeps_nan_and_passes_it_no_gradient():
+    t = T.Tensor([np.nan, -1.0, 0.0, 2.0], requires_grad=True)
+    out = T.relu(t)
+    np.testing.assert_array_equal(out.values, [np.nan, 0.0, 0.0, 2.0])
+    T.backward(T.tsum(T.mul(out, T.Tensor([1.0, 1.0, 1.0, 3.0]))))
+    np.testing.assert_array_equal(t.grad, [0.0, 0.0, 0.0, 3.0])
+
+
+# ---------------------------------------------------------------------------
+# matmul with a 2-D right operand folds the left operand's leading dims
+
+
+def _stacked_matmul_reference(a, b, g):
+    """The broadcast formulation: per-row products, and a (..., K, N) weight
+    gradient summed down to (K, N)."""
+    gb = a.swapaxes(-1, -2) @ g
+    return a @ b, g @ b.T, gb.reshape(-1, *b.shape).sum(axis=0)
+
+
+@pytest.mark.parametrize("a_shape", [(3, 5, 4), (2, 3, 5, 4), "transposed"],
+                         ids=["3d", "4d", "transposed"])
+def test_folded_matmul_matches_stacked_reference(a_shape):
+    rng = np.random.default_rng(31)
+    if a_shape == "transposed":
+        a = rng.normal(size=(5, 3, 4)).transpose(1, 0, 2)   # not contiguous
+        assert not a.flags.c_contiguous
+    else:
+        a = rng.normal(size=a_shape)
+    b = rng.normal(size=(4, 6))
+    g = rng.normal(size=a.shape[:-1] + (6,))
+    ta, tb = T.Tensor(a, requires_grad=True), T.Tensor(b, requires_grad=True)
+    out = T.matmul(ta, tb)
+    T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+    ref_out, ref_ga, ref_gb = _stacked_matmul_reference(a, b, g)
+    for got, ref in ((out.values, ref_out), (ta.grad, ref_ga), (tb.grad, ref_gb)):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_folded_matmul_grad_fd():
+    rng = np.random.default_rng(32)
+    w = rng.normal(size=(2, 3, 2))
+    check_tensor_grad(lambda ts: _weighted_sum(T.matmul(ts[0], ts[1]), w),
+                      [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2))],
+                      rtol=1e-6, label="folded matmul")
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+def test_linear_grads_fd_and_bits_of_matmul_plus_bias(x_shape):
+    rng = np.random.default_rng(33)
+    x, w, bias = rng.normal(size=x_shape), rng.normal(size=(4, 3)), rng.normal(size=3)
+    probe = rng.normal(size=x_shape[:-1] + (3,))
+    check_tensor_grad(lambda ts: _weighted_sum(T.linear(ts[0], ts[1], ts[2]), probe),
+                      [x, w, bias], rtol=1e-6, label="linear")
+    check_tensor_grad(lambda ts: _weighted_sum(T.linear(ts[0], ts[1]), probe),
+                      [x, w], rtol=1e-6, label="linear without bias")
+    if len(x_shape) == 2:       # a 2-D input runs exactly the unfused arithmetic
+        fused = T.linear(T.Tensor(x), T.Tensor(w), T.Tensor(bias)).values
+        np.testing.assert_array_equal(fused, x @ w + bias)
+
+
+def test_linear_shape_errors():
+    with pytest.raises(T.ShapeError):
+        T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5))))
+    with pytest.raises(T.ShapeError):
+        T.linear(T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((4, 5))), T.Tensor(np.zeros(4)))
+
+
+# ---------------------------------------------------------------------------
+# channel-last 1xW convolution and max-pool
+
+
+def _conv_im2col_reference(x, weight, bias, kw):
+    """Gathered (b, wo, C * kw) windows, channel-major then tap, times the
+    weight: the layout ``weight`` rows are stored in."""
+    b, w, c = x.shape
+    wo = w - kw + 1
+    idx = np.arange(wo)[:, None] + np.arange(kw)[None, :]
+    windows = x.transpose(0, 2, 1)[:, :, idx]               # (b, c, wo, kw)
+    windows = windows.transpose(0, 2, 1, 3).reshape(b, wo, c * kw)
+    return windows @ weight + bias
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("extra_width", [0, 3])
+@pytest.mark.parametrize("c_in", [1, 2])
+@pytest.mark.parametrize("kw", [1, 2, 3])
+def test_conv1xw_values_and_grads(kw, c_in, extra_width, batch):
+    rng = np.random.default_rng(40 + 7 * kw + c_in)
+    w = kw + extra_width
+    x = rng.normal(size=(batch, w, c_in))
+    weight = rng.normal(size=(c_in * kw, 4))
+    bias = rng.normal(size=4)
+    out = T.conv1xw(T.Tensor(x), T.Tensor(weight), T.Tensor(bias), kw)
+    np.testing.assert_allclose(out.values, _conv_im2col_reference(x, weight, bias, kw),
+                               rtol=1e-12, atol=1e-12)
+    probe = rng.normal(size=out.shape)
+    check_tensor_grad(lambda ts: _weighted_sum(T.conv1xw(ts[0], ts[1], ts[2], kw), probe),
+                      [x, weight, bias], rtol=1e-6, label=f"conv1xw kw={kw}")
+
+
+def test_conv1xw_shape_errors():
+    x = T.Tensor(np.zeros((2, 3, 2)))
+    with pytest.raises(T.ShapeError):
+        T.conv1xw(x, T.Tensor(np.zeros((4, 5))), T.Tensor(np.zeros(5)), 4)   # width 3 < 4
+    with pytest.raises(T.ShapeError):
+        T.conv1xw(x, T.Tensor(np.zeros((3, 5))), T.Tensor(np.zeros(5)), 2)  # 3 != 2 * 2
+
+
+def test_maxpool1xk_values_and_grad_fd():
+    rng = np.random.default_rng(50)
+    # distinct values keep every window's winner put under the FD nudge
+    x = rng.permutation(np.arange(42.0)).reshape(2, 7, 3)
+    out = T.maxpool1xk(T.Tensor(x), 3)
+    np.testing.assert_array_equal(out.values, x[:, :6].reshape(2, 2, 3, 3).max(axis=2))
+    probe = rng.normal(size=out.shape)
+    check_tensor_grad(lambda ts: _weighted_sum(T.maxpool1xk(ts[0], 3), probe), [x],
+                      rtol=1e-6, label="maxpool1xk")
+
+
+def test_maxpool1xk_remainder_gets_no_gradient():
+    x = T.Tensor(np.arange(1.0, 12.0).reshape(1, 11, 1), requires_grad=True)
+    T.backward(T.tsum(T.maxpool1xk(x, 4)))      # windows [0, 4) and [4, 8)
+    np.testing.assert_array_equal(x.grad[0, :, 0], [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0])
+
+
+def test_maxpool1xk_tie_routes_to_first_maximum():
+    x = np.array([[[1.0, 5.0], [3.0, 5.0], [3.0, 2.0], [3.0, 5.0]]])   # (1, 4, 2)
+    t = T.Tensor(x, requires_grad=True)
+    out = T.maxpool1xk(t, 4)
+    np.testing.assert_array_equal(out.values, [[[3.0, 5.0]]])
+    T.backward(T.tsum(T.mul(out, T.Tensor([[[2.0, 7.0]]]))))
+    np.testing.assert_array_equal(t.grad[0], [[0, 7], [2, 0], [0, 0], [0, 0]])
+
+
+def test_maxpool1xk_shape_errors():
+    with pytest.raises(T.ShapeError):
+        T.maxpool1xk(T.Tensor(np.zeros((1, 3, 2))), 4)
+    with pytest.raises(T.ShapeError):
+        T.maxpool1xk(T.Tensor(np.zeros((1, 3))), 1)
+
+
+def test_diagonal_values_and_grad_fd():
+    rng = np.random.default_rng(51)
+    x = rng.normal(size=(4, 4))
+    np.testing.assert_array_equal(T.diagonal(T.Tensor(x)).values, np.diag(x))
+    w = rng.normal(size=4)
+    check_tensor_grad(lambda ts: _weighted_sum(T.diagonal(ts[0]), w), [x],
+                      rtol=1e-6, label="diagonal")
+    with pytest.raises(T.ShapeError):
+        T.diagonal(T.Tensor(np.zeros((2, 3))))
