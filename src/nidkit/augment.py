@@ -7,9 +7,9 @@ per-element masks.
 
 Five kinds act in input space; ``mixup`` is special — it mixes encoder
 *outputs*, so the trainer applies it after the encoder rather than here on
-raw rows. ``subsets`` is also special in that its views are feature slices,
-carrying their column lists, and the same slicing must be reused at test
-time.
+raw rows. ``subsets`` is also special in that its views are feature slices
+cut by column lists the caller draws once (:func:`subset_columns`) and
+reuses at test time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .nn import BatchSizeError, ConfigError
 
 KINDS = ("swap_noise", "zero_out", "gaussian_noise", "random_shuffle",
          "subsets", "mixup")
-INPUT_SPACE_KINDS = ("swap_noise", "zero_out", "gaussian_noise", "random_shuffle")
 
 
 @dataclass
@@ -66,14 +65,12 @@ class AugmentationSpec:
 class ViewSet:
     """Views produced from one source batch.
 
-    ``views`` holds >= 2 arrays. For subsets, ``columns[i]`` lists the source
-    feature indices of view i (views may differ in meaning but share width);
-    otherwise ``columns`` is None. ``representation_space`` marks view sets
-    that must be built after the encoder (mixup).
+    ``views`` holds >= 2 arrays; subsets views differ in meaning but share
+    width. ``representation_space`` marks view sets that must be built after
+    the encoder (mixup).
     """
 
     views: list
-    columns: Optional[list] = None
     representation_space: bool = False
 
 
@@ -119,9 +116,7 @@ def random_shuffle(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     k = 0 step is a no-op and skipped); every row uses its own independent
     draws.
     """
-    batch = np.asarray(batch)
-    single = batch.ndim == 1
-    out = np.atleast_2d(batch).copy()
+    out = np.array(batch)
     b, d = out.shape
     rows = np.arange(b)
     for k in range(d - 1, 0, -1):
@@ -129,7 +124,7 @@ def random_shuffle(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         tmp = out[rows, k].copy()
         out[rows, k] = out[rows, swap]
         out[rows, swap] = tmp
-    return out[0] if single else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +162,6 @@ def subset_columns(d: int, k: int, overlap_fraction: float,
     return cols
 
 
-def make_subsets(batch: np.ndarray, k: int, overlap_fraction: float,
-                 feature_permutation: np.ndarray) -> ViewSet:
-    """Slice a batch into k overlapping feature-subset views."""
-    batch = np.asarray(batch)
-    cols = subset_columns(batch.shape[1], k, overlap_fraction, feature_permutation)
-    return ViewSet(views=[batch[:, c] for c in cols], columns=cols)
-
-
 # ---------------------------------------------------------------------------
 # Mixup (representation space)
 
@@ -194,34 +181,27 @@ def mixup_partners(b: int, rng: np.random.Generator) -> np.ndarray:
 
 def make_views(batch: np.ndarray, spec: AugmentationSpec,
                rng: np.random.Generator, donor_pool: Optional[np.ndarray] = None,
-               feature_permutation: Optional[np.ndarray] = None,
-               n_views: int = 2) -> ViewSet:
+               columns: Optional[list] = None) -> ViewSet:
     """Build the view set a joint-embedding step consumes.
 
-    Input-space kinds corrupt the batch independently per view; subsets
-    slices it; mixup defers to the trainer (returns the uncorrupted batch
-    twice, flagged representation_space).
+    Input-space kinds corrupt the batch independently per view, two views;
+    subsets cuts one view per column list of ``columns`` (from
+    :func:`subset_columns`); mixup defers to the trainer (returns the
+    uncorrupted batch twice, flagged representation_space).
     """
     batch = np.asarray(batch)
     if spec.kind == "subsets":
-        if feature_permutation is None:
-            raise ConfigError("subsets: feature_permutation is required")
-        return make_subsets(batch, spec.k, spec.overlap_fraction, feature_permutation)
+        if columns is None:
+            raise ConfigError("subsets: columns are required")
+        return ViewSet(views=[batch[:, c] for c in columns])
     if spec.kind == "mixup":
-        return ViewSet(views=[batch.copy() for _ in range(n_views)],
-                       representation_space=True)
-    views = []
-    for _ in range(n_views):
-        if spec.kind == "swap_noise":
-            if donor_pool is None:
-                raise ConfigError("swap_noise: donor_pool is required")
-            views.append(swap_noise(batch, spec.p, donor_pool, rng))
-        elif spec.kind == "zero_out":
-            views.append(zero_out(batch, spec.p, rng))
-        elif spec.kind == "gaussian_noise":
-            views.append(gaussian_noise(batch, spec.p, spec.mu, spec.sigma2, rng))
-        elif spec.kind == "random_shuffle":
-            views.append(random_shuffle(batch, rng))
-        else:  # pragma: no cover
-            raise ConfigError(f"unhandled kind {spec.kind!r}")
-    return ViewSet(views=views)
+        return ViewSet(views=[batch.copy(), batch.copy()], representation_space=True)
+    if spec.kind == "swap_noise" and donor_pool is None:
+        raise ConfigError("swap_noise: donor_pool is required")
+    corrupt = {
+        "swap_noise": lambda: swap_noise(batch, spec.p, donor_pool, rng),
+        "zero_out": lambda: zero_out(batch, spec.p, rng),
+        "gaussian_noise": lambda: gaussian_noise(batch, spec.p, spec.mu, spec.sigma2, rng),
+        "random_shuffle": lambda: random_shuffle(batch, rng),
+    }[spec.kind]
+    return ViewSet(views=[corrupt(), corrupt()])

@@ -7,6 +7,7 @@ more anomalous.
 from __future__ import annotations
 
 import warnings
+from functools import reduce
 
 import numpy as np
 
@@ -19,26 +20,20 @@ class Autoencoder(nn.Module):
     """Bottleneck MLP input -> hidden -> latent -> hidden -> input.
 
     Hidden layers use BatchNorm + ReLU; the output layer is a plain linear
-    map so reconstructions are unconstrained. ``linear=True`` drops the
-    normalization and activations, leaving a purely linear stack (useful for
-    sanity checks).
+    map so reconstructions are unconstrained.
     """
 
-    def __init__(self, input_dim: int, rng, hidden: int = 256, latent: int = 64,
-                 linear: bool = False):
+    def __init__(self, input_dim: int, rng, hidden: int = 256, latent: int = 64):
         super().__init__()
         widths = [input_dim, hidden, latent, hidden, input_dim]
-        self.linear = linear
         self.layers = [nn.Linear(widths[i], widths[i + 1], rng) for i in range(4)]
-        self.norms = [] if linear else [nn.BatchNorm1d(w) for w in widths[1:4]]
+        self.norms = [nn.BatchNorm1d(w) for w in widths[1:4]]
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
-        for i, layer in enumerate(self.layers):
-            h = layer(h)
-            if i < 3 and not self.linear:
-                h = T.relu(self.norms[i](h))
-        return h
+        for layer, norm in zip(self.layers, self.norms):
+            h = T.relu(norm(layer(h)))
+        return self.layers[-1](h)
 
 
 def reconstruction_loss(model: Autoencoder, batch: Tensor) -> Tensor:
@@ -50,14 +45,9 @@ def ae_score(model: Autoencoder, features: np.ndarray,
              batch_size: int = 512) -> np.ndarray:
     """Per-sample mean squared reconstruction error."""
     model.eval()
-    features = np.asarray(features)
-    out = np.empty(features.shape[0])
-    with T.no_grad():
-        for start in range(0, features.shape[0], batch_size):
-            x = features[start:start + batch_size]
-            rec = model(Tensor(x)).values
-            out[start:start + batch_size] = np.mean((rec - x) ** 2, axis=1)
-    return out
+    errors = nn.infer(lambda x: np.mean((model(Tensor(x)).values - x) ** 2, axis=1),
+                      features, batch_size)
+    return np.concatenate([np.empty(0), *errors])
 
 
 class DeepSVDD(nn.Module):
@@ -93,17 +83,11 @@ def svdd_init_center(model: DeepSVDD, features: np.ndarray,
     A center too close to the origin makes the trivial all-zero map optimal,
     so a warning is raised if every coordinate is within 1e-3 of zero.
     """
-    features = np.asarray(features)
     if features.shape[0] == 0:
         raise DataError("svdd_init_center: empty training set")
     model.eval()
-    total = None
-    with T.no_grad():
-        for start in range(0, features.shape[0], batch_size):
-            out = model(Tensor(features[start:start + batch_size])).values
-            s = out.sum(axis=0)
-            total = s if total is None else total + s
-    c = total / features.shape[0]
+    sums = nn.infer(lambda x: model(Tensor(x)).values.sum(axis=0), features, batch_size)
+    c = reduce(np.add, sums) / features.shape[0]
     if np.all(np.abs(c) < 1e-3):
         warnings.warn("hypersphere center is nearly zero; training may "
                       "collapse to the trivial solution", RuntimeWarning)
@@ -121,14 +105,9 @@ def svdd_score(model: DeepSVDD, features: np.ndarray,
                batch_size: int = 512) -> np.ndarray:
     """Squared distance of the network output to the fixed center."""
     model.eval()
-    features = np.asarray(features)
-    out = np.empty(features.shape[0])
-    with T.no_grad():
-        for start in range(0, features.shape[0], batch_size):
-            y = model(Tensor(features[start:start + batch_size])).values
-            out[start:start + batch_size] = np.sum(
-                (y - model.center.values) ** 2, axis=1)
-    return out
+    dists = nn.infer(lambda x: np.sum((model(Tensor(x)).values - model.center.values) ** 2,
+                                      axis=1), features, batch_size)
+    return np.concatenate([np.empty(0), *dists])
 
 
 def train_baseline(model, features: np.ndarray, loss_fn, optimizer: nn.Adam,

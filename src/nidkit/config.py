@@ -8,6 +8,7 @@ so re-running an unchanged config lands in the same place.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import warnings
 from dataclasses import dataclass, field, fields
@@ -18,13 +19,17 @@ import yaml
 
 from .augment import KINDS as AUG_KINDS
 from .augment import AugmentationSpec
-from .encoders import ENCODER_KINDS, EncoderConfig
+from .baselines import Autoencoder, DeepSVDD
+from .encoders import (CNNEncoder, EncoderConfig, FTTransformerEncoder,
+                       MLPEncoder)
 from .nn import ConfigError
-from .ssl_models import MODEL_KINDS
+from .ssl_models import MODEL_CLASSES, MODEL_KINDS
 
 CONFIG_VERSION = 1
-BASELINE_KINDS = ("autoencoder", "deep_svdd")
 CONVENTIONAL_LRS = (1e-2, 1e-3, 1e-4, 1e-5)
+# the keyword parameters of a kind's builder are the keys its section may set
+MODEL_BUILDERS = {**MODEL_CLASSES, "autoencoder": Autoencoder, "deep_svdd": DeepSVDD}
+ENCODER_BUILDERS = {"mlp": MLPEncoder, "cnn": CNNEncoder, "ft_transformer": FTTransformerEncoder}
 
 
 @dataclass
@@ -69,6 +74,16 @@ def _require(doc, key, path):
     return doc[key]
 
 
+def _reject_unread(keys, builder, what: str, source: str) -> None:
+    """Raise naming the ``keys`` that are not keyword parameters of
+    ``builder``; ``dim`` comes from ``training.projection_dim``."""
+    params = inspect.signature(builder).parameters
+    unread = sorted(k for k in keys if k == "dim" or k not in params
+                    or params[k].default is inspect.Parameter.empty)
+    if unread:
+        raise ConfigError(f"{source}: {what} does not read key(s) {unread}")
+
+
 def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfig:
     """Check a parsed config document and resolve file references.
 
@@ -96,13 +111,18 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
         dataset["cache"] = str(p)
 
     model = _require(doc, "model", source)
-    if model not in MODEL_KINDS + BASELINE_KINDS:
+    if model not in MODEL_BUILDERS:
         raise ConfigError(f"{source}: unknown model {model!r}")
+    loss_params = dict(doc.get("loss", {}))
+    _reject_unread(loss_params, MODEL_BUILDERS[model], f"model {model!r}", source)
 
-    encoder = dict(doc.get("encoder", {"kind": "mlp"}))
     if model in MODEL_KINDS:
-        if encoder.get("kind") not in ENCODER_KINDS:
-            raise ConfigError(f"{source}: unknown encoder kind {encoder.get('kind')!r}")
+        encoder = dict(doc.get("encoder", {"kind": "mlp"}))
+        kind = encoder.get("kind")
+        if kind not in ENCODER_BUILDERS:
+            raise ConfigError(f"{source}: unknown encoder kind {kind!r}")
+        _reject_unread(set(encoder) - {"kind"}, ENCODER_BUILDERS[kind],
+                       f"encoder {kind!r}", source)
         aug = dict(_require(doc, "augmentation", source))
         if aug.get("kind") not in AUG_KINDS:
             raise ConfigError(f"{source}: unknown augmentation kind {aug.get('kind')!r}")
@@ -111,6 +131,7 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
             raise ConfigError(f"{source}: unknown augmentation key(s) {sorted(unknown)}")
         AugmentationSpec(**aug)  # reuse the hyperparameter validation
     else:
+        encoder = dict(doc.get("encoder") or {})   # baselines read neither section
         aug = dict(doc["augmentation"]) if doc.get("augmentation") else None
 
     training = dict(doc.get("training", {}))
@@ -143,7 +164,7 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
         epochs=epochs,
         batch_size=batch_size,
         projection_dim=int(training.get("projection_dim", 256)),
-        loss_params=dict(doc.get("loss", {})),
+        loss_params=loss_params,
         n_runs=n_runs,
         base_seed=int(doc.get("base_seed", 0)),
         train_fraction=train_fraction,
@@ -154,8 +175,7 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
 def encoder_config_for(encoder: dict, input_width: int,
                        numeric_cols=(), cat_groups=None) -> EncoderConfig:
     """Materialize the encoder section for a concrete input width."""
-    known = {"hidden_dim", "token_dim", "heads", "layers", "dropout"}
-    extra = {k: v for k, v in encoder.items() if k in known}
+    extra = {k: v for k, v in encoder.items() if k != "kind"}
     return EncoderConfig(kind=encoder.get("kind", "mlp"), input_width=input_width,
                          numeric_cols=list(numeric_cols),
                          cat_groups=dict(cat_groups or {}), **extra)

@@ -14,6 +14,7 @@ import csv
 import itertools
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -535,12 +536,26 @@ def synth_generate(n_normal: int, n_attack: int, d: int, separation: float,
 # Dataset cache
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """A handle on a temporary file beside ``path``, renamed over it when the
+    block completes: a failed write leaves the previous file and no temporary."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(path, ds: Dataset) -> None:
     """Versioned npz cache with feature metadata alongside the matrix.
 
     Like ``np.savez``, appends ``.npz`` to a path without it. The archive is
-    written to a temporary file beside the target and renamed over it, so a
-    failed write leaves any previous cache intact.
+    written through :func:`atomic_write`.
     """
     path = Path(path)
     if not path.name.endswith(".npz"):
@@ -550,22 +565,16 @@ def save_dataset(path, ds: Dataset) -> None:
         "onehot_groups": {k: list(map(int, v)) for k, v in ds.onehot_groups.items()},
         "norm_stats": {k: [float(a), float(b)] for k, (a, b) in ds.norm_stats.items()},
     }
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                __version__=np.asarray(DATASET_CACHE_VERSION),
-                features=ds.features,
-                labels=ds.labels,
-                numeric_idx=ds.numeric_idx,
-                ids=ds.ids,
-                meta=np.frombuffer(yaml.safe_dump(meta).encode(), dtype=np.uint8),
-            )
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as fh:
+        np.savez(
+            fh,
+            __version__=np.asarray(DATASET_CACHE_VERSION),
+            features=ds.features,
+            labels=ds.labels,
+            numeric_idx=ds.numeric_idx,
+            ids=ds.ids,
+            meta=np.frombuffer(yaml.safe_dump(meta).encode(), dtype=np.uint8),
+        )
 
 
 def load_dataset(path) -> Dataset:

@@ -9,12 +9,13 @@ center; larger means more attack-like.
 from __future__ import annotations
 
 import csv
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from . import nn, tensor as T
-from .data import DataError
+from . import nn
+from .data import DataError, atomic_write
 from .tensor import Tensor
 
 
@@ -30,46 +31,32 @@ class Detector:
         self.subset_columns = subset_columns
         self.center: Optional[np.ndarray] = None
 
-    # -- representation plumbing --------------------------------------------
-
     def _represent(self, batch: np.ndarray) -> np.ndarray:
         """Encoder output rows; subsets runs mean-aggregate the per-subset
         representations of each sample."""
-        with T.no_grad():
-            if self.subset_columns is None:
-                return self.encoder(Tensor(batch)).values
-            parts = [self.encoder(Tensor(batch[:, cols])).values
-                     for cols in self.subset_columns]
-            return np.mean(parts, axis=0)
+        if self.subset_columns is None:
+            return self.encoder(Tensor(batch)).values
+        parts = [self.encoder(Tensor(batch[:, cols])).values
+                 for cols in self.subset_columns]
+        return np.mean(parts, axis=0)
 
     def fit(self, features: np.ndarray, batch_size: int = 512) -> "Detector":
-        features = np.asarray(getattr(features, "features", features))
         if features.shape[0] == 0:
             raise DataError("fit_center: empty training set")
         self.encoder.eval()
         for p in self.encoder.parameters():
             p.requires_grad = False
-        total = None
-        n = features.shape[0]
-        for start in range(0, n, batch_size):
-            reps = self._represent(features[start:start + batch_size])
-            s = reps.sum(axis=0)
-            total = s if total is None else total + s
-        self.center = total / n
+        sums = nn.infer(lambda b: self._represent(b).sum(axis=0), features, batch_size)
+        self.center = reduce(np.add, sums) / features.shape[0]
         return self
 
     def score(self, features: np.ndarray, batch_size: int = 512) -> np.ndarray:
         """Euclidean distance of each sample's representation to the center."""
         if self.center is None:
             raise StateError("detector is not fitted")
-        features = np.asarray(getattr(features, "features", features))
-        single = features.ndim == 1
-        feats = np.atleast_2d(features)
-        out = np.empty(feats.shape[0])
-        for start in range(0, feats.shape[0], batch_size):
-            reps = self._represent(feats[start:start + batch_size])
-            out[start:start + batch_size] = np.linalg.norm(reps - self.center, axis=1)
-        return float(out[0]) if single else out
+        dists = nn.infer(lambda b: np.linalg.norm(self._represent(b) - self.center, axis=1),
+                         features, batch_size)
+        return np.concatenate([np.empty(0), *dists])    # an empty array for zero rows
 
 
 def fit_center(encoder: nn.Module, train_features,
@@ -91,7 +78,7 @@ def dump_scores(path, ids, scores, labels=None) -> None:
     if not len(ids) == len(scores) == len(labels):
         raise ValueError(f"dump_scores: {len(ids)} ids, {len(scores)} scores and "
                          f"{len(labels)} labels")
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "score", "label"])
         writer.writerows(zip(ids, map(repr, scores.tolist()), labels))

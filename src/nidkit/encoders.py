@@ -18,8 +18,6 @@ from .data import SchemaError
 from .nn import ConfigError
 from .tensor import Tensor
 
-ENCODER_KINDS = ("mlp", "cnn", "ft_transformer")
-
 # (kind, parameter) rows of the convolutional stack, in order:
 # kernel widths for conv layers, window sizes for pool layers.
 CNN_STACK = (

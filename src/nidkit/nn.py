@@ -1,5 +1,5 @@
 """Layers, parameter containers, the ADAM optimizer, the minibatch training
-loop, and checkpoint I/O.
+loop and its no-grad twin, and checkpoint I/O.
 
 Layers compose the primitives in :mod:`nidkit.tensor`, so backward rules come
 for free from the tape. Construction is explicit about randomness: every
@@ -14,6 +14,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import tensor as T
+from .data import atomic_write
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 1
@@ -299,7 +300,7 @@ class MultiHeadAttention(Module):
         return T.transpose(T.reshape(x, (b, t, self.heads, self.head_dim)),
                            (0, 2, 1, 3))
 
-    def forward(self, x: Tensor, return_weights: bool = False):
+    def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[-1] != self.dim:
             raise T.ShapeError(f"attention: expected (b, t, {self.dim}), got {x.shape}")
         b, t, _ = x.shape
@@ -310,13 +311,9 @@ class MultiHeadAttention(Module):
         scores = T.mul(scores, Tensor(np.asarray(1.0 / np.sqrt(self.head_dim),
                                                  dtype=x.dtype)))
         attn = T.softmax(scores, axis=-1)
-        dropped = self.drop(attn)
-        ctx = T.matmul(dropped, v)                            # (b, h, t, hd)
+        ctx = T.matmul(self.drop(attn), v)                    # (b, h, t, hd)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, self.dim))
-        out = self.wo(ctx)
-        if return_weights:
-            return out, attn
-        return out
+        return self.wo(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +384,20 @@ def fit(step: Callable, features: np.ndarray, epochs: int, batch_size: int,
     return history
 
 
+def infer(fn: Callable, features: np.ndarray, batch_size: int = 512) -> list:
+    """The no-grad twin of :func:`fit`: ``fn`` over consecutive row slices
+    of ``features`` with the tape off; returns the results in row order."""
+    with T.no_grad():
+        return [fn(features[start:start + batch_size])
+                for start in range(0, features.shape[0], batch_size)]
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 
 
 def save_checkpoint(path, module: Module, extra: Optional[dict] = None) -> None:
-    """Write parameters + buffers to a versioned ``.npz`` archive.
+    """Write parameters + buffers to a versioned ``.npz`` archive, atomically.
 
     Keys are the dotted parameter names; ``__version__`` carries the format
     revision; entries in ``extra`` are stored under ``meta/<key>``.
@@ -401,7 +406,8 @@ def save_checkpoint(path, module: Module, extra: Optional[dict] = None) -> None:
     payload["__version__"] = np.asarray(CHECKPOINT_VERSION)
     for key, val in (extra or {}).items():
         payload[f"meta/{key}"] = np.asarray(val)
-    np.savez(path, **payload)
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, **payload)
 
 
 def load_checkpoint(path, module: Optional[Module] = None) -> dict:

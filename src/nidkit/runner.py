@@ -8,6 +8,7 @@ a bare feature matrix, and labels surface only at the metrics stage.
 
 from __future__ import annotations
 
+import itertools
 import os
 import resource
 import sys
@@ -28,10 +29,10 @@ from .augment import AugmentationSpec, subset_columns
 from .baselines import (Autoencoder, DeepSVDD, ae_score, reconstruction_loss,
                         svdd_init_center, svdd_loss, svdd_score,
                         train_baseline)
-from .config import (CONFIG_VERSION, ExperimentConfig, validate_config,
-                     encoder_config_for)
-from .data import (load_csv, load_dataset, load_schema, preprocess,
-                   protocol_split, synth_generate)
+from .config import (CONFIG_VERSION, ExperimentConfig, encoder_config_for,
+                     validate_config)
+from .data import (atomic_write, load_csv, load_dataset, load_schema,
+                   preprocess, protocol_split, synth_generate)
 from .detector import dump_scores, fit_center
 from .encoders import build_encoder, representation_dim
 from .evaluate import (MetricsReport, aggregate_runs, format_aggregate,
@@ -71,11 +72,10 @@ def load_experiment_dataset(cfg: ExperimentConfig):
 def _run_ssl(cfg: ExperimentConfig, train, rng, run_dir: Path):
     d = train.n_features
     aug = AugmentationSpec(**cfg.augmentation)
-    perm, cols, width = None, None, d
+    cols, width = None, d
     numeric_cols, cat_groups = list(train.numeric_idx), train.onehot_groups
     if aug.kind == "subsets":
-        perm = rng.permutation(d)
-        cols = subset_columns(d, aug.k, aug.overlap_fraction, perm)
+        cols = subset_columns(d, aug.k, aug.overlap_fraction, rng.permutation(d))
         width = len(cols[0])
         numeric_cols, cat_groups = [], {}  # slices break the one-hot blocks
     enc_cfg = encoder_config_for(cfg.encoder, width, numeric_cols, cat_groups)
@@ -84,8 +84,7 @@ def _run_ssl(cfg: ExperimentConfig, train, rng, run_dir: Path):
                         dim=cfg.projection_dim, **cfg.loss_params)
     optimizer = nn.Adam(model, lr=cfg.learning_rate)
     history = pretrain(model, train.features, aug, optimizer,
-                       cfg.epochs, cfg.batch_size, rng,
-                       feature_permutation=perm,
+                       cfg.epochs, cfg.batch_size, rng, columns=cols,
                        log_path=run_dir / "loss.csv")
     detector = fit_center(model.encoder, train.features, subset_columns=cols)
     return model, detector.score, [h.total for h in history]
@@ -94,12 +93,10 @@ def _run_ssl(cfg: ExperimentConfig, train, rng, run_dir: Path):
 def _run_baseline(cfg: ExperimentConfig, train, rng, run_dir: Path):
     d = train.n_features
     if cfg.model == "autoencoder":
-        keys = {k: v for k, v in cfg.loss_params.items() if k in ("hidden", "latent")}
-        model = Autoencoder(d, rng, **keys)
+        model = Autoencoder(d, rng, **cfg.loss_params)
         loss_fn, score_fn = reconstruction_loss, ae_score
     else:
-        widths = tuple(cfg.loss_params.get("widths", (256, 64, 32)))
-        model = DeepSVDD(d, rng, widths=widths)
+        model = DeepSVDD(d, rng, **cfg.loss_params)
         svdd_init_center(model, train.features)
         loss_fn, score_fn = svdd_loss, svdd_score
     optimizer = nn.Adam(model, lr=cfg.learning_rate)
@@ -185,11 +182,16 @@ def _record_doc(rec: RunRecord) -> dict:
     return doc
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute all seeded runs of one experiment and write its artifacts."""
     exp_dir = Path(cfg.output_dir) / cfg.hash
     exp_dir.mkdir(parents=True, exist_ok=True)
-    (exp_dir / "config.yaml").write_text(yaml.safe_dump(cfg.document))
+    _write_text(exp_dir / "config.yaml", yaml.safe_dump(cfg.document))
     ds = load_experiment_dataset(cfg)
 
     records = []
@@ -197,7 +199,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         seed = cfg.base_seed + i
         run_dir = exp_dir / f"run{seed}"
         rec = run_single(cfg, ds, seed, run_dir)
-        (run_dir / "record.yaml").write_text(yaml.safe_dump(_record_doc(rec)))
+        _write_text(run_dir / "record.yaml", yaml.safe_dump(_record_doc(rec)))
         records.append(rec)
 
     reports = [r.report for r in records if r.status == "ok"]
@@ -208,10 +210,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
              for r in records]
     if aggregate is not None:
         lines.append(format_aggregate(aggregate, len(reports)))
-    (exp_dir / "report.txt").write_text("\n".join(lines) + "\n")
+    _write_text(exp_dir / "report.txt", "\n".join(lines) + "\n")
     if aggregate is not None:
         # the grid treats a cell as complete once n_runs_ok equals its runs
-        (exp_dir / "aggregate.yaml").write_text(yaml.safe_dump({
+        _write_text(exp_dir / "aggregate.yaml", yaml.safe_dump({
             "config_hash": cfg.hash, "model": cfg.model,
             "n_runs_ok": len(reports),
             "metrics": {k: [float(m), float(s)] for k, (m, s) in aggregate.items()},
@@ -235,15 +237,16 @@ def expand_grid(doc: dict) -> list:
     augs = grid.get("augmentation") or [base.get("augmentation")]
     cells = []
     for m in models:
-        for e in encoders:
-            for a in augs:
-                cell = deepcopy(base)
-                cell["version"] = CONFIG_VERSION
-                cell["model"] = m
+        # a baseline reads neither setting, so it gets one cell without them
+        pairs = itertools.product(encoders, augs) if m in MODEL_KINDS else [(None, None)]
+        for e, a in pairs:
+            cell = deepcopy({k: v for k, v in base.items() if k not in ("encoder", "augmentation")})
+            cell.update(version=CONFIG_VERSION, model=m)
+            if e is not None:
                 cell["encoder"] = {"kind": e} if isinstance(e, str) else dict(e)
-                if a is not None:
-                    cell["augmentation"] = dict(a)
-                cells.append(cell)
+            if a is not None:
+                cell["augmentation"] = dict(a)
+            cells.append(cell)
     return cells
 
 
@@ -262,7 +265,7 @@ def _run_cell(args):
            "augmentation": (cfg.augmentation or {}).get("kind", "-"),
            "hash": cfg.hash}
     stored = yaml.safe_load(agg_path.read_text()) if agg_path.exists() else None
-    if stored and stored["n_runs_ok"] == cfg.n_runs:
+    if stored and stored.get("n_runs_ok") == cfg.n_runs:
         row.update(status="cached", metrics=stored["metrics"])
         return row
     try:
@@ -310,7 +313,7 @@ def run_grid(doc: dict, base_dir=".", workers: int = 1) -> dict:
 
 
 def _write_grid_report(out_dir: Path, rows, ranking, best_per_model) -> None:
-    with open(out_dir / "grid_report.csv", "w") as fh:
+    with atomic_write(out_dir / "grid_report.csv") as fh:
         fh.write("rank,model,encoder,augmentation,hash,status,"
                  "f1_mean,f1_std,auroc_mean,auroc_std\n")
         for rank, row in enumerate(ranking, start=1):
@@ -336,7 +339,7 @@ def _write_grid_report(out_dir: Path, rows, ranking, best_per_model) -> None:
     for row in rows:
         if not row.get("metrics"):
             lines.append(f"   -. {row['cell']:40s} FAILED: {row.get('error', '?')}")
-    (out_dir / "grid_report.txt").write_text("\n".join(lines) + "\n")
+    _write_text(out_dir / "grid_report.txt", "\n".join(lines) + "\n")
 
 
 def read_report(exp_dir) -> str:

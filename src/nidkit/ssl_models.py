@@ -388,17 +388,17 @@ class WMSE(SSLModel):
         return wmse_loss(si["z"], sj["z"], self.slice_size, self.eps), {}
 
 
-_MODEL_CLASSES = {cls.kind: cls for cls in (BYOL, SimSiam, BarlowTwins, VICReg, WMSE)}
+MODEL_CLASSES = {cls.kind: cls for cls in (BYOL, SimSiam, BarlowTwins, VICReg, WMSE)}
 
 
 def build_model(kind: str, encoder_factory, rep_dim: int,
                 rng: np.random.Generator, dim: int = 256, **hyper) -> SSLModel:
     """Construct an SSL model; ``encoder_factory()`` must build a fresh
     encoder each call (BYOL needs a second copy for the EMA target)."""
-    if kind not in _MODEL_CLASSES:
+    if kind not in MODEL_CLASSES:
         raise ConfigError(f"unknown model kind {kind!r}")
     encoders = [encoder_factory() for _ in range(2 if kind == "byol" else 1)]
-    return _MODEL_CLASSES[kind](*encoders, rep_dim, rng, dim=dim, **hyper)
+    return MODEL_CLASSES[kind](*encoders, rep_dim, rng, dim=dim, **hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -421,19 +421,17 @@ def train_step(model: SSLModel, view_set: ViewSet, optimizer: nn.Adam,
 
 def pretrain(model: SSLModel, features: np.ndarray, spec: AugmentationSpec,
              optimizer: nn.Adam, epochs: int, batch_size: int,
-             rng: np.random.Generator,
-             feature_permutation: Optional[np.ndarray] = None,
+             rng: np.random.Generator, columns: Optional[list] = None,
              log_path=None) -> list:
     """Self-supervised pretraining over a feature matrix of normal traffic;
     returns the per-step LossBreakdown list. Batching, the loss log and the
     non-finite guard are :func:`nn.fit`'s; the feature matrix itself is the
-    donor pool for swap noise."""
+    donor pool for swap noise, and ``columns`` are the subsets windows."""
     if batch_size < 2:
         raise ConfigError("batch_size must be >= 2")
 
     def step(batch):
-        view_set = make_views(batch, spec, rng, donor_pool=features,
-                              feature_permutation=feature_permutation)
+        view_set = make_views(batch, spec, rng, donor_pool=features, columns=columns)
         return train_step(model, view_set, optimizer, alpha=spec.alpha, rng=rng)
 
     return nn.fit(step, features, epochs, batch_size, rng, log_path=log_path,

@@ -32,8 +32,6 @@ __all__ = [
     "mul",
     "div",
     "sqrt",
-    "exp",
-    "log",
     "power",
     "relu",
     "gelu",
@@ -168,9 +166,6 @@ class Tensor:
     def dtype(self):
         return self.values.dtype
 
-    def item(self) -> float:
-        return float(self.values)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -227,21 +222,6 @@ class Tensor:
 
     def __getitem__(self, key):
         return take(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def var(self, axis=None, keepdims=False, unbiased=False):
-        return tvar(self, axis=axis, keepdims=keepdims, unbiased=unbiased)
 
 
 def _as_tensor(x, like: Optional[Tensor] = None) -> Tensor:
@@ -334,26 +314,6 @@ def sqrt(a: Tensor) -> Tensor:
         return (g * 0.5 / out_v,)
 
     return _result(out_v, (a,), bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_v = np.exp(a.values)
-
-    def bwd(g):
-        return (g * out_v,)
-
-    return _result(out_v, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.values <= 0.0):
-        raise DomainError("log: non-positive input")
-    av = a.values
-
-    def bwd(g):
-        return (g / av,)
-
-    return _result(np.log(av), (a,), bwd)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
@@ -666,24 +626,21 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _result(a.values.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
-def tvar(a: Tensor, axis=None, keepdims: bool = False, unbiased: bool = False) -> Tensor:
-    """Variance with population denominator by default (n, not n-1)."""
+def tvar(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Variance with the population denominator (n, not n-1)."""
     _reduction_axis(a, axis)
     if a.size == 0:
         raise DomainError("var: empty reduction")
     n = a.size if axis is None else a.shape[axis]
-    denom = (n - 1) if unbiased else n
-    if denom <= 0:
-        raise DomainError("var: fewer than two elements for unbiased variance")
     mean_v = a.values.mean(axis=axis, keepdims=True)
     centered = a.values - mean_v
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (2.0 * centered * g / denom,)
+        return (2.0 * centered * g / n,)
 
-    out_v = np.sum(centered * centered, axis=axis, keepdims=keepdims) / denom
+    out_v = np.sum(centered * centered, axis=axis, keepdims=keepdims) / n
     return _result(out_v, (a,), bwd)
 
 

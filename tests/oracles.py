@@ -3,9 +3,11 @@
 Everything here deliberately avoids the library's own code paths: gradients
 come from central finite differences on the raw numpy arrays, ranking metrics
 from O(n^2) pairwise counting, thresholds from exhaustive enumeration, CSV
-ingest from a row-by-row parse and a per-row dedup key. The one exception,
-``cnn_stage_shapes``, runs an encoder's own stages one at a time to audit the
-shape each one produces.
+ingest from a row-by-row parse and a per-row dedup key. Two exceptions:
+``cnn_stage_shapes`` runs an encoder's own stages one at a time to audit the
+shape each one produces, and ``exp`` and ``log`` record themselves on the
+library's tape (no model uses them) so the gradient suites can drive the
+tape through them.
 """
 
 import csv
@@ -28,6 +30,21 @@ def cnn_stage_shapes(encoder, x):
             h = stage(h)
             shapes.append((h.shape[1], h.shape[3]))
     return shapes
+
+
+def exp(a):
+    """Elementwise exp as a tape op: d exp(a) = exp(a) da."""
+    out = np.exp(a.values)
+    return T._result(out, (a,), lambda g: (g * out,))
+
+
+def log(a):
+    """Elementwise log as a tape op, d log(a) = da / a; a non-positive input
+    raises ``DomainError`` as the library's ops do."""
+    av = a.values
+    if np.any(av <= 0.0):
+        raise T.DomainError("log: non-positive input")
+    return T._result(np.log(av), (a,), lambda g: (g / av,))
 
 
 def finite_difference_grad(fn, arrays, wrt, h=1e-5):

@@ -14,9 +14,8 @@ import pytest
 from scipy import stats
 
 from nidkit.augment import (KINDS, AugmentationSpec, ViewSet, gaussian_noise,
-                            make_subsets, make_views, mixup_partners,
-                            random_shuffle, subset_columns, swap_noise,
-                            zero_out)
+                            make_views, mixup_partners, random_shuffle,
+                            subset_columns, swap_noise, zero_out)
 from nidkit.data import SchemaError
 from nidkit.nn import BatchSizeError, ConfigError
 from nidkit.ssl_models import _mixup_tensor
@@ -116,13 +115,6 @@ def test_shuffle_uniform_over_permutations():
     assert chi2 < stats.chi2.ppf(0.99, 23)
 
 
-def test_shuffle_single_row_keeps_shape():
-    row = np.arange(6.0)
-    out = random_shuffle(row, np.random.default_rng(12))
-    assert out.shape == (6,)
-    np.testing.assert_allclose(np.sort(out), row)
-
-
 def test_shuffle_rows_are_independent():
     batch = np.tile(np.arange(8.0), (200, 1))
     out = random_shuffle(batch, np.random.default_rng(13))
@@ -153,9 +145,10 @@ def test_subsets_follow_feature_permutation():
     cols = subset_columns(6, 2, 1.0 / 3.0, perm)
     assert cols == [[3, 0, 4, 1], [4, 1, 5, 2]]
     batch = np.arange(12.0).reshape(2, 6)
-    vs = make_subsets(batch, 2, 1.0 / 3.0, perm)
+    vs = make_views(batch, AugmentationSpec(kind="subsets", k=2, overlap_fraction=1.0 / 3.0),
+                    np.random.default_rng(0), columns=cols)
     np.testing.assert_array_equal(vs.views[0], batch[:, [3, 0, 4, 1]])
-    assert vs.columns == cols
+    np.testing.assert_array_equal(vs.views[1], batch[:, [4, 1, 5, 2]])
 
 
 def test_subsets_validation():
@@ -242,7 +235,7 @@ def test_make_views_input_space_kinds():
     spec = AugmentationSpec(kind="swap_noise", p=0.5)
     vs = make_views(batch, spec, np.random.default_rng(20), donor_pool=donors)
     assert isinstance(vs, ViewSet) and len(vs.views) == 2
-    assert vs.columns is None and not vs.representation_space
+    assert not vs.representation_space
     assert not np.array_equal(vs.views[0], vs.views[1])  # independent draws
     for v in vs.views:
         assert v.shape == batch.shape
@@ -261,9 +254,10 @@ def test_make_views_reproducible_given_seeded_generator():
 
 def test_make_views_subsets_and_mixup_special_cases():
     batch = np.random.default_rng(22).normal(size=(6, 8))
+    cols = subset_columns(8, 2, 0.0, np.arange(8))
     vs = make_views(batch, AugmentationSpec(kind="subsets", k=2),
-                    np.random.default_rng(23), feature_permutation=np.arange(8))
-    assert vs.columns is not None and len(vs.views) == 2
+                    np.random.default_rng(23), columns=cols)
+    assert len(vs.views) == 2 and not vs.representation_space
     with pytest.raises(ConfigError):
         make_views(batch, AugmentationSpec(kind="subsets", k=2),
                    np.random.default_rng(24))
@@ -275,10 +269,3 @@ def test_make_views_subsets_and_mixup_special_cases():
     with pytest.raises(ConfigError):
         make_views(batch, AugmentationSpec(kind="swap_noise"),
                    np.random.default_rng(26))
-
-
-def test_make_views_three_views():
-    batch = np.random.default_rng(27).normal(size=(5, 7))
-    spec = AugmentationSpec(kind="zero_out", p=0.3)
-    vs = make_views(batch, spec, np.random.default_rng(28), n_views=3)
-    assert len(vs.views) == 3

@@ -8,6 +8,24 @@ from nidkit.baselines import (Autoencoder, DeepSVDD, ae_score,
 from nidkit.data import DataError
 from nidkit.tensor import Tensor
 
+# one row per call, a batch that leaves a remainder, and the default
+SCORE_BATCH_SIZES = (1, 7, 512)
+
+
+class _LinearAE(nn.Module):
+    """The autoencoder's four linear maps without its normalization and
+    ReLUs: a purely linear stack for sanity checks."""
+
+    def __init__(self, d, rng, hidden, latent):
+        super().__init__()
+        widths = [d, hidden, latent, hidden, d]
+        self.layers = [nn.Linear(widths[i], widths[i + 1], rng) for i in range(4)]
+
+    def forward(self, x):
+        for layer in self.layers:
+            x = layer(x)
+        return x
+
 
 def test_ae_architecture():
     ae = Autoencoder(20, np.random.default_rng(0))
@@ -18,7 +36,7 @@ def test_ae_architecture():
 
 def test_identity_initialized_linear_ae_has_zero_loss():
     d = 6
-    ae = Autoencoder(d, np.random.default_rng(1), hidden=d, latent=d, linear=True)
+    ae = _LinearAE(d, np.random.default_rng(1), hidden=d, latent=d)
     for layer in ae.layers:
         layer.weight.values[:] = np.eye(d)
         layer.bias.values[:] = 0.0
@@ -29,7 +47,7 @@ def test_identity_initialized_linear_ae_has_zero_loss():
 
 def test_linear_ae_overfits_single_point():
     x = np.array([[0.3, -1.2, 0.7]])
-    ae = Autoencoder(3, np.random.default_rng(3), hidden=8, latent=3, linear=True)
+    ae = _LinearAE(3, np.random.default_rng(3), hidden=8, latent=3)
     opt = nn.Adam(ae, lr=1e-2)
     hist = train_baseline(ae, x, reconstruction_loss, opt,
                           epochs=300, batch_size=1, rng=np.random.default_rng(4))
@@ -50,13 +68,14 @@ def test_ae_training_reduces_loss():
 
 def test_ae_score_matches_manual_mse():
     rng = np.random.default_rng(7)
-    X = rng.normal(size=(9, 5))
+    X = rng.normal(size=(1030, 5))
     ae = Autoencoder(5, np.random.default_rng(8), hidden=16, latent=3)
     ae.eval()
     with T.no_grad():
         rec = ae(Tensor(X)).values
-    np.testing.assert_allclose(ae_score(ae, X),
-                               np.mean((rec - X) ** 2, axis=1), atol=1e-12)
+    for batch_size in SCORE_BATCH_SIZES:
+        np.testing.assert_allclose(ae_score(ae, X, batch_size=batch_size),
+                                   np.mean((rec - X) ** 2, axis=1), atol=1e-12)
 
 
 def test_svdd_has_zero_bias_parameters():
@@ -119,13 +138,24 @@ def test_svdd_training_reduces_loss():
 
 def test_svdd_score_matches_manual_distance():
     rng = np.random.default_rng(19)
-    X = rng.normal(size=(11, 5))
+    X = rng.normal(size=(1030, 5))
     model = DeepSVDD(5, np.random.default_rng(20), widths=(8, 4))
     svdd_init_center(model, X)
     with T.no_grad():
         out = model(Tensor(X)).values
     expected = np.sum((out - model.center.values) ** 2, axis=1)
-    np.testing.assert_allclose(svdd_score(model, X), expected, atol=1e-12)
+    for batch_size in SCORE_BATCH_SIZES:
+        np.testing.assert_allclose(svdd_score(model, X, batch_size=batch_size),
+                                   expected, atol=1e-12)
+
+
+def test_scores_of_zero_rows_are_an_empty_float_array():
+    rng = np.random.default_rng(25)
+    ae = Autoencoder(5, rng, hidden=16, latent=3)
+    svdd = DeepSVDD(5, rng, widths=(8, 4))
+    svdd_init_center(svdd, rng.normal(size=(4, 5)))
+    for scores in (ae_score(ae, np.zeros((0, 5))), svdd_score(svdd, np.zeros((0, 5)))):
+        assert scores.shape == (0,) and scores.dtype == np.float64
 
 
 def test_svdd_empty_train_set_raises():

@@ -38,7 +38,7 @@ def test_three_four_five_distance():
     X = np.array([[1.0, 2.0], [-1.0, -2.0]])
     det = fit_center(_Identity(), X)
     np.testing.assert_allclose(det.center, 0.0, atol=1e-15)
-    assert det.score(np.array([3.0, 4.0])) == pytest.approx(5.0, abs=1e-12)
+    assert det.score(np.array([[3.0, 4.0]]))[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_batched_fit_matches_full_mean():
@@ -56,7 +56,7 @@ def test_batch_scoring_matches_per_sample_loop():
     enc = MLPEncoder(6, np.random.default_rng(3), hidden_dim=8)
     det = fit_center(enc, X)
     batch = det.score(Xtest)
-    loop = np.array([det.score(Xtest[i]) for i in range(9)])
+    loop = np.array([det.score(Xtest[i][None])[0] for i in range(9)])
     np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-12)
 
 
@@ -94,6 +94,12 @@ def test_subset_representations_are_mean_aggregated():
                                atol=1e-12)
 
 
+def test_score_of_zero_rows_is_an_empty_float_array():
+    det = fit_center(_Identity(), np.ones((3, 4)))
+    scores = det.score(np.zeros((0, 4)))
+    assert scores.shape == (0,) and scores.dtype == np.float64
+
+
 def test_unfitted_detector_raises():
     det = Detector(_Identity())
     with pytest.raises(StateError):
@@ -113,9 +119,9 @@ def test_fit_freezes_encoder_and_sets_eval_mode():
     # representations must come from eval-mode normalization statistics:
     # scoring the same row twice gives bit-identical results
     det = fit_center(enc, np.ones((4, 5)))
-    a = det.score(np.full(5, 0.3))
-    b = det.score(np.full(5, 0.3))
-    assert a == b
+    a = det.score(np.full((1, 5), 0.3))
+    b = det.score(np.full((1, 5), 0.3))
+    assert a[0] == b[0]
 
 
 def test_score_dump_roundtrip(tmp_path):

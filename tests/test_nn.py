@@ -201,19 +201,39 @@ def test_maxpool_grad():
 # ---------------------------------------------------------------------------
 # Attention
 
+def _heads(mha, proj, x):
+    """(b, heads, t, head_dim) split of one projection of ``x``."""
+    b, t, _ = x.shape
+    with T.no_grad():
+        h = proj(Tensor(x)).values
+    return h.reshape(b, t, mha.heads, mha.head_dim).transpose(0, 2, 1, 3)
+
+
+def _attention_weights(mha, x):
+    """softmax(q k^T / sqrt(head_dim)) per head, recomputed from wq and wk."""
+    s = _heads(mha, mha.wq, x) @ _heads(mha, mha.wk, x).transpose(0, 1, 3, 2)
+    e = np.exp(s / np.sqrt(mha.head_dim))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def test_attention_single_token():
     mha = nn.MultiHeadAttention(8, 2, rng_(27))
     x = rng_(28).normal(size=(2, 1, 8))
-    out, w = mha(Tensor(x), return_weights=True)
-    np.testing.assert_allclose(w.values, 1.0)
+    np.testing.assert_allclose(_attention_weights(mha, x), 1.0)
     expected = mha.wo(mha.wv(Tensor(x))).values
-    np.testing.assert_allclose(out.values, expected, rtol=1e-12)
+    np.testing.assert_allclose(mha(Tensor(x)).values, expected, rtol=1e-12)
 
 
 def test_attention_rows_sum_to_one():
     mha = nn.MultiHeadAttention(8, 4, rng_(29))
-    _, w = mha(Tensor(rng_(30).normal(size=(3, 5, 8))), return_weights=True)
-    np.testing.assert_allclose(w.values.sum(axis=-1), 1.0, atol=1e-6)
+    x = rng_(30).normal(size=(3, 5, 8))
+    w = _attention_weights(mha, x)
+    np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
+    # the module's output is those weights applied to the values
+    ctx = (w @ _heads(mha, mha.wv, x)).transpose(0, 2, 1, 3).reshape(3, 5, 8)
+    with T.no_grad():
+        expected = mha.wo(Tensor(ctx)).values
+    np.testing.assert_allclose(mha(Tensor(x)).values, expected, rtol=1e-10, atol=1e-12)
 
 
 def test_attention_head_divisibility():

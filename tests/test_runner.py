@@ -1,6 +1,8 @@
 """Experiment runner: config hashing, artifacts, failure capture, grids."""
 
 import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,14 @@ import scipy
 import yaml
 
 from nidkit import cli, runner
+from nidkit.augment import KINDS as AUG_KINDS
 from nidkit.config import config_hash, validate_config
 from nidkit.data import save_dataset, synth_generate
 from nidkit.nn import ConfigError
 from nidkit.runner import expand_grid, read_report, run_experiment, run_grid
+from nidkit.ssl_models import MODEL_KINDS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_doc(**over):
@@ -31,6 +37,16 @@ def make_doc(**over):
     }
     doc.update(over)
     return doc
+
+
+# config sections that name a key nothing reads: (overrides, the key)
+UNREAD_KEYS = [
+    ({"model": "autoencoder", "loss": {"hiden": 8}}, "hiden"),
+    ({"model": "deep_svdd", "loss": {"width": [8, 4]}}, "width"),
+    ({"encoder": {"kind": "mlp", "hiden_dim": 8}}, "hiden_dim"),
+    ({"loss": {"lamda": 5}}, "lamda"),
+    ({"encoder": {"kind": "cnn", "hidden_dim": 8}}, "hidden_dim"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +83,7 @@ def test_hash_changes_with_content():
     lambda d: d.__setitem__("runs", 0),
     lambda d: d.__setitem__("train_fraction", 0.0),
     lambda d: d.__setitem__("train_fraction", 1.0),
-])
+] + [lambda d, over=over: d.update(over) for over, _ in UNREAD_KEYS])
 def test_validate_rejects_bad_documents(mangle):
     doc = make_doc()
     mangle(doc)
@@ -91,6 +107,21 @@ def test_validate_resolves_cache_path_against_base_dir(tmp_path):
     missing = make_doc(dataset={"cache": "nope.npz"})
     with pytest.raises(ConfigError, match="not found"):
         validate_config(missing, base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("over", [
+    {"model": "autoencoder", "loss": {"hidden": 8, "latent": 2}},
+    {"model": "deep_svdd", "loss": {"widths": [8, 4]}},
+    {"model": "byol", "loss": {"tau": 0.9}},
+    {"model": "barlow_twins", "loss": {"lambda_bt": 1e-2}},
+    {"model": "wmse", "loss": {"slice_size": 16, "eps": 1e-4}},
+    {"loss": {"lam": 5.0, "mu": 5.0, "nu": 1.0, "gamma": 1.0, "eps": 1e-4}},
+    {"encoder": {"kind": "cnn"}},
+    {"encoder": {"kind": "ft_transformer", "token_dim": 8, "heads": 2, "layers": 1,
+                 "dropout": 0.0}},
+])
+def test_validate_accepts_every_key_its_builder_reads(over):
+    assert validate_config(make_doc(**over)).loss_params == over.get("loss", {})
 
 
 def test_baseline_config_needs_no_augmentation():
@@ -128,6 +159,34 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert lines[0].startswith("step,total")
     assert all(np.isfinite(float(row.split(",")[1])) for row in lines[1:])
     assert "auroc" in read_report(exp_dir)
+
+
+def test_failed_aggregate_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    cfg = validate_config(make_doc(model="autoencoder", output_dir="out"), base_dir=tmp_path)
+    exp_dir = run_experiment(cfg)["dir"]
+    before = (exp_dir / "aggregate.yaml").read_bytes()
+    real = runner.atomic_write
+
+    @contextmanager
+    def dies_halfway(path, mode="w"):
+        with real(path, mode) as fh:
+            if Path(path).name != "aggregate.yaml":
+                yield fh
+                return
+
+            class Half:
+                def write(self, text):
+                    fh.write(text[:len(text) // 2])
+                    raise OSError("disk full")
+
+            yield Half()
+
+    monkeypatch.setattr(runner, "atomic_write", dies_halfway)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg)
+    assert (exp_dir / "aggregate.yaml").read_bytes() == before
+    assert not [p for d in (exp_dir, exp_dir / "run0") for p in d.iterdir()
+                if p.name.endswith(".tmp")]
 
 
 def test_record_carries_the_run_environment(tmp_path, monkeypatch):
@@ -268,6 +327,46 @@ def test_expand_grid_is_the_cartesian_product():
     assert all(c["encoder"] == {"kind": "mlp", "hidden_dim": 32} for c in cells)
 
 
+def test_paper_grid_gives_each_baseline_one_cell():
+    doc = grid_doc()
+    doc["grid"] = {"model": [*MODEL_KINDS, "autoencoder", "deep_svdd"],
+                   "encoder": ["mlp", "cnn", "ft_transformer"],
+                   "augmentation": [{"kind": k} for k in AUG_KINDS]}
+    cells = expand_grid(doc)
+    assert len(cells) == 5 * 3 * 6 + 2
+    baselines = [c for c in cells if c["model"] in ("autoencoder", "deep_svdd")]
+    assert [c["model"] for c in baselines] == ["autoencoder", "deep_svdd"]
+    assert not any("encoder" in c or "augmentation" in c for c in baselines)
+
+
+def test_grid_trains_a_baseline_once_per_seed(tmp_path, monkeypatch):
+    doc = grid_doc(runs=2)
+    doc["grid"]["model"] = ["vicreg", "autoencoder"]
+    calls = []
+    real = runner.train_baseline
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "train_baseline", counted)
+    rows = run_grid(doc, base_dir=tmp_path)["rows"]
+    assert len(rows) == 3 and len(calls) == 2
+    baseline = [r for r in rows if r["model"] == "autoencoder"]
+    assert [(r["encoder"], r["augmentation"], r["status"]) for r in baseline] == [("-", "-", "ok")]
+
+
+def test_grid_reruns_a_cell_whose_aggregate_was_cut_short(tmp_path):
+    doc = grid_doc()
+    doc["grid"] = {"model": ["autoencoder"]}
+    first = run_grid(doc, base_dir=tmp_path)["rows"][0]
+    agg_path = tmp_path / "runs" / first["hash"] / "aggregate.yaml"
+    text = agg_path.read_text()
+    agg_path.write_text(text[:text.index("n_runs_ok")])
+    assert run_grid(doc, base_dir=tmp_path)["rows"][0]["status"] == "ok"
+    assert agg_path.read_text() == text
+
+
 def test_expand_grid_accepts_encoder_shorthand():
     doc = grid_doc()
     doc["grid"]["encoder"] = ["mlp"]
@@ -367,10 +466,13 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["sigmaa", "seed"])
-def test_cli_rejects_unknown_augmentation_key(tmp_path, capsys, key):
+@pytest.mark.parametrize("over, key", [
+    pytest.param({"augmentation": {"kind": "zero_out", k: 0.2}}, k, id=k)
+    for k in ("sigmaa", "seed")] + [pytest.param(*case, id=case[1]) for case in UNREAD_KEYS])
+def test_cli_rejects_unknown_augmentation_key(tmp_path, capsys, over, key):
+    """An unknown augmentation key, and any other key nothing reads."""
     path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump(make_doc(augmentation={"kind": "zero_out", key: 0.2})))
+    path.write_text(yaml.safe_dump(make_doc(**over)))
     assert cli.main(["validate-config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
@@ -382,6 +484,20 @@ def test_cli_rejects_train_fraction_outside_unit_interval(tmp_path, capsys, frac
     path.write_text(yaml.safe_dump(make_doc(train_fraction=fraction)))
     assert cli.main(["validate-config", str(path)]) == 2
     assert "train_fraction must be in (0, 1)" in capsys.readouterr().err
+
+
+def test_traced_benchmark_finds_every_name_it_patches(monkeypatch):
+    """The benchmark's traced run wraps nidkit functions by name: entering
+    its instrumentation fails if one is gone, and leaving puts each back."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from nidbench.tracing import COARSE_SITES, FINE_SITES, Tracer, instrument
+
+    sites = [(owner, attr) for owner, attr, *_ in COARSE_SITES + FINE_SITES]
+    originals = [getattr(owner, attr) for owner, attr in sites]
+    with instrument(Tracer(), fine=True):
+        assert all(getattr(owner, attr).__wrapped__ is fn
+                   for (owner, attr), fn in zip(sites, originals))
+    assert all(getattr(owner, attr) is fn for (owner, attr), fn in zip(sites, originals))
 
 
 def test_cli_seed_and_runs_overrides(tmp_path, capsys):
