@@ -34,8 +34,8 @@ ENCODER_BUILDERS = {"mlp": MLPEncoder, "cnn": CNNEncoder, "ft_transformer": FTTr
 
 @dataclass
 class ExperimentConfig:
-    document: dict                 # normalized config (relative paths resolved)
-    dataset: dict
+    document: dict                 # the hashed config, paths as written
+    dataset: dict                  # relative paths resolved for loading
     model: str
     encoder: dict
     augmentation: Optional[dict]
@@ -88,7 +88,10 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
     """Check a parsed config document and resolve file references.
 
     Relative dataset paths are resolved against ``base_dir`` (normally the
-    directory containing the config file) and must exist.
+    directory containing the config file) and must exist. The hashed
+    ``document`` keeps them as written, so a config run from two directories
+    (or a moved ``runs/`` tree) keeps one hash; a baseline's document drops
+    the ``encoder`` and ``augmentation`` sections, which it does not read.
     """
     base_dir = Path(base_dir)
     if int(doc.get("version", -1)) != CONFIG_VERSION:
@@ -131,8 +134,7 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
             raise ConfigError(f"{source}: unknown augmentation key(s) {sorted(unknown)}")
         AugmentationSpec(**aug)  # reuse the hyperparameter validation
     else:
-        encoder = dict(doc.get("encoder") or {})   # baselines read neither section
-        aug = dict(doc["augmentation"]) if doc.get("augmentation") else None
+        encoder, aug = {}, None      # baselines read neither section
 
     training = dict(doc.get("training", {}))
     lr = float(training.get("learning_rate", 1e-3))
@@ -152,10 +154,9 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"{source}: train_fraction must be in (0, 1), got {train_fraction}")
 
-    normalized = dict(doc)
-    normalized["dataset"] = dataset
+    unread = () if model in MODEL_KINDS else ("encoder", "augmentation")
     return ExperimentConfig(
-        document=normalized,
+        document={k: v for k, v in doc.items() if k not in unread},
         dataset=dataset,
         model=model,
         encoder=encoder,

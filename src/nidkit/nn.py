@@ -1,9 +1,13 @@
 """Layers, parameter containers, the ADAM optimizer, the minibatch training
 loop and its no-grad twin, and checkpoint I/O.
 
-Layers compose the primitives in :mod:`nidkit.tensor`, so backward rules come
-for free from the tape. Construction is explicit about randomness: every
-layer that draws initial weights takes a ``numpy.random.Generator``.
+Each layer runs on the primitives of :mod:`nidkit.tensor` and gets its
+backward rule from the tape: ``Linear`` on ``linear``, ``BatchNorm1d`` and
+``LayerNorm`` on ``normalize``, ``MultiHeadAttention`` on ``attention``
+between four ``Linear`` maps, the 1xW stages on ``conv1xw`` and
+``maxpool1xk``. Those primitives carry closed-form backward rules of their
+own. Construction is explicit about randomness: every layer that draws
+initial weights takes a ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -164,21 +168,16 @@ class BatchNorm1d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.num_features:
             raise T.ShapeError(f"batch_norm: expected (b, {self.num_features}), got {x.shape}")
-        if self.training:
-            if x.shape[0] < 2:
-                raise BatchSizeError("batch_norm: training mode needs batch size >= 2")
-            mean = T.tmean(x, axis=0)
-            var = T.tvar(x, axis=0)
-            with T.no_grad():
-                m = self.momentum
-                self.running_mean.values = (1 - m) * self.running_mean.values + m * mean.values
-                self.running_var.values = (1 - m) * self.running_var.values + m * var.values
-        else:
-            mean = self.running_mean.detach()
-            var = self.running_var.detach()
-        inv = T.div(T.sub(x, mean), T.sqrt(T.add(var, Tensor(np.full(
-            self.num_features, self.eps, dtype=x.dtype)))))
-        return T.add(T.mul(inv, self.gamma), self.beta)
+        if not self.training:
+            return T.normalize(x, 0, self.eps, self.gamma, self.beta,
+                               stats=(self.running_mean.values, self.running_var.values))[0]
+        if x.shape[0] < 2:
+            raise BatchSizeError("batch_norm: training mode needs batch size >= 2")
+        out, (mean, var) = T.normalize(x, 0, self.eps, self.gamma, self.beta)
+        m = self.momentum
+        self.running_mean.values = (1 - m) * self.running_mean.values + m * mean
+        self.running_var.values = (1 - m) * self.running_var.values + m * var
+        return out
 
 
 class LayerNorm(Module):
@@ -194,11 +193,7 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.dim:
             raise T.ShapeError(f"layer_norm: last axis {x.shape[-1]} != {self.dim}")
-        mean = T.tmean(x, axis=-1, keepdims=True)
-        var = T.tvar(x, axis=-1, keepdims=True)
-        eps = Tensor(np.asarray(self.eps, dtype=x.dtype))
-        xhat = T.div(T.sub(x, mean), T.sqrt(T.add(var, eps)))
-        return T.add(T.mul(xhat, self.gamma), self.beta)
+        return T.normalize(x, -1, self.eps, self.gamma, self.beta)[0]
 
 
 class Dropout(Module):
@@ -212,12 +207,18 @@ class Dropout(Module):
         self.p = p
         self.rng = rng
 
-    def forward(self, x: Tensor) -> Tensor:
+    def keep_mask(self, shape) -> Optional[np.ndarray]:
+        """One draw of the boolean mask of kept entries; None when nothing
+        is dropped (eval mode or p = 0), so no random number is drawn."""
         if not self.training or self.p == 0.0:
+            return None
+        return self.rng.random(shape) < 1.0 - self.p
+
+    def forward(self, x: Tensor) -> Tensor:
+        mask = self.keep_mask(x.shape)
+        if mask is None:
             return x
-        keep = 1.0 - self.p
-        mask = (self.rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return T.mul(x, Tensor(mask))
+        return T.mul(x, Tensor(mask.astype(x.dtype) / (1.0 - self.p)))
 
 
 def _channel_last(x: Tensor) -> Tensor:
@@ -279,7 +280,8 @@ class MultiHeadAttention(Module):
     """Scaled dot-product self-attention with per-head splitting.
 
     Query/key/value/output projections are all square maps on the token
-    dimension; dropout acts on the attention weights in training mode.
+    dimension; between them :func:`nidkit.tensor.attention` splits the
+    heads, and dropout acts on the attention weights in training mode.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
@@ -296,24 +298,13 @@ class MultiHeadAttention(Module):
         self.wo = Linear(dim, dim, rng)
         self.drop = Dropout(dropout, rng)
 
-    def _split(self, x: Tensor, b: int, t: int) -> Tensor:
-        return T.transpose(T.reshape(x, (b, t, self.heads, self.head_dim)),
-                           (0, 2, 1, 3))
-
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[-1] != self.dim:
             raise T.ShapeError(f"attention: expected (b, t, {self.dim}), got {x.shape}")
         b, t, _ = x.shape
-        q = self._split(self.wq(x), b, t)
-        k = self._split(self.wk(x), b, t)
-        v = self._split(self.wv(x), b, t)
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
-        scores = T.mul(scores, Tensor(np.asarray(1.0 / np.sqrt(self.head_dim),
-                                                 dtype=x.dtype)))
-        attn = T.softmax(scores, axis=-1)
-        ctx = T.matmul(self.drop(attn), v)                    # (b, h, t, hd)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, self.dim))
-        return self.wo(ctx)
+        q, k, v = self.wq(x), self.wk(x), self.wv(x)
+        mask = self.drop.keep_mask((b, self.heads, t, t))
+        return self.wo(T.attention(q, k, v, self.heads, mask=mask, keep=1.0 - self.drop.p))
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute all seeded runs of one experiment and write its artifacts."""
     exp_dir = Path(cfg.output_dir) / cfg.hash
     exp_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(exp_dir / "config.yaml", yaml.safe_dump(cfg.document))
+    # the hashed document with the dataset paths this run read
+    _write_text(exp_dir / "config.yaml", yaml.safe_dump({**cfg.document, "dataset": cfg.dataset}))
     ds = load_experiment_dataset(cfg)
 
     records = []

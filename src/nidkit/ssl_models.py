@@ -75,10 +75,7 @@ def simsiam_loss(p: Tensor, p2: Tensor, z: Tensor, z2: Tensor) -> Tensor:
 
 
 def _column_standardize(z: Tensor) -> Tensor:
-    mean = T.tmean(z, axis=0)
-    var = T.tvar(z, axis=0)
-    std = T.sqrt(T.add(var, Tensor(np.asarray(_NORM_EPS, dtype=z.dtype))))
-    return T.div(T.sub(z, mean), std)
+    return T.normalize(z, 0, _NORM_EPS)[0]
 
 
 def _offdiag_sumsq(c: Tensor) -> Tensor:

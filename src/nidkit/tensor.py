@@ -40,10 +40,11 @@ __all__ = [
     "linear",
     "conv1xw",
     "maxpool1xk",
+    "attention",
     "tsum",
     "tmean",
     "tvar",
-    "softmax",
+    "normalize",
     "reshape",
     "transpose",
     "take",
@@ -231,10 +232,17 @@ def _as_tensor(x, like: Optional[Tensor] = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _result(values: np.ndarray, inputs: tuple, backward_fn: Callable) -> Tensor:
+def _needs_grad(inputs: tuple) -> bool:
+    """Whether an op on ``inputs`` is recorded: the tape is on and some input
+    needs a gradient. An op that is not may work in place on its own
+    temporaries."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
+def _result(values: np.ndarray, inputs: tuple, backward_fn: Optional[Callable]) -> Tensor:
     out = Tensor(values)
     out.is_leaf = False
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _needs_grad(inputs):
         out.requires_grad = True
         _record(out, inputs, backward_fn)
     return out
@@ -341,9 +349,16 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
+    """Exact (erf-based) Gaussian error linear unit, ``a * cdf(a)``; off the
+    tape the product is taken in place in ``cdf``'s buffer."""
     av = a.values
-    cdf = 0.5 * (1.0 + erf(av * _INV_SQRT2))
+    cdf = av * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    if not _needs_grad((a,)):
+        cdf *= av
+        return _result(cdf, (a,), None)
 
     def bwd(g):
         pdf = np.exp(-0.5 * av * av) * _INV_SQRT_2PI
@@ -383,7 +398,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``x @ weight + bias`` as one op and one (M, K) x (K, N) GEMM: the
     leading dims of ``x`` fold into M, in the forward and the backward, and
-    the bias is added in place."""
+    the bias is added in place. The backward skips the gradient of any
+    input that does not require one, such as a batch of raw features."""
     xv, wv = x.values, weight.values
     if xv.ndim < 2 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0]:
         raise ShapeError(f"linear: input {xv.shape} and weight {wv.shape} disagree")
@@ -396,8 +412,11 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        grads = ((g2 @ wv.T).reshape(xv.shape), xv.reshape(-1, k).T @ g2)
-        return grads if bias is None else grads + (g2.sum(axis=0),)
+        grads = ((g2 @ wv.T).reshape(xv.shape) if x.requires_grad else None,
+                 xv.reshape(-1, k).T @ g2 if weight.requires_grad else None)
+        if bias is None:
+            return grads
+        return grads + (g2.sum(axis=0) if bias.requires_grad else None,)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _result(out.reshape(*xv.shape[:-1], n), inputs, bwd)
@@ -411,7 +430,8 @@ def conv1xw(x: Tensor, weight: Tensor, bias: Tensor, kernel_width: int) -> Tenso
     (b, wo, O), wo = W - kw + 1, is ``sum_j x[:, j:j + wo] @ weight[j::kw]
     + bias``: one GEMM per tap over all b * wo positions, with no window
     buffer. The backward adds each tap's input gradient into its shifted
-    slice, and ``x`` is all it keeps.
+    slice, and ``x`` is all it keeps; like :func:`linear`'s, it skips the
+    gradient of an input that does not require one.
     """
     xv, wv = x.values, weight.values
     kw = kernel_width
@@ -434,12 +454,14 @@ def conv1xw(x: Tensor, weight: Tensor, bias: Tensor, kernel_width: int) -> Tenso
 
     def bwd(g):
         g2 = g.reshape(b * wo, o)
-        gx = np.zeros_like(xv)
-        gw = np.empty_like(wv)
+        gx = np.zeros_like(xv) if x.requires_grad else None
+        gw = np.empty_like(wv) if weight.requires_grad else None
         for j in range(kw):
-            gx[:, j:j + wo] += (g2 @ wv[j::kw].T).reshape(b, wo, c)
-            gw[j::kw] = tap(j).T @ g2
-        return gx, gw, g2.sum(axis=0)
+            if gx is not None:
+                gx[:, j:j + wo] += (g2 @ wv[j::kw].T).reshape(b, wo, c)
+            if gw is not None:
+                gw[j::kw] = tap(j).T @ g2
+        return gx, gw, g2.sum(axis=0) if bias.requires_grad else None
 
     return _result(out.reshape(b, wo, o), (x, weight, bias), bwd)
 
@@ -474,6 +496,90 @@ def maxpool1xk(x: Tensor, k: int) -> Tensor:
         return (gx,)
 
     return _result(out_v, (x,), bwd)
+
+
+# batch rows per block of the attention forward: a block's (rows, heads, t, t)
+# weights stay in cache between the softmax passes
+_ATTENTION_ROWS = 64
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              mask: Optional[np.ndarray] = None, keep: float = 1.0) -> Tensor:
+    """Multi-head scaled dot-product attention over (b, t, d) projections.
+
+    The last axis splits into ``heads`` heads of hd = d / heads; per head
+    the weights are P = softmax(q k^T / sqrt(hd)) over the keys. ``mask``,
+    a boolean (b, heads, t, t) array, is inverted dropout on P: it keeps a
+    weight, scaled by 1 / ``keep``, or drops it. The context P v of every
+    head is merged back to (b, t, d).
+
+    The forward walks the batch in blocks of ``_ATTENTION_ROWS`` rows and
+    works in place; each row meets the same float operations in the same
+    order whatever the block, so the output does not depend on the block
+    size. On the tape the op keeps q, k, v, P and the mask, and its backward
+    has the closed form of softmax and matmul.
+    """
+    qv, kv, vv = q.values, k.values, v.values
+    if qv.ndim != 3 or kv.shape != qv.shape or vv.shape != qv.shape:
+        raise ShapeError(f"attention: q {qv.shape}, k {kv.shape} and v {vv.shape} "
+                         f"must be one (b, t, d) shape")
+    b, t, d = qv.shape
+    if d % heads:
+        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
+    if mask is not None and mask.shape != (b, heads, t, t):
+        raise ShapeError(f"attention: mask {mask.shape} for weights {(b, heads, t, t)}")
+    hd = d // heads
+    scale = np.asarray(1.0 / np.sqrt(hd), dtype=qv.dtype)
+    inv_keep = 1.0 / keep
+
+    def split(a):
+        return a.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)     # a view
+
+    qh, kh, vh = split(qv), split(kv), split(vv)
+    inputs = (q, k, v)
+    taped = _needs_grad(inputs)
+    weights = np.empty((b, heads, t, t), dtype=qv.dtype) if taped else None
+    ctx = np.empty((b, t, heads, hd), dtype=qv.dtype)
+    for start in range(0, b, _ATTENTION_ROWS):
+        rows = slice(start, start + _ATTENTION_ROWS)
+        p = qh[rows] @ kh[rows].transpose(0, 1, 3, 2)
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        if taped:
+            weights[rows] = p
+        if mask is not None:
+            np.multiply(p, mask[rows], out=p)
+            p *= inv_keep
+        ctx[rows] = (p @ vh[rows]).transpose(0, 2, 1, 3)
+    ctx = ctx.reshape(b, t, d)
+    if not taped:
+        return _result(ctx, inputs, None)
+
+    def bwd(g):
+        gh = split(g)
+        gv = None
+        if v.requires_grad:
+            dropped = weights
+            if mask is not None:
+                dropped = weights * mask
+                dropped *= inv_keep
+            gv = dropped.transpose(0, 1, 3, 2) @ gh
+        gp = gh @ vh.transpose(0, 1, 3, 2)
+        if mask is not None:
+            gp *= mask
+            gp *= inv_keep
+        # softmax: dS = P * (dP - rowsum(dP * P)), then the 1/sqrt(hd) scale
+        gp -= (gp * weights).sum(axis=-1, keepdims=True)
+        gp *= weights
+        gp *= scale
+        gq = gp @ kh if q.requires_grad else None
+        gk = gp.transpose(0, 1, 3, 2) @ qh if k.requires_grad else None
+        return tuple(None if gr is None else gr.transpose(0, 2, 1, 3).reshape(b, t, d)
+                     for gr in (gq, gk, gv))
+
+    return _result(ctx, inputs, bwd)
 
 
 def cholesky(a: Tensor) -> Tensor:
@@ -644,16 +750,61 @@ def tvar(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _result(out_v, (a,), bwd)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_v = e / e.sum(axis=axis, keepdims=True)
+def normalize(x: Tensor, axis: int, eps: float, gamma: Optional[Tensor] = None,
+              beta: Optional[Tensor] = None, stats: Optional[tuple] = None) -> tuple:
+    """``(x - mean) / sqrt(var + eps) * gamma + beta`` as one op; returns the
+    result and the ``(mean, var)`` pair it used.
+
+    With ``stats`` None, mean and var are the mean and population variance
+    over ``axis`` (reduced away in the returned pair), and the backward runs
+    through them. A given ``(mean, var)`` pair, running statistics that
+    broadcast against ``x``, is held constant. ``gamma`` and ``beta`` are
+    each optional. Off the tape the op works in place in one buffer.
+    """
+    _reduction_axis(x, axis)
+    if x.size == 0:
+        raise DomainError("normalize: empty input")
+    xv = x.values
+    if stats is None:
+        mean = xv.mean(axis=axis, keepdims=True)
+        xhat = xv - mean
+        var = np.sum(xhat * xhat, axis=axis, keepdims=True) / xv.shape[axis]
+        stats = (mean.squeeze(axis), var.squeeze(axis))
+        batch = True
+    else:
+        mean, var = stats
+        xhat = xv - mean
+        batch = False
+    std = np.sqrt(var + eps)
+    xhat /= std
+    inputs = tuple(t for t in (x, gamma, beta) if t is not None)
+    taped = _needs_grad(inputs)
+    out = xhat              # on the tape, xhat itself stays intact for the backward
+    if gamma is not None:
+        out = out * gamma.values if taped else np.multiply(out, gamma.values, out=out)
+    if beta is not None:
+        out = out + beta.values if taped and out is xhat else np.add(out, beta.values, out=out)
+    if not taped:
+        return _result(out, inputs, None), stats
 
     def bwd(g):
-        dot = (g * out_v).sum(axis=axis, keepdims=True)
-        return (out_v * (g - dot),)
+        gh = g if gamma is None else g * gamma.values
+        gx = None
+        if x.requires_grad and batch:
+            # d xhat / d x with the batch mean and variance moving along
+            gx = gh - gh.mean(axis=axis, keepdims=True)
+            gx -= xhat * (gh * xhat).mean(axis=axis, keepdims=True)
+            gx /= std
+        elif x.requires_grad:
+            gx = gh / std
+        grads = [gx]
+        if gamma is not None:
+            grads.append(_unbroadcast(g * xhat, gamma.shape) if gamma.requires_grad else None)
+        if beta is not None:
+            grads.append(_unbroadcast(g, beta.shape) if beta.requires_grad else None)
+        return grads
 
-    return _result(out_v, (a,), bwd)
+    return _result(out, inputs, bwd), stats
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,23 @@ come from central finite differences on the raw numpy arrays, ranking metrics
 from O(n^2) pairwise counting, thresholds from exhaustive enumeration, CSV
 ingest from a row-by-row parse and a per-row dedup key. Two exceptions:
 ``cnn_stage_shapes`` runs an encoder's own stages one at a time to audit the
-shape each one produces, and ``exp`` and ``log`` record themselves on the
-library's tape (no model uses them) so the gradient suites can drive the
-tape through them.
+shape each one produces, and ``exp``, ``log`` and ``softmax`` record
+themselves on the library's tape (no model uses them) so the gradient suites
+can drive the tape through them. ``composed_layers`` swaps the library's
+normalisation and attention layers for their forwards composed of small tape
+ops, the references for the fused ``normalize`` and ``attention``.
 """
 
 import csv
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from nidkit import tensor as T
+from nidkit import nn, tensor as T
 from nidkit.data import DataError, Dataset, RawTable, SchemaError
+from nidkit.tensor import Tensor
 
 
 def cnn_stage_shapes(encoder, x):
@@ -45,6 +49,87 @@ def log(a):
     if np.any(av <= 0.0):
         raise T.DomainError("log: non-positive input")
     return T._result(np.log(av), (a,), lambda g: (g / av,))
+
+
+def softmax(a, axis=-1):
+    """Softmax as a tape op: dS = S * (dA - sum(dA * S)) along ``axis``."""
+    shifted = a.values - a.values.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out_v = e / e.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        dot = (g * out_v).sum(axis=axis, keepdims=True)
+        return (out_v * (g - dot),)
+
+    return T._result(out_v, (a,), bwd)
+
+
+def batch_norm_composed(bn, x):
+    """``nn.BatchNorm1d.forward`` composed of mean, var, sub, div, sqrt, mul
+    and add ops; training mode folds the batch statistics into the running
+    ones as the layer does."""
+    if x.ndim != 2 or x.shape[1] != bn.num_features:
+        raise T.ShapeError(f"batch_norm: expected (b, {bn.num_features}), got {x.shape}")
+    if bn.training:
+        if x.shape[0] < 2:
+            raise nn.BatchSizeError("batch_norm: training mode needs batch size >= 2")
+        mean = T.tmean(x, axis=0)
+        var = T.tvar(x, axis=0)
+        m = bn.momentum
+        bn.running_mean.values = (1 - m) * bn.running_mean.values + m * mean.values
+        bn.running_var.values = (1 - m) * bn.running_var.values + m * var.values
+    else:
+        mean = bn.running_mean.detach()
+        var = bn.running_var.detach()
+    inv = T.div(T.sub(x, mean), T.sqrt(T.add(var, Tensor(np.full(
+        bn.num_features, bn.eps, dtype=x.dtype)))))
+    return T.add(T.mul(inv, bn.gamma), bn.beta)
+
+
+def layer_norm_composed(ln, x):
+    """``nn.LayerNorm.forward`` composed of small tape ops."""
+    if x.shape[-1] != ln.dim:
+        raise T.ShapeError(f"layer_norm: last axis {x.shape[-1]} != {ln.dim}")
+    mean = T.tmean(x, axis=-1, keepdims=True)
+    var = T.tvar(x, axis=-1, keepdims=True)
+    eps = Tensor(np.asarray(ln.eps, dtype=x.dtype))
+    xhat = T.div(T.sub(x, mean), T.sqrt(T.add(var, eps)))
+    return T.add(T.mul(xhat, ln.gamma), ln.beta)
+
+
+def attention_composed(mha, x):
+    """``nn.MultiHeadAttention.forward`` composed of reshape, transpose,
+    matmul, mul, :func:`softmax` and the ``Dropout`` layer's float mask,
+    drawn from the layer's generator at the same point."""
+    if x.ndim != 3 or x.shape[-1] != mha.dim:
+        raise T.ShapeError(f"attention: expected (b, t, {mha.dim}), got {x.shape}")
+    b, t, _ = x.shape
+
+    def split(h):
+        return T.transpose(T.reshape(h, (b, t, mha.heads, mha.head_dim)), (0, 2, 1, 3))
+
+    q, k, v = split(mha.wq(x)), split(mha.wk(x)), split(mha.wv(x))
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    scores = T.mul(scores, Tensor(np.asarray(1.0 / np.sqrt(mha.head_dim), dtype=x.dtype)))
+    ctx = T.matmul(mha.drop(softmax(scores, axis=-1)), v)     # (b, h, t, hd)
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, mha.dim))
+    return mha.wo(ctx)
+
+
+@contextmanager
+def composed_layers():
+    """Run every ``BatchNorm1d``, ``LayerNorm`` and ``MultiHeadAttention``
+    on the composed forwards above while the block lasts."""
+    saved = [(cls, cls.forward) for cls in (nn.BatchNorm1d, nn.LayerNorm,
+                                            nn.MultiHeadAttention)]
+    nn.BatchNorm1d.forward = batch_norm_composed
+    nn.LayerNorm.forward = layer_norm_composed
+    nn.MultiHeadAttention.forward = attention_composed
+    try:
+        yield
+    finally:
+        for cls, forward in saved:
+            cls.forward = forward
 
 
 def finite_difference_grad(fn, arrays, wrt, h=1e-5):

@@ -35,7 +35,7 @@ from nidkit.ssl_models import (MODEL_KINDS, barlow_twins_loss, build_model,
                                byol_loss, pretrain, simsiam_loss, vicreg_loss,
                                whiten_slice, wmse_loss)
 from nidkit.tensor import Tensor
-from oracles import cnn_stage_shapes, exp, log
+from oracles import cnn_stage_shapes, exp, log, softmax
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -151,7 +151,7 @@ def _primitive_cases(rng):
     x2 = _leaf(rng, (5, 3))
     cases.append(("tvar_all", [x2], lambda: _sq_mean(T.tvar(x2))))
     y = _leaf(rng, (3, 5))
-    cases.append(("softmax", [y], lambda: _sq_mean(T.softmax(y, axis=-1))))
+    cases.append(("softmax", [y], lambda: _sq_mean(softmax(y, axis=-1))))
 
     z = _leaf(rng, (2, 6))
     cases.append(("reshape", [z], lambda: _sq_mean(T.reshape(z, (3, 4)))))
@@ -168,6 +168,33 @@ def _primitive_cases(rng):
     cases.append(("take_tuple", [ad], lambda: _sq_mean(T.take(ad, diag_key))))
     ae, af = _leaf(rng, (2, 3)), _leaf(rng, (1, 3))
     cases.append(("concat", [ae, af], lambda: _sq_mean(T.concat([ae, af], axis=0))))
+    return cases
+
+
+def _fused_cases(rng):
+    """``normalize`` over axis 0 and -1, with and without the affine map and
+    with given statistics; ``attention`` with and without a dropout mask,
+    with 1 and 4 heads."""
+    cases = []
+    for axis, shape in ((0, (6, 4)), (-1, (2, 3, 4))):
+        x, g, b = _leaf(rng, shape), _leaf(rng, (4,)), _leaf(rng, (4,))
+        cases.append((f"normalize_axis{axis}", [x],
+                      lambda x=x, axis=axis: _sq_mean(T.normalize(x, axis, 1e-5)[0])))
+        x2 = _leaf(rng, shape)
+        cases.append((f"normalize_axis{axis}_affine", [x2, g, b],
+                      lambda x=x2, g=g, b=b, axis=axis:
+                      _sq_mean(T.normalize(x, axis, 1e-5, g, b)[0])))
+    x3, g3, b3 = _leaf(rng, (6, 4)), _leaf(rng, (4,)), _leaf(rng, (4,))
+    stats = (rng.normal(size=4), 0.5 + rng.random(4))
+    cases.append(("normalize_given_stats", [x3, g3, b3],
+                  lambda: _sq_mean(T.normalize(x3, 0, 1e-5, g3, b3, stats=stats)[0])))
+    for heads in (1, 4):
+        for masked in (False, True):
+            q, k, v = (_leaf(rng, (2, 3, 8)) for _ in range(3))
+            mask = rng.random((2, heads, 3, 3)) < 0.8 if masked else None
+            cases.append((f"attention_h{heads}{'_mask' if masked else ''}", [q, k, v],
+                          lambda q=q, k=k, v=v, heads=heads, mask=mask:
+                          _sq_mean(T.attention(q, k, v, heads, mask=mask, keep=0.8))))
     return cases
 
 
@@ -250,7 +277,8 @@ def test_criterion_01_gradient_suite():
     t0 = time.perf_counter()
     failures, n_checked = [], 0
     cases = (_primitive_cases(rng) + _loss_function_cases(rng)
-             + _encoder_cases(rng) + _model_cases(rng))
+             + _encoder_cases(rng) + _model_cases(rng)
+             + _fused_cases(np.random.default_rng(17)))
     for name, leaves, f in cases:
         probes = 2 if name.startswith("model_") else 3
         err = _fd_worst_rel_err(leaves, f, rng, probes=probes)

@@ -12,7 +12,7 @@ from nidkit import encoders, nn, ssl_models, tensor as T
 from nidkit.augment import AugmentationSpec, make_views
 from nidkit.data import SchemaError
 from nidkit.tensor import Tensor
-from oracles import check_module_grad, cnn_stage_shapes
+from oracles import check_module_grad, cnn_stage_shapes, composed_layers
 
 
 @pytest.fixture(autouse=True)
@@ -270,3 +270,112 @@ def test_cnn_runs_no_scatter_add_and_no_forward_argmax():
     for grad in (True, False):
         with nullcontext() if grad else T.no_grad():
             assert not [n for n in called(lambda: model.encoder(x)) if "argmax" in n]
+
+
+# ---------------------------------------------------------------------------
+# fused normalisation and attention against the composed layers
+
+
+def _ft_config(width=12):
+    """An FT-transformer config with one 4-way categorical group."""
+    return encoders.EncoderConfig(kind="ft_transformer", input_width=width,
+                                  numeric_cols=list(range(width - 4)),
+                                  cat_groups={"proto": list(range(width - 4, width))},
+                                  token_dim=16, heads=4, layers=2, dropout=0.1)
+
+
+def _tabular_batch(b, width, seed):
+    x = rng_(seed).normal(size=(b, width))
+    x[:, -4:] = 0.0
+    x[np.arange(b), width - 4 + rng_(seed + 1).integers(0, 4, size=b)] = 1.0
+    return x
+
+
+def _module_case(kind):
+    """A module and a batch wider than one attention block."""
+    if kind == "projection_head":
+        return ssl_models.ProjectionHead(12, rng_(80), dim=32), rng_(81).normal(size=(130, 12))
+    if kind == "ft_transformer":
+        cfg = _ft_config()
+    else:       # the CNN stack needs 40 columns or more
+        cfg = encoders.EncoderConfig(kind=kind, input_width=40, hidden_dim=32)
+    return encoders.build_encoder(cfg, rng_(82)), _tabular_batch(130, cfg.input_width, 83)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "cnn", "ft_transformer", "projection_head"])
+def test_eval_outputs_bit_equal_to_composed_layers(kind):
+    module, x = _module_case(kind)
+    module(Tensor(x))               # moves batch-norm running statistics off their init
+    module.eval()
+    for grad in (True, False):
+        with nullcontext() if grad else T.no_grad():
+            got = module(Tensor(x)).values
+            with composed_layers():
+                ref = module(Tensor(x)).values
+        np.testing.assert_array_equal(got, ref)
+        T.reset_tape()
+
+
+def _vicreg_step_grads(kind, composed):
+    """Loss, parameter gradients and buffers of one VICReg forward and
+    backward on fresh, identically seeded models."""
+    rng = rng_(84)
+    cfg = (_ft_config() if kind == "ft_transformer"
+           else encoders.EncoderConfig(kind=kind, input_width=12, hidden_dim=32))
+    model = ssl_models.build_model("vicreg", lambda: encoders.build_encoder(cfg, rng),
+                                   encoders.representation_dim(cfg), rng, dim=32)
+    views = make_views(_tabular_batch(48, 12, 85), AugmentationSpec(kind="gaussian_noise"), rng)
+    T.reset_tape()
+    with composed_layers() if composed else nullcontext():
+        loss, _ = model.compute_loss(views, rng=rng)
+        T.backward(loss)
+    T.reset_tape()
+    return (float(loss.values), {n: p.grad for n, p in model.named_parameters()},
+            {n: b.values for n, b in model.named_buffers()})
+
+
+@pytest.mark.parametrize("kind", ["mlp", "ft_transformer"])
+def test_vicreg_step_gradients_match_composed_layers(kind):
+    loss, grads, buffers = _vicreg_step_grads(kind, composed=False)
+    ref_loss, ref_grads, ref_buffers = _vicreg_step_grads(kind, composed=True)
+    assert loss == ref_loss                 # training forward, dropout included, bit-equal
+    for name, ref in ref_buffers.items():
+        np.testing.assert_array_equal(buffers[name], ref)
+    assert grads.keys() == ref_grads.keys()
+    scale = max(np.abs(g).max() for g in ref_grads.values())
+    for name, ref in ref_grads.items():
+        diff = np.abs(grads[name] - ref)
+        # only the rounding of the backward moves: some parameters (a bias
+        # ahead of a batch norm) have a true gradient of 0 and carry noise
+        assert diff.max() <= 1e-13 * scale, name
+        big = np.abs(ref) >= 1e-3 * scale
+        assert (diff[big] <= 1e-12 * np.abs(ref[big])).all(), name
+
+
+def test_ft_forward_off_the_tape_records_nothing():
+    enc = encoders.build_encoder(_ft_config(), rng_(86))
+    x = Tensor(_tabular_batch(8, 12, 87))
+    with T.no_grad():
+        enc(x)
+    assert T.tape_length() == 0
+    enc(x)
+    assert T.tape_length() > 0
+
+
+def test_vicreg_ft_step_peak_memory():
+    # per layer and view the tape keeps one float (b, heads, t, t) array of
+    # attention weights and a boolean mask; five float arrays came to 257 MB
+    rng = rng_(88)
+    cfg = encoders.EncoderConfig(kind="ft_transformer", input_width=40,
+                                 numeric_cols=list(range(35)),
+                                 cat_groups={"proto": list(range(35, 40))})
+    model = ssl_models.build_model("vicreg", lambda: encoders.build_encoder(cfg, rng),
+                                   encoders.representation_dim(cfg), rng, dim=256)
+    views = make_views(_tabular_batch(64, 40, 89), AugmentationSpec(kind="random_shuffle"), rng)
+    tracemalloc.start()
+    try:
+        ssl_models.train_step(model, views, nn.Adam(model), rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 180e6, f"one VICReg-FT step peaked at {peak / 1e6:.0f} MB"

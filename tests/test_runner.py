@@ -109,6 +109,34 @@ def test_validate_resolves_cache_path_against_base_dir(tmp_path):
         validate_config(missing, base_dir=tmp_path)
 
 
+def test_one_config_from_two_directories_has_one_hash(tmp_path):
+    ds = synth_generate(50, 10, 10, 2.0, seed=0)
+    cfgs = []
+    for where in ("a", "b/deeper"):
+        (tmp_path / where).mkdir(parents=True)
+        save_dataset(tmp_path / where / "tiny.npz", ds)
+        cfgs.append(validate_config(make_doc(dataset={"cache": "tiny.npz"}),
+                                    base_dir=tmp_path / where))
+    assert cfgs[0].hash == cfgs[1].hash
+    assert cfgs[0].document["dataset"] == {"cache": "tiny.npz"}
+    # loading still reads the resolved paths
+    assert [c.dataset["cache"] for c in cfgs] == [
+        str(tmp_path / "a" / "tiny.npz"), str(tmp_path / "b/deeper" / "tiny.npz")]
+
+
+def test_baseline_hash_ignores_the_sections_it_does_not_read():
+    bare = {k: v for k, v in make_doc(model="autoencoder").items()
+            if k not in ("encoder", "augmentation")}
+    cfg = validate_config(make_doc(model="autoencoder"))
+    assert "encoder" not in cfg.document and "augmentation" not in cfg.document
+    assert cfg.hash == validate_config(bare).hash
+    odd = make_doc(model="autoencoder", encoder={"kind": "rnn", "whatever": 1},
+                   augmentation={"kind": "cutout"})
+    assert validate_config(odd).hash == cfg.hash
+    # an SSL model reads both, so they stay in its hash
+    assert "encoder" in validate_config(make_doc()).document
+
+
 @pytest.mark.parametrize("over", [
     {"model": "autoencoder", "loss": {"hidden": 8, "latent": 2}},
     {"model": "deep_svdd", "loss": {"widths": [8, 4]}},

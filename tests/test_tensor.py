@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nidkit import tensor as T
-from oracles import check_tensor_grad, exp, log
+from oracles import check_tensor_grad, exp, log, softmax
 
 
 @pytest.fixture(autouse=True)
@@ -109,7 +109,7 @@ ELEMENTWISE_CASES = {
     "sqrt": lambda ts, w: _weighted_sum(T.sqrt(ts[0]), w),
     "log": lambda ts, w: _weighted_sum(log(ts[0]), w),
     "pow": lambda ts, w: _weighted_sum(T.power(ts[0], 3.0), w),
-    "softmax": lambda ts, w: _weighted_sum(T.softmax(ts[0], axis=-1), w),
+    "softmax": lambda ts, w: _weighted_sum(softmax(ts[0], axis=-1), w),
     "sum_axis": lambda ts, w: _weighted_sum(T.tsum(ts[0], axis=1), w[:, 0]),
     "mean_axis": lambda ts, w: _weighted_sum(T.tmean(ts[0], axis=0), w[0, :]),
     "var_axis": lambda ts, w: _weighted_sum(T.tvar(ts[0], axis=0), w[0, :]),
@@ -568,3 +568,176 @@ def test_diagonal_values_and_grad_fd():
                       rtol=1e-6, label="diagonal")
     with pytest.raises(T.ShapeError):
         T.diagonal(T.Tensor(np.zeros((2, 3))))
+
+
+# ---------------------------------------------------------------------------
+# fused normalisation and attention
+
+
+def _normalize_case(axis, given, rng):
+    """Input, given stats (or None) and the plain-numpy normalisation of
+    one case: (6, 4) over axis 0, (3, 5, 4) over the last axis."""
+    x = rng.normal(loc=1.5, scale=2.0, size=(6, 4) if axis == 0 else (3, 5, 4))
+    if given:
+        stat_shape = (4,) if axis == 0 else (3, 5, 1)
+        stats = (rng.normal(size=stat_shape), 0.5 + rng.random(stat_shape))
+        mean, var = stats
+    else:
+        stats = None
+        mean, var = x.mean(axis=axis, keepdims=True), x.var(axis=axis, keepdims=True)
+    return x, stats, (x - mean) / np.sqrt(var + 1e-5)
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["batch_stats", "given_stats"])
+@pytest.mark.parametrize("affine", [False, True], ids=["plain", "affine"])
+@pytest.mark.parametrize("axis", [0, -1])
+def test_normalize_values_and_grads_fd(axis, affine, given):
+    rng = np.random.default_rng(60 + 4 * (axis == 0) + 2 * affine + given)
+    x, stats, ref = _normalize_case(axis, given, rng)
+    gamma, beta = rng.normal(size=4), rng.normal(size=4)
+    arrays = [x, gamma, beta] if affine else [x]
+    if affine:
+        ref = ref * gamma + beta
+    out, used = T.normalize(*[T.Tensor(a) for a in arrays[:1]], axis, 1e-5,
+                            *[T.Tensor(a) for a in arrays[1:]], stats=stats)
+    np.testing.assert_allclose(out.values, ref, rtol=1e-12, atol=1e-12)
+    if given:
+        assert used is stats
+    else:
+        np.testing.assert_allclose(used[0], x.mean(axis=axis), rtol=1e-12)
+        np.testing.assert_allclose(used[1], x.var(axis=axis), rtol=1e-12)
+    probe = rng.normal(size=x.shape)
+    check_tensor_grad(
+        lambda ts: _weighted_sum(T.normalize(ts[0], axis, 1e-5, *ts[1:], stats=stats)[0], probe),
+        arrays, rtol=1e-5, label=f"normalize axis={axis}")
+
+
+def test_normalize_in_place_off_the_tape_is_bit_equal_and_spares_its_input():
+    rng = np.random.default_rng(70)
+    x = rng.normal(size=(7, 5))
+    keep = x.copy()
+    gamma = T.Tensor(rng.normal(size=5), requires_grad=True)
+    beta = T.Tensor(rng.normal(size=5), requires_grad=True)
+    for stats in (None, (rng.normal(size=5), 1.0 + rng.random(5))):
+        taped = T.normalize(T.Tensor(x), 0, 1e-5, gamma, beta, stats=stats)[0]
+        assert T.tape_length() == 1
+        with T.no_grad():
+            free = T.normalize(T.Tensor(x), 0, 1e-5, gamma, beta, stats=stats)[0]
+        assert T.tape_length() == 1
+        np.testing.assert_array_equal(free.values, taped.values)
+        T.reset_tape()
+    np.testing.assert_array_equal(x, keep)
+
+
+def test_normalize_errors():
+    with pytest.raises(T.ShapeError):
+        T.normalize(T.Tensor(np.ones((2, 3))), 2, 1e-5)
+    with pytest.raises(T.DomainError):
+        T.normalize(T.Tensor(np.ones((0, 3))), 0, 1e-5)
+
+
+def _attention_reference(q, k, v, heads, mask=None, keep=1.0):
+    """Per-head softmax(q k^T / sqrt(hd)) v with plain numpy loops."""
+    b, t, d = q.shape
+    hd = d // heads
+    out = np.empty_like(q)
+    for i in range(b):
+        for h in range(heads):
+            cols = slice(h * hd, (h + 1) * hd)
+            s = q[i, :, cols] @ k[i, :, cols].T / np.sqrt(hd)
+            p = np.exp(s - s.max(axis=-1, keepdims=True))
+            p /= p.sum(axis=-1, keepdims=True)
+            if mask is not None:
+                p = p * mask[i, h] / keep
+            out[i, :, cols] = p @ v[i, :, cols]
+    return out
+
+
+@pytest.mark.parametrize("block_rows", [64, 2], ids=["one_block", "blocks_of_2"])
+@pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
+@pytest.mark.parametrize("heads", [1, 4])
+def test_attention_values_and_grads_fd(heads, masked, block_rows, monkeypatch):
+    monkeypatch.setattr(T, "_ATTENTION_ROWS", block_rows)
+    rng = np.random.default_rng(80 + heads + 10 * masked)
+    b, t, d = 5, 3, 8
+    q, k, v = (rng.normal(size=(b, t, d)) for _ in range(3))
+    mask = rng.random((b, heads, t, t)) < 0.7 if masked else None
+    out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, mask=mask, keep=0.7)
+    np.testing.assert_allclose(out.values, _attention_reference(q, k, v, heads, mask, 0.7),
+                               rtol=1e-12, atol=1e-12)
+    probe = rng.normal(size=(b, t, d))
+    check_tensor_grad(
+        lambda ts: _weighted_sum(T.attention(*ts, heads, mask=mask, keep=0.7), probe),
+        [q, k, v], rtol=1e-5, label=f"attention heads={heads}")
+
+
+def test_attention_off_the_tape_is_bit_equal_across_blocks(monkeypatch):
+    rng = np.random.default_rng(90)
+    q, k, v = (T.Tensor(rng.normal(size=(70, 6, 8)), requires_grad=True) for _ in range(3))
+    taped = T.attention(q, k, v, 2)
+    with T.no_grad():
+        free = T.attention(q, k, v, 2)
+    monkeypatch.setattr(T, "_ATTENTION_ROWS", 1000)
+    with T.no_grad():
+        whole = T.attention(q, k, v, 2)
+    np.testing.assert_array_equal(free.values, taped.values)
+    np.testing.assert_array_equal(whole.values, taped.values)
+    assert T.tape_length() == 1
+
+
+def test_attention_shape_errors():
+    x = T.Tensor(np.zeros((2, 3, 8)))
+    with pytest.raises(T.ShapeError):
+        T.attention(x, x, T.Tensor(np.zeros((2, 4, 8))), 2)
+    with pytest.raises(T.ShapeError):
+        T.attention(x, x, x, 3)
+    with pytest.raises(T.ShapeError):
+        T.attention(x, x, x, 2, mask=np.ones((2, 2, 3, 4), dtype=bool))
+
+
+def _grads_with_and_without_input(run, arrays):
+    """Gradients of ``run``'s weighted-sum loss with every input requiring a
+    gradient, then with ``arrays[0]`` not requiring one; and what the op's
+    backward rule returned for ``arrays[0]`` each time."""
+    grads, rule_out = [], []
+    for first in (True, False):
+        T.reset_tape()
+        ts = [T.Tensor(a, requires_grad=(first or i > 0)) for i, a in enumerate(arrays)]
+        out = run(ts)
+        rule_out.append(T._tape[0].backward_fn(np.ones(out.shape))[0])
+        T.backward(_weighted_sum(out, np.random.default_rng(3).normal(size=out.shape)))
+        grads.append([t.grad for t in ts])
+    return grads, rule_out
+
+
+@pytest.mark.parametrize("op", ["linear", "conv1xw", "normalize", "attention"])
+def test_skipped_input_gradient_leaves_the_other_gradients_bit_equal(op):
+    rng = np.random.default_rng(95)
+    runs = {
+        "linear": (lambda ts: T.linear(*ts),
+                   [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)]),
+        "conv1xw": (lambda ts: T.conv1xw(*ts, 2),
+                    [rng.normal(size=(3, 5, 2)), rng.normal(size=(4, 3)), rng.normal(size=3)]),
+        "normalize": (lambda ts: T.normalize(ts[0], 0, 1e-5, *ts[1:])[0],
+                      [rng.normal(size=(6, 4)), rng.normal(size=4), rng.normal(size=4)]),
+        "attention": (lambda ts: T.attention(*ts, 2),
+                      [rng.normal(size=(2, 3, 4)) for _ in range(3)]),
+    }
+    run, arrays = runs[op]
+    (full, skipped), rule_out = _grads_with_and_without_input(run, arrays)
+    assert full[0] is not None and skipped[0] is None
+    assert rule_out[0] is not None and rule_out[1] is None    # not computed at all
+    for got, ref in zip(skipped[1:], full[1:]):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_gelu_in_place_off_the_tape_is_bit_equal():
+    from scipy.special import erf
+    x = T.Tensor(np.random.default_rng(96).normal(size=(4, 7)), requires_grad=True)
+    keep = x.values.copy()
+    taped = T.gelu(x)
+    with T.no_grad():
+        free = T.gelu(x)
+    np.testing.assert_array_equal(taped.values, keep * (0.5 * (1.0 + erf(keep * (1.0 / np.sqrt(2.0))))))
+    np.testing.assert_array_equal(free.values, taped.values)
+    np.testing.assert_array_equal(x.values, keep)
