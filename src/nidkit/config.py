@@ -23,7 +23,7 @@ from .baselines import Autoencoder, DeepSVDD
 from .encoders import (CNNEncoder, EncoderConfig, FTTransformerEncoder,
                        MLPEncoder)
 from .nn import ConfigError
-from .ssl_models import MODEL_CLASSES, MODEL_KINDS
+from .ssl_models import MODEL_CLASSES, MODEL_KINDS, WMSE
 
 CONFIG_VERSION = 1
 CONVENTIONAL_LRS = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -147,6 +147,17 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
     if epochs < 1 or batch_size < 2:
         raise ConfigError(f"{source}: need epochs >= 1 and batch_size >= 2")
 
+    projection_dim = int(training.get("projection_dim", 256))
+    if model == "wmse":
+        # a slice of n rows has a covariance of rank <= n - 1: below the
+        # embedding width the whitening jitter fills the missing directions
+        slice_size = int(loss_params.get(
+            "slice_size", inspect.signature(WMSE).parameters["slice_size"].default))
+        if slice_size <= projection_dim:
+            warnings.warn(f"{source}: wmse slice_size {slice_size} <= projection_dim "
+                          f"{projection_dim}, so each slice's covariance has rank <= "
+                          f"{slice_size - 1} and the eps jitter fills the rest")
+
     n_runs = int(doc.get("runs", 1))
     if n_runs < 1:
         raise ConfigError(f"{source}: runs must be >= 1")
@@ -164,7 +175,7 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
         learning_rate=lr,
         epochs=epochs,
         batch_size=batch_size,
-        projection_dim=int(training.get("projection_dim", 256)),
+        projection_dim=projection_dim,
         loss_params=loss_params,
         n_runs=n_runs,
         base_seed=int(doc.get("base_seed", 0)),

@@ -110,7 +110,9 @@ class CNNEncoder(nn.Module):
 
     The stages pass channel-last memory to each other as (b, C, 1, W) views,
     so conv, ReLU and pool copy no map; the final flatten is C-major, as
-    checkpoints and ``representation_dim`` expect, and copies once.
+    checkpoints and ``representation_dim`` expect, and copies once. An eval
+    forward off the tape runs on row blocks across threads
+    (:func:`nidkit.nn.rowwise`).
     """
 
     def __init__(self, input_width: int, rng: np.random.Generator):
@@ -127,6 +129,9 @@ class CNNEncoder(nn.Module):
                 self.stages.append(nn.MaxPool1xK(size))
 
     def forward(self, x: Tensor) -> Tensor:
+        return nn.rowwise(self._forward, self, x)
+
+    def _forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.input_width:
             raise SchemaError(f"cnn: expected (b, {self.input_width}), got {x.shape}")
         b = x.shape[0]
@@ -164,7 +169,8 @@ class FTTransformerEncoder(nn.Module):
     Each numerical feature j becomes the token x_j * W_j + b_j; each
     categorical feature becomes an embedding row selected by its one-hot
     block. Tokens run through pre-norm transformer blocks and the final token
-    matrix is flattened (no classification token).
+    matrix is flattened (no classification token). An eval forward off the
+    tape runs on row blocks across threads (:func:`nidkit.nn.rowwise`).
     """
 
     def __init__(self, input_width: int, numeric_cols, cat_groups: dict,
@@ -209,6 +215,9 @@ class FTTransformerEncoder(nn.Module):
         return parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
 
     def forward(self, x: Tensor) -> Tensor:
+        return nn.rowwise(self._forward, self, x)
+
+    def _forward(self, x: Tensor) -> Tensor:
         tokens = self.tokenize(x)
         for block in self.blocks:
             tokens = block(tokens)

@@ -1,5 +1,5 @@
 """Layers, parameter containers, the ADAM optimizer, the minibatch training
-loop and its no-grad twin, and checkpoint I/O.
+loop and its no-grad twin, the row-threaded eval forward, and checkpoint I/O.
 
 Each layer runs on the primitives of :mod:`nidkit.tensor` and gets its
 backward rule from the tape: ``Linear`` on ``linear``, ``BatchNorm1d`` and
@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import tensor as T
+from . import threads
 from .data import atomic_write
 from .tensor import Tensor
 
@@ -381,6 +382,36 @@ def infer(fn: Callable, features: np.ndarray, batch_size: int = 512) -> list:
     with T.no_grad():
         return [fn(features[start:start + batch_size])
                 for start in range(0, features.shape[0], batch_size)]
+
+
+# rows per block of a row-threaded forward. A smaller block sends the
+# FT-transformer's GEMMs down OpenBLAS's small-matrix kernels, which round
+# differently; a remainder joins the last block for the same reason.
+ROW_BLOCK = 64
+
+
+def rowwise(forward: Callable, module: Module, x: Tensor) -> Tensor:
+    """``forward(x)`` for a module whose rows do not interact.
+
+    In eval mode off the tape, the batch splits into blocks of
+    ``ROW_BLOCK`` rows that run on up to :func:`nidkit.threads.budget`
+    threads, with BLAS held at one thread for the call; every row gets the
+    bits the one-batch forward gives it. In training mode, on the tape, or
+    with under two blocks or a budget of 1, ``forward(x)`` runs on the
+    calling thread.
+    """
+    n_blocks = x.shape[0] // ROW_BLOCK if x.ndim == 2 else 0   # forward names a bad shape
+    workers = min(threads.budget(), n_blocks)
+    if module.training or T.grad_enabled() or workers < 2:
+        return forward(x)
+    xv = x.values
+    bounds = [i * ROW_BLOCK for i in range(n_blocks)] + [xv.shape[0]]
+
+    def block(i):
+        return forward(Tensor(xv[bounds[i]:bounds[i + 1]])).values
+
+    with threads.row_pool(workers) as pool:
+        return Tensor(np.concatenate(list(pool.map(block, range(n_blocks)))))
 
 
 # ---------------------------------------------------------------------------

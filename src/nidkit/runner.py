@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 import yaml
 
-from . import nn
+from . import nn, threads
 from .augment import AugmentationSpec, subset_columns
 from .baselines import (Autoencoder, DeepSVDD, ae_score, reconstruction_loss,
                         svdd_init_center, svdd_loss, svdd_score,
@@ -158,10 +158,13 @@ def _static_env() -> dict:
 
 
 def _run_env() -> dict:
-    """The settings a run executed under, and the process's peak RSS so far."""
+    """The settings a run executed under: the thread plan in force (BLAS
+    threads read back from the library, None without its control) and the
+    process's peak RSS so far."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss   # KiB; bytes on macOS
     peak /= 2.0 ** (20 if sys.platform == "darwin" else 10)
-    return {**_static_env(), "peak_rss_mb": round(peak, 1)}
+    return {**_static_env(), "blas_threads": threads.blas_threads(),
+            "row_threads": threads.budget(), "peak_rss_mb": round(peak, 1)}
 
 
 def _record_doc(rec: RunRecord) -> dict:
@@ -290,12 +293,15 @@ def run_grid(doc: dict, base_dir=".", workers: int = 1) -> dict:
     and rank the results.
 
     Cells are independent; with workers > 1 they execute in separate
-    processes, each still fully deterministic given its config and seeds.
+    processes, each still fully deterministic given its config and seeds,
+    and each with a budget of ``threads.share(workers)`` CPUs for its row
+    and BLAS threads.
     """
     cells = expand_grid(doc)
     args = [(cell, base_dir) for cell in cells]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=threads.plan,
+                                 initargs=(threads.share(workers),)) as pool:
             rows = list(pool.map(_run_cell, args))
     else:
         rows = [_run_cell(a) for a in args]

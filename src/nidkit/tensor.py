@@ -26,6 +26,7 @@ __all__ = [
     "no_grad",
     "reset_tape",
     "tape_length",
+    "grad_enabled",
     "backward",
     "add",
     "sub",
@@ -105,6 +106,11 @@ def reset_tape() -> None:
 
 def tape_length() -> int:
     return len(_tape)
+
+
+def grad_enabled() -> bool:
+    """Whether operations are recorded (False inside ``no_grad``)."""
+    return _grad_enabled
 
 
 class no_grad:
@@ -272,11 +278,16 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 # Elementwise primitives
 
 
+# The backward rules of the four binary ops, like linear's, skip the
+# gradient of an operand that does not require one, such as raw features.
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _result(a.values + b.values, (a, b), bwd)
 
@@ -285,7 +296,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _result(a.values - b.values, (a, b), bwd)
 
@@ -295,7 +307,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
 
     def bwd(g):
-        return _unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)
+        return (_unbroadcast(g * bv, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * av, b.shape) if b.requires_grad else None)
 
     return _result(av * bv, (a, b), bwd)
 
@@ -307,8 +320,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
 
     def bwd(g):
-        return (_unbroadcast(g / bv, a.shape),
-                _unbroadcast(-g * av / (bv * bv), b.shape))
+        return (_unbroadcast(g / bv, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * av / (bv * bv), b.shape) if b.requires_grad else None)
 
     return _result(av / bv, (a, b), bwd)
 

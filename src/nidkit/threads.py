@@ -1,0 +1,137 @@
+"""The thread plan: the CPUs a process may use and numpy's BLAS threads.
+
+A process gets a CPU budget: the CPUs it may run on, shared out among the
+grid workers that run beside it (``plan`` sets it in each worker).
+:func:`nidkit.nn.rowwise` runs the CNN and FT-transformer forwards on that
+many threads. numpy's OpenBLAS thread count is read and set through
+``ctypes``; with no OpenBLAS that exports the calls, the budget is 1 and
+every forward runs as one batch on the calling thread. Both settings are
+process-wide, as the BLAS thread count itself is, and so is the one malloc
+arena that row threads share under glibc.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from functools import lru_cache
+from typing import Optional
+
+import numpy as np
+
+# (get, set) symbol pairs: the OpenBLAS that numpy 2 wheels bundle, the one
+# numpy 1.x wheels bundle, and an OpenBLAS under its own names
+_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+            ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+@lru_cache(maxsize=None)
+def _openblas_calls():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded,
+    or None. Opening a library numpy already loaded returns its handle."""
+    root = os.path.dirname(np.__file__)
+    paths = (glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+             + glob.glob(os.path.join(root, ".dylibs", "*openblas*")))
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_planned: Optional[int] = None      # set by ``plan``; None means every usable CPU
+
+
+def budget() -> int:
+    """Threads a row-threaded forward may use in this process."""
+    if _openblas_calls() is None:
+        return 1
+    return usable_cpus() if _planned is None else _planned
+
+
+def blas_threads() -> Optional[int]:
+    """numpy's OpenBLAS thread count in force; None without the control."""
+    calls = _openblas_calls()
+    return calls[0]() if calls else None
+
+
+def set_blas_threads(n: int) -> None:
+    calls = _openblas_calls()
+    if calls:
+        calls[1](n)
+
+
+@contextmanager
+def blas_held(n: int):
+    """Hold numpy's BLAS at ``n`` threads for the block, then restore it."""
+    before = blas_threads()
+    set_blas_threads(n)
+    try:
+        yield
+    finally:
+        if before is not None:
+            set_blas_threads(before)
+
+
+# glibc's mallopt parameter for the most malloc arenas a process may have
+_M_ARENA_MAX = -8
+
+
+@lru_cache(maxsize=None)
+def _one_malloc_arena() -> None:
+    """Have every thread allocate from glibc's main malloc arena.
+
+    A thread that allocates otherwise gets an arena of its own, which
+    glibc trims back whenever a block's arrays are freed; the next block
+    faults the pages in again: about 160,000 minor faults per 2,244 FT rows
+    scored right after training. Without glibc's ``mallopt`` nothing
+    changes.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):    # no process-wide symbol table to open
+        return
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_ARENA_MAX, 1)
+
+
+@contextmanager
+def row_pool(workers: int):
+    """A pool of ``workers`` threads for one call, BLAS held at one thread
+    while it lives. Made per call, so a forked process inherits no thread."""
+    _one_malloc_arena()
+    with blas_held(1), ThreadPoolExecutor(workers) as pool:
+        yield pool
+
+
+def share(workers: int) -> int:
+    """The CPU budget of each of ``workers`` processes on this machine."""
+    return max(1, usable_cpus() // workers)
+
+
+def plan(cpus: int) -> None:
+    """Give this process a budget of ``cpus``: its row threads and its BLAS
+    threads. A grid runs it first in every worker process."""
+    global _planned
+    _planned = cpus
+    set_blas_threads(cpus)

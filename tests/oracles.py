@@ -132,6 +132,41 @@ def composed_layers():
             cls.forward = forward
 
 
+def _binary_with_both_gradients(op, name):
+    """``op`` with a backward rule that returns both operands' gradients
+    whether they need one or not."""
+    rules = {
+        "add": lambda g, av, bv: (g, g),
+        "sub": lambda g, av, bv: (g, -g),
+        "mul": lambda g, av, bv: (g * bv, g * av),
+        "div": lambda g, av, bv: (g / bv, -g * av / (bv * bv)),
+    }
+
+    def full(a, b):
+        out = op(a, b)
+        if T._tape and T._tape[-1].output is out:
+            av, bv = a.values, b.values
+            T._tape[-1].backward_fn = lambda g: tuple(
+                T._unbroadcast(gr, t.shape) for gr, t in zip(rules[name](g, av, bv), (a, b)))
+        return out
+
+    return full
+
+
+@contextmanager
+def both_operand_gradients():
+    """Run ``add``, ``sub``, ``mul`` and ``div`` with backward rules that
+    compute the gradient of an operand that needs none, while the block lasts."""
+    saved = {name: getattr(T, name) for name in ("add", "sub", "mul", "div")}
+    for name, op in saved.items():
+        setattr(T, name, _binary_with_both_gradients(op, name))
+    try:
+        yield
+    finally:
+        for name, op in saved.items():
+            setattr(T, name, op)
+
+
 def finite_difference_grad(fn, arrays, wrt, h=1e-5):
     """Central-difference gradient of scalar-valued ``fn`` w.r.t. arrays[wrt].
 

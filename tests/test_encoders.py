@@ -12,7 +12,8 @@ from nidkit import encoders, nn, ssl_models, tensor as T
 from nidkit.augment import AugmentationSpec, make_views
 from nidkit.data import SchemaError
 from nidkit.tensor import Tensor
-from oracles import check_module_grad, cnn_stage_shapes, composed_layers
+from oracles import (both_operand_gradients, check_module_grad, cnn_stage_shapes,
+                     composed_layers)
 
 
 @pytest.fixture(autouse=True)
@@ -350,6 +351,28 @@ def test_vicreg_step_gradients_match_composed_layers(kind):
         assert diff.max() <= 1e-13 * scale, name
         big = np.abs(ref) >= 1e-3 * scale
         assert (diff[big] <= 1e-12 * np.abs(ref[big])).all(), name
+
+
+def test_vicreg_ft_step_computes_no_gradient_it_throws_away(monkeypatch):
+    with both_operand_gradients():
+        ref_loss, ref_grads, _ = _vicreg_step_grads("ft_transformer", composed=False)
+    discarded = []
+    record = T._record
+
+    def counting(output, inputs, backward_fn):
+        def counted(g):
+            grads = backward_fn(g)
+            discarded.extend(gr.size for t, gr in zip(inputs, grads)
+                             if gr is not None and t.is_leaf and not t.requires_grad)
+            return grads
+        record(output, inputs, counted)
+
+    monkeypatch.setattr(T, "_record", counting)
+    loss, grads, _ = _vicreg_step_grads("ft_transformer", composed=False)
+    assert sum(discarded) == 0
+    assert loss == ref_loss and grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        np.testing.assert_array_equal(grads[name], ref, err_msg=name)
 
 
 def test_ft_forward_off_the_tape_records_nothing():

@@ -1,6 +1,7 @@
 """Experiment runner: config hashing, artifacts, failure capture, grids."""
 
 import os
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 import scipy
 import yaml
 
-from nidkit import cli, runner
+from nidkit import cli, runner, threads
 from nidkit.augment import KINDS as AUG_KINDS
 from nidkit.config import config_hash, validate_config
 from nidkit.data import save_dataset, synth_generate
@@ -152,6 +153,21 @@ def test_validate_accepts_every_key_its_builder_reads(over):
     assert validate_config(make_doc(**over)).loss_params == over.get("loss", {})
 
 
+def test_wmse_warns_when_a_slice_cannot_span_the_projection():
+    # make_doc projects to 16 dimensions
+    for loss, slice_size in (({"slice_size": 16}, 16), ({"slice_size": 8}, 8)):
+        with pytest.warns(UserWarning, match=f"slice_size {slice_size} <= projection_dim 16"):
+            validate_config(make_doc(model="wmse", loss=loss))
+    wide = make_doc(model="wmse", training={"learning_rate": 1e-3, "projection_dim": 32})
+    with pytest.warns(UserWarning, match="slice_size 32 <= projection_dim 32"):
+        validate_config(wide)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validate_config(make_doc(model="wmse"))                          # 32 > 16
+        validate_config(make_doc(model="wmse", loss={"slice_size": 17}))
+        validate_config(make_doc(model="vicreg", loss={}))
+
+
 def test_baseline_config_needs_no_augmentation():
     doc = make_doc(model="autoencoder")
     del doc["augmentation"]
@@ -232,6 +248,8 @@ def test_record_carries_the_run_environment(tmp_path, monkeypatch):
     assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                    "MKL_NUM_THREADS"}
     assert env["cpu_count"] == os.cpu_count()
+    assert env["row_threads"] == threads.budget()
+    assert env["blas_threads"] == threads.blas_threads()
     assert 10.0 < env["peak_rss_mb"] < 1e5
 
 
@@ -453,6 +471,24 @@ def test_grid_reruns_a_cell_with_a_failed_seed(tmp_path, monkeypatch):
     assert again["status"] == "ok" and len(calls) == 4
     assert yaml.safe_load(agg_path.read_text())["n_runs_ok"] == 2
     assert run_grid(doc, base_dir=tmp_path)["rows"][0]["status"] == "cached"
+
+
+def test_grid_workers_split_the_cpus_and_keep_the_scores(tmp_path):
+    doc = grid_doc(runs=2)
+    doc["grid"]["augmentation"] = doc["grid"]["augmentation"][:1]    # vicreg, barlow_twins
+    for workers in (1, 2):
+        doc["base"]["output_dir"] = f"w{workers}"
+        rows = run_grid(doc, base_dir=tmp_path, workers=workers)["rows"]
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+    share = max(1, threads.usable_cpus() // 2)
+    for row in rows:
+        for seed in (0, 1):
+            run = Path(row["hash"]) / f"run{seed}"
+            assert ((tmp_path / "w2" / run / "scores.csv").read_bytes()
+                    == (tmp_path / "w1" / run / "scores.csv").read_bytes())
+            env = _metrics_of(tmp_path / "w2" / run)["env"]
+            assert env["row_threads"] == (share if threads.blas_threads() else 1)
+            assert env["blas_threads"] == (share if threads.blas_threads() else None)
 
 
 def test_grid_reports_failed_cells_without_stopping(tmp_path):

@@ -710,7 +710,8 @@ def _grads_with_and_without_input(run, arrays):
     return grads, rule_out
 
 
-@pytest.mark.parametrize("op", ["linear", "conv1xw", "normalize", "attention"])
+@pytest.mark.parametrize("op", ["linear", "conv1xw", "normalize", "attention",
+                                "add", "sub", "mul", "div"])
 def test_skipped_input_gradient_leaves_the_other_gradients_bit_equal(op):
     rng = np.random.default_rng(95)
     runs = {
@@ -722,6 +723,9 @@ def test_skipped_input_gradient_leaves_the_other_gradients_bit_equal(op):
                       [rng.normal(size=(6, 4)), rng.normal(size=4), rng.normal(size=4)]),
         "attention": (lambda ts: T.attention(*ts, 2),
                       [rng.normal(size=(2, 3, 4)) for _ in range(3)]),
+        **{name: (lambda ts, op=getattr(T, name): op(*ts),
+                  [rng.normal(size=(6, 4)), rng.normal(size=4)])
+           for name in ("add", "sub", "mul", "div")},
     }
     run, arrays = runs[op]
     (full, skipped), rule_out = _grads_with_and_without_input(run, arrays)

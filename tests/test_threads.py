@@ -1,0 +1,171 @@
+"""The thread plan: the CPU budget, the BLAS control and row-threaded
+encoder forwards."""
+
+import sys
+import threading
+from contextlib import nullcontext
+
+import numpy as np
+import pytest
+
+from nidkit import encoders, threads, tensor as T
+from nidkit.data import SchemaError
+from nidkit.tensor import Tensor
+
+ROWS = (1, 2, 63, 64, 65, 127, 128, 129, 196, 512, 513)
+
+
+@pytest.fixture(autouse=True)
+def restore_plan():
+    """Put the process's budget and BLAS threads back after each test."""
+    planned, blas = threads._planned, threads.blas_threads()
+    T.reset_tape()
+    yield
+    T.reset_tape()
+    threads._planned = planned
+    if blas is not None:
+        threads.set_blas_threads(blas)
+
+
+def _encoder(kind, width=40, seed=0):
+    if kind == "ft_transformer":
+        cfg = encoders.EncoderConfig(kind=kind, input_width=width,
+                                     numeric_cols=list(range(width - 5)),
+                                     cat_groups={"proto": list(range(width - 5, width))})
+    else:
+        cfg = encoders.EncoderConfig(kind=kind, input_width=width)
+    return encoders.build_encoder(cfg, np.random.default_rng(seed))
+
+
+def _batch(n, width=40, seed=1):
+    x = np.random.default_rng(seed).random((n, width))
+    x[:, -5:] = 0.0
+    x[np.arange(n), width - 5 + np.arange(n) % 5] = 1.0
+    return x
+
+
+def _spy(enc):
+    """Record the thread and the BLAS thread count of every internal
+    forward call of ``enc``."""
+    calls, real = [], enc._forward
+
+    def spy(x):
+        calls.append((threading.get_ident(), threads.blas_threads(), x.shape[0]))
+        return real(x)
+
+    enc._forward = spy
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["cnn", "ft_transformer"])
+def test_rowwise_is_bit_equal_to_the_one_batch_forward(kind):
+    enc = _encoder(kind).eval()
+    x = _batch(max(ROWS))
+    for n in ROWS:
+        with T.no_grad():
+            ref = enc._forward(Tensor(x[:n])).values
+            for budget in (1, 2, 3):
+                threads._planned = budget
+                np.testing.assert_array_equal(enc(Tensor(x[:n])).values, ref,
+                                              err_msg=f"{kind}, {n} rows, budget {budget}")
+
+
+def test_rowwise_under_frequent_thread_switches():
+    # more threads than this machine has cores, switching every 10 us
+    enc = _encoder("ft_transformer").eval()
+    x = Tensor(_batch(513))
+    with T.no_grad():
+        ref = enc._forward(x).values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads._planned = 2 * threads.usable_cpus() + 1
+            outs = [enc(x).values for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+    for out in outs:
+        np.testing.assert_array_equal(out, ref)
+
+
+@pytest.mark.skipif(threads.blas_threads() is None, reason="numpy's BLAS has no thread control")
+def test_rowwise_splits_into_64_row_blocks_on_helper_threads():
+    enc = _encoder("cnn").eval()
+    calls = _spy(enc)
+    threads._planned = 2
+    before = threads.blas_threads()
+    with T.no_grad():
+        enc(Tensor(_batch(196)))
+    assert sorted(rows for _, _, rows in calls) == [64, 64, 68]
+    assert threading.get_ident() not in {ident for ident, _, _ in calls}
+    assert {blas for _, blas, _ in calls} == {1}
+    assert threads.blas_threads() == before
+
+
+@pytest.mark.parametrize("training, grad", [(True, True), (True, False), (False, True)])
+def test_training_mode_and_the_tape_stay_on_the_calling_thread(training, grad):
+    threads._planned = 2
+    outs, states = [], []
+    for direct in (False, True):
+        enc = _encoder("ft_transformer").train(training)
+        calls = _spy(enc)
+        with nullcontext() if grad else T.no_grad():
+            x = Tensor(_batch(256))
+            outs.append((enc._forward if direct else enc)(x).values)
+        # dropout draws from the encoder's generator in one order
+        states.append(enc.blocks[0].attn.drop.rng.bit_generator.state)
+        if not direct:
+            assert calls == [(threading.get_ident(), threads.blas_threads(), 256)]
+        T.reset_tape()
+    np.testing.assert_array_equal(outs[0], outs[1])
+    assert states[0] == states[1]
+
+
+def test_the_mlp_runs_one_batch_on_the_calling_thread():
+    enc = _encoder("mlp").eval()
+    calls, real = [], enc.linears[0].forward
+    enc.linears[0].forward = lambda x: calls.append((threading.get_ident(), x.shape[0])) or real(x)
+    threads._planned = 2
+    with T.no_grad():
+        enc(Tensor(_batch(256)))
+    assert calls == [(threading.get_ident(), 256)]
+
+
+def test_rowwise_raises_the_forward_error():
+    enc = _encoder("ft_transformer").eval()
+    threads._planned = 2
+    with T.no_grad(), pytest.raises(SchemaError):
+        enc(Tensor(np.zeros((256, 41))))
+    with T.no_grad(), pytest.raises(SchemaError):
+        enc(Tensor(np.zeros(256)))
+
+
+def test_share_splits_the_usable_cpus():
+    cpus = threads.usable_cpus()
+    assert threads.share(1) == cpus
+    assert threads.share(2) == max(1, cpus // 2)
+    assert threads.share(4 * cpus) == 1
+
+
+def test_plan_sets_the_budget_and_the_blas_threads():
+    threads.plan(1)
+    assert threads.budget() == 1
+    if threads.blas_threads() is not None:
+        assert threads.blas_threads() == 1
+        with threads.blas_held(2):
+            assert threads.blas_threads() == 2
+        assert threads.blas_threads() == 1
+
+
+def test_no_blas_control_means_a_budget_of_one(monkeypatch):
+    monkeypatch.setattr(threads, "_openblas_calls", lambda: None)
+    threads.plan(3)
+    assert threads.budget() == 1
+    assert threads.blas_threads() is None
+    with threads.blas_held(1):
+        pass
+    enc = _encoder("cnn").eval()
+    calls = _spy(enc)
+    with T.no_grad():
+        enc(Tensor(_batch(256)))
+    assert calls == [(threading.get_ident(), None, 256)]
+
