@@ -418,17 +418,18 @@ def protocol_split(ds: Dataset, train_fraction_of_normals: float = 0.5,
     train_idx = np.sort(order[:n_train])
     test_idx = np.sort(np.concatenate([order[n_train:], attack]))
 
-    train_feat = ds.features[train_idx].copy()
-    test_feat = ds.features[test_idx].copy()
+    # an index array makes copies, which _renormalize then writes in place
+    train_feat = ds.features[train_idx]
+    test_feat = ds.features[test_idx]
     stats = _renormalize(train_feat, test_feat, ds.numeric_idx,
                          ds.feature_names, ds.norm_stats)
 
     mk = lambda feat, idx: Dataset(
-        features=feat, labels=ds.labels[idx].copy(),
+        features=feat, labels=ds.labels[idx],
         feature_names=list(ds.feature_names),
         numeric_idx=ds.numeric_idx.copy(),
         onehot_groups={k: list(v) for k, v in ds.onehot_groups.items()},
-        norm_stats=stats, ids=ds.ids[idx].copy())
+        norm_stats=stats, ids=ds.ids[idx])
     return mk(train_feat, train_idx), mk(test_feat, test_idx)
 
 

@@ -13,7 +13,6 @@ import os
 import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,7 +20,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 import yaml
 
 from . import nn, threads
@@ -147,6 +145,7 @@ _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 def _static_env() -> dict:
     """Library versions, numpy's BLAS, the BLAS thread variables and the CPU
     count: fixed for the life of the process."""
+    import scipy    # nidkit itself loads scipy only for the FT-transformer's GELU
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):   # numpy < 1.26 has no dict form
@@ -300,6 +299,7 @@ def run_grid(doc: dict, base_dir=".", workers: int = 1) -> dict:
     cells = expand_grid(doc)
     args = [(cell, base_dir) for cell in cells]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=threads.plan,
                                  initargs=(threads.share(workers),)) as pool:
             rows = list(pool.map(_run_cell, args))

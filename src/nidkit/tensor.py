@@ -7,7 +7,9 @@ intended to live for a single training step: call ``reset_tape`` (or use the
 optimizer helpers in :mod:`nidkit.nn`) after each update.
 
 All linear algebra runs on numpy, so every BLAS and LAPACK call goes through
-numpy's one OpenBLAS thread pool; scipy serves only ``special.erf``.
+numpy's one OpenBLAS thread pool. scipy serves only ``special.erf``, which
+the first GELU imports: only the FT-transformer runs one, so a process that
+never builds one never loads scipy.special.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import erf
+
+from . import threads
 
 __all__ = [
     "Tensor",
@@ -364,6 +367,10 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit, ``a * cdf(a)``; off the
     tape the product is taken in place in ``cdf``'s buffer."""
+    # imported here: scipy.special takes longer to import than all of
+    # nidkit, and only the FT-transformer runs a GELU
+    from scipy.special import erf
+
     av = a.values
     cdf = av * _INV_SQRT2
     erf(cdf, out=cdf)
@@ -600,13 +607,16 @@ def cholesky(a: Tensor) -> Tensor:
 
     Only the lower triangle of ``a`` is read (LAPACK convention), so the
     gradient of any upper-triangle element is zero and off-diagonal lower
-    elements absorb the symmetric contribution.
+    elements absorb the symmetric contribution. The factorisation runs on
+    one BLAS thread: LAPACK's threaded one rounds differently, so the factor
+    would depend on the thread count.
     """
     av = a.values
     if av.ndim != 2 or av.shape[0] != av.shape[1]:
         raise ShapeError(f"cholesky: expected a square matrix, got {av.shape}")
     try:
-        lv = np.linalg.cholesky(av)
+        with threads.blas_held(1):
+            lv = np.linalg.cholesky(av)
     except np.linalg.LinAlgError:
         raise DecompositionError(pivot=_failing_pivot(av)) from None
     # LAPACK stops only at a pivot <= 0, which a NaN never is

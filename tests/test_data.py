@@ -326,6 +326,19 @@ def test_split_renormalizes_with_train_statistics_only():
         np.testing.assert_allclose(got, reordered, atol=1e-10)
 
 
+def test_split_owns_its_arrays_and_leaves_the_dataset_unchanged():
+    # the split renormalises its features in place
+    ds = synth_generate(100, 30, d=12, separation=3.0, seed=6)
+    before = ds.features.copy()
+    train, test = protocol_split(ds, seed=1)
+    np.testing.assert_array_equal(ds.features, before)
+    for field in ("features", "labels", "ids"):
+        mine, theirs = getattr(train, field), getattr(test, field)
+        assert not np.shares_memory(mine, getattr(ds, field))
+        assert not np.shares_memory(theirs, getattr(ds, field))
+        assert not np.shares_memory(mine, theirs)
+
+
 def test_split_ignores_test_rows_for_statistics():
     # sentinel: blowing up an attack row (always lands in test) must leave
     # the training features bit-identical

@@ -1,8 +1,11 @@
 """Experiment runner: config hashing, artifacts, failure capture, grids."""
 
 import os
+import subprocess
+import sys
 import warnings
 from contextlib import contextmanager
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -474,21 +477,29 @@ def test_grid_reruns_a_cell_with_a_failed_seed(tmp_path, monkeypatch):
 
 
 def test_grid_workers_split_the_cpus_and_keep_the_scores(tmp_path):
-    doc = grid_doc(runs=2)
-    doc["grid"]["augmentation"] = doc["grid"]["augmentation"][:1]    # vicreg, barlow_twins
-    for workers in (1, 2):
-        doc["base"]["output_dir"] = f"w{workers}"
-        rows = run_grid(doc, base_dir=tmp_path, workers=workers)["rows"]
-        assert [r["status"] for r in rows] == ["ok", "ok"]
+    pair = grid_doc(runs=2)
+    pair["grid"]["augmentation"] = pair["grid"]["augmentation"][:1]    # vicreg, barlow_twins
+    # W-MSE at projection 256 factors 256 x 256 covariances, an order at
+    # which LAPACK's threaded Cholesky rounds by the thread count
+    whitened = deepcopy(pair)
+    whitened["grid"]["model"] = ["wmse"]
+    whitened["base"]["training"]["projection_dim"] = 256
     share = max(1, threads.usable_cpus() // 2)
-    for row in rows:
-        for seed in (0, 1):
-            run = Path(row["hash"]) / f"run{seed}"
-            assert ((tmp_path / "w2" / run / "scores.csv").read_bytes()
-                    == (tmp_path / "w1" / run / "scores.csv").read_bytes())
-            env = _metrics_of(tmp_path / "w2" / run)["env"]
-            assert env["row_threads"] == (share if threads.blas_threads() else 1)
-            assert env["blas_threads"] == (share if threads.blas_threads() else None)
+    for name, doc in (("pair", pair), ("wmse", whitened)):
+        for workers in (1, 2):
+            doc["base"]["output_dir"] = f"{name}-w{workers}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # wmse: slice_size <= projection_dim
+                rows = run_grid(doc, base_dir=tmp_path, workers=workers)["rows"]
+            assert [r["status"] for r in rows] == ["ok"] * len(doc["grid"]["model"])
+        for row in rows:
+            for seed in (0, 1):
+                run = Path(row["hash"]) / f"run{seed}"
+                assert ((tmp_path / f"{name}-w2" / run / "scores.csv").read_bytes()
+                        == (tmp_path / f"{name}-w1" / run / "scores.csv").read_bytes()), name
+                env = _metrics_of(tmp_path / f"{name}-w2" / run)["env"]
+                assert env["row_threads"] == (share if threads.blas_threads() else 1)
+                assert env["blas_threads"] == (share if threads.blas_threads() else None)
 
 
 def test_grid_reports_failed_cells_without_stopping(tmp_path):
@@ -521,6 +532,25 @@ def test_cli_round_trip(tmp_path, capsys):
     exp_dir = next((tmp_path / "runs").iterdir())
     assert cli.main(["report", str(exp_dir)]) == 0
     assert "auroc" in capsys.readouterr().out
+
+
+def test_cli_and_an_mlp_run_load_no_scipy_special_and_no_process_pool(tmp_path):
+    # scipy.special takes longer to import than the rest of nidkit together;
+    # only the FT-transformer's GELU needs it, only a grid's workers a pool
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(make_doc()))
+    script = (
+        "import sys\n"
+        "from nidkit import cli\n"
+        f"assert cli.main(['run', {str(path)!r}, '--output-dir', {str(tmp_path / 'runs')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.special', 'concurrent.futures.process'))))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "auroc" in out.stdout
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_rejects_invalid_config(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """The thread plan: the CPU budget, the BLAS control and row-threaded
 encoder forwards."""
 
+import os
+import subprocess
 import sys
 import threading
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +102,41 @@ def test_rowwise_splits_into_64_row_blocks_on_helper_threads():
     assert threading.get_ident() not in {ident for ident, _, _ in calls}
     assert {blas for _, blas, _ in calls} == {1}
     assert threads.blas_threads() == before
+
+
+@pytest.mark.skipif(threads.blas_threads() is None, reason="numpy's BLAS has no thread control")
+def test_first_gelu_on_helper_threads_imports_erf_and_keeps_the_bits():
+    # the first GELU a process runs imports scipy.special, here on row threads
+    script = (
+        "import sys, threading\n"
+        "import numpy as np\n"
+        "from nidkit import encoders, threads, tensor as T\n"
+        "cfg = encoders.EncoderConfig(kind='ft_transformer', input_width=40,\n"
+        "                             numeric_cols=list(range(35)),\n"
+        "                             cat_groups={'proto': list(range(35, 40))})\n"
+        "enc = encoders.build_encoder(cfg, np.random.default_rng(0)).eval()\n"
+        "x = np.random.default_rng(1).random((196, 40))\n"
+        "x[:, -5:] = 0.0\n"
+        "x[np.arange(196), 35 + np.arange(196) % 5] = 1.0\n"
+        "callers, forward = set(), enc._forward\n"
+        "def spy(t):\n"
+        "    callers.add(threading.get_ident())\n"
+        "    return forward(t)\n"
+        "enc._forward = spy\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "threads.plan(2)\n"
+        "with T.no_grad():\n"
+        "    out = enc(T.Tensor(x)).values\n"
+        "    assert 'scipy.special' in sys.modules\n"
+        "    assert callers and threading.get_ident() not in callers\n"
+        "    ref = forward(T.Tensor(x)).values\n"
+        "assert np.array_equal(out, ref)\n"
+        "print('ok')\n")
+    src = str(Path(encoders.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 @pytest.mark.parametrize("training, grad", [(True, True), (True, False), (False, True)])
