@@ -97,13 +97,16 @@ _M_ARENA_MAX = -8
 
 
 @lru_cache(maxsize=None)
-def _one_malloc_arena() -> None:
+def one_malloc_arena() -> None:
     """Have every thread allocate from glibc's main malloc arena.
 
     A thread that allocates otherwise gets an arena of its own, which
     glibc trims back whenever a block's arrays are freed; the next block
     faults the pages in again: about 160,000 minor faults per 2,244 FT rows
-    scored right after training. Without glibc's ``mallopt`` nothing
+    scored right after training. Memory a thread's arena keeps is also lost
+    to the main thread: the arrays a process pool's result thread unpickled
+    for ``data.load_csv`` left 5 MB there, which raised the peak RSS of
+    the preprocessing after it. Without glibc's ``mallopt`` nothing
     changes.
     """
     try:
@@ -119,7 +122,7 @@ def _one_malloc_arena() -> None:
 def row_pool(workers: int):
     """A pool of ``workers`` threads for one call, BLAS held at one thread
     while it lives. Made per call, so a forked process inherits no thread."""
-    _one_malloc_arena()
+    one_malloc_arena()
     with blas_held(1), ThreadPoolExecutor(workers) as pool:
         yield pool
 

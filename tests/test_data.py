@@ -1,10 +1,16 @@
 import csv
+import io
+import multiprocessing
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nidkit import data
+from nidkit import data, threads
 from nidkit.data import (DataError, Dataset, RawTable, SchemaError,
                          load_csv, load_dataset, load_schema, preprocess,
                          protocol_split, save_dataset, synth_generate)
@@ -519,14 +525,20 @@ CATEGORIES = ["tcp", "udp", "a,b", " icmp ", "x y", '"q"', ""]
 LABELS = ["BENIGN", "DoS", "Probe", " BENIGN", ""]
 
 
-def _random_csv(path, rng):
-    """A small CSV in the DIFF_SCHEMA layout with every defect ingest handles.
+def _random_csv(path, rng, plain=False):
+    r"""A small CSV in the DIFF_SCHEMA layout with every defect ingest handles.
 
     Cells come from small pools, so rows repeat; some repeats change the
     attack label or the sign of a zero. Columns may be constant, hold one
-    category, or copy another column; rows may be short or long.
+    category, or copy another column; rows may be short or long. A
+    ``plain`` file holds no cell that needs quotes; its lines end in a mix
+    of ``\n``, ``\r\n`` and ``\r``, some are blank, and the last may
+    have no line break.
     """
-    pick = lambda pool: pool[rng.integers(len(pool))]
+    if plain:
+        pick = lambda pool: _pick(rng, [v for v in pool if "," not in v and '"' not in v])
+    else:
+        pick = lambda pool: _pick(rng, pool)
     odd = rng.uniform(0.0, 0.15)
     constant, single = rng.random() < 0.3, rng.random() < 0.3
     copy_n, copy_c = rng.random() < 0.3, rng.random() < 0.3
@@ -558,10 +570,24 @@ def _random_csv(path, rng):
         elif shape < 0.08:
             row = row + ["extra"]
         rows.append(row)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n" if plain else "\r\n")
+    writer.writerow(["id", "n0", "n1", "n2", "n3", "c0", "c1", "c2", "label"])
+    writer.writerows(rows)
+    text = text.getvalue()
+    if plain:
+        lines = []
+        for line in text.split("\n")[:-1]:
+            lines += [line, ""] if rng.random() < 0.05 else [line]
+        text = "".join(line + _pick(rng, ["\n", "\r\n", "\r"]) for line in lines)
+        if rng.random() < 0.3:
+            text = text.rstrip("\r\n")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "n0", "n1", "n2", "n3", "c0", "c1", "c2", "label"])
-        writer.writerows(rows)
+        fh.write(text)
+
+
+def _pick(rng, pool):
+    return pool[rng.integers(len(pool))]
 
 
 def _table_fields(raw):
@@ -600,16 +626,20 @@ def _compare_preprocess(raw):
     return ref
 
 
-@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("seed", range(90))
 def test_columnar_ingest_matches_the_row_by_row_oracle(tmp_path, monkeypatch, seed):
     rng = np.random.default_rng(seed)
     if seed % 3:   # several batches per file, cut at varied rows
         monkeypatch.setattr(data, "_CHUNK_ROWS", 1 + seed % 7)
     schema = _write_schema(tmp_path, DIFF_SCHEMA)
     path = tmp_path / "flows.csv"
-    _random_csv(path, rng)
+    _random_csv(path, rng, plain=seed >= 60)
+    if b'"' not in path.read_bytes():   # 2-4 byte ranges, parsed in processes
+        monkeypatch.setattr(data, "_RANGE_FLOOR", 0)
+        monkeypatch.setattr(threads, "budget", lambda: 2 + seed % 3)
 
     new, _ = _outcome(load_csv, path, schema, 0.5)
+    assert multiprocessing.active_children() == []
     ref, _ = _outcome(load_csv_rowwise, path, schema, 0.5)
     if not isinstance(ref, tuple) or len(ref) != 2 or not isinstance(ref[0], RawTable):
         assert new == ref
@@ -624,3 +654,62 @@ def test_columnar_ingest_matches_the_row_by_row_oracle(tmp_path, monkeypatch, se
         cells = dict(raw.cells, c0=raw.cells["c0"].copy())
         cells["c0"][rng.integers(raw.n_rows)] = None
         _compare_preprocess(RawTable(raw.columns, raw.kinds, cells, raw.normal_values))
+
+
+def _ranged_csv(ending):
+    """A DIFF_SCHEMA file whose records include short rows and blank lines,
+    lines ended by ``ending``, the last one without a line break."""
+    lines = ["id,n0,n1,n2,n3,c0,c1,c2,label"]
+    for i in range(40):
+        if i % 5 == 1:
+            lines.append(f"{i},1,2,3,4,tcp,udp,BENIGN")            # short row
+        elif i % 7 == 3:
+            lines.append("")
+        elif i % 11 == 6:
+            lines.append(f"{i},1,oops,3,4,tcp,udp,x y,DoS")         # bad number
+        else:
+            lines.append(f"{i},{i}.5,-0.0,{i % 3},1e3,tcp,udp,x y,{LABELS[i % 3]}")
+    return ending.join(lines)
+
+
+def test_ranges_start_on_any_record_and_leave_no_process(tmp_path, monkeypatch):
+    schema = _write_schema(tmp_path, DIFF_SCHEMA)
+    path = tmp_path / "flows.csv"
+    monkeypatch.setattr(data, "_RANGE_FLOOR", 0)
+    first_records = set()
+    for ending in ("\r\n", "\n"):
+        text = _ranged_csv(ending)
+        path.write_bytes(text.encode())
+        ref = load_csv_rowwise(path, schema, 0.5)
+        for budget in (2, 3, 4):
+            monkeypatch.setattr(threads, "budget", lambda: budget)
+            with open(path, "rb") as fh:
+                cuts = data._cuts(fh, len(text), budget)
+            assert len(cuts) == budget + 1
+            first_records |= {text[cut:].split(ending)[0].count(",") for cut in cuts[1:-1]}
+            raw, rejects = load_csv(path, schema, 0.5)
+            assert multiprocessing.active_children() == []
+            assert rejects == ref[1]
+            assert _table_fields(raw) == _table_fields(ref[0])
+            with pytest.raises(DataError, match="rows rejected"):
+                load_csv(path, schema, 0.1)
+            assert multiprocessing.active_children() == []
+    assert {0, 7, 8} <= first_records    # blank lines, short rows and full rows
+
+
+def test_cli_preprocess_of_a_small_csv_starts_no_process_pool(tmp_path):
+    schema = tmp_path / "schema.yaml"
+    schema.write_text(DIFF_SCHEMA)
+    path = tmp_path / "flows.csv"
+    path.write_text(_ranged_csv("\n"))
+    script = (
+        "import sys\n"
+        "from nidkit import cli\n"
+        f"assert cli.main(['preprocess', '--csv', {str(path)!r}, '--schema', {str(schema)!r},\n"
+        f"                 '--out', {str(tmp_path / 'flows.npz')!r}, '--max-reject-fraction', '0.5']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent.futures.process')))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
