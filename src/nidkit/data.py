@@ -124,10 +124,11 @@ def load_schema(path) -> Schema:
 # rows parsed per batch: bounds the raw text held in memory at once
 _CHUNK_ROWS = 8192
 
-# a file smaller than this parses as one range. On 2 vCPUs two ranges lost
-# 15 ms on 1 MB of the UNSW-NB15 layout and gained 25-35 ms on 2 MB; a
-# process's first pool also imports its modules, about 40 ms
-_RANGE_FLOOR = 4 << 20
+# the fewest bytes a range is cut to, so a file under twice this is one
+# range. On 2 vCPUs two ranges lost 15 ms on 1 MB of the UNSW-NB15 layout
+# and gained 25-35 ms on 2 MB; a process's first pool also imports its
+# modules, about 40 ms
+_RANGE_BYTES = 2 << 20
 
 
 def load_csv(path, schema: Schema, max_reject_fraction: float = 0.1):
@@ -143,18 +144,18 @@ def load_csv(path, schema: Schema, max_reject_fraction: float = 0.1):
     schema, and DataError when the reject fraction exceeds
     ``max_reject_fraction``.
 
-    The file parses as up to ``threads.budget()`` byte ranges, each cut just
-    after a newline: this process parses the first, forked processes the
-    rest, and the columns join in file order. A file under
-    ``_RANGE_FLOOR`` bytes, a file holding a ``"`` (a quoted field may hold
-    a newline), a budget of one or a platform without ``fork`` is one range,
-    parsed in this process.
+    The file parses as up to ``threads.cpus()`` byte ranges of at least
+    ``_RANGE_BYTES`` each, cut just after a newline: this process parses
+    the first, forked processes the rest, and the columns join in file
+    order. A file under twice ``_RANGE_BYTES``, a file holding a ``"`` (a
+    quoted field may hold a newline), a budget of one CPU or a platform
+    without ``fork`` is one range, parsed in this process.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     with open(path, "rb") as fh:
-        cuts = _cuts(fh, os.fstat(fh.fileno()).st_size, threads.budget())
+        cuts = _cuts(fh, os.fstat(fh.fileno()).st_size, threads.cpus())
         fh.seek(0)
         reader = csv.reader(_text(fh, cuts[1]))
         try:
@@ -200,17 +201,19 @@ def load_csv(path, schema: Schema, max_reject_fraction: float = 0.1):
                     normal_values=set(schema.normal_values)), rejects
 
 
-def _cuts(fh, size, budget):
-    """Byte offsets that cut an open binary file into up to ``budget``
-    ranges, each after the first one starting just after a newline."""
-    if budget < 2 or size < _RANGE_FLOOR or not hasattr(os, "fork"):
+def _cuts(fh, size, cpus):
+    """Byte offsets that cut an open binary file into up to ``cpus`` ranges
+    of at least ``_RANGE_BYTES``, each after the first one starting just
+    after a newline."""
+    n = min(cpus, size // _RANGE_BYTES)
+    if n < 2 or not hasattr(os, "fork"):
         return [0, size]
     for block in iter(lambda: fh.read(1 << 20), b""):
         if b'"' in block:
             return [0, size]
     cuts = [0]
-    for k in range(1, budget):
-        fh.seek(size * k // budget)
+    for k in range(1, n):
+        fh.seek(size * k // n)
         fh.readline()
         if cuts[-1] < fh.tell() < size:
             cuts.append(fh.tell())

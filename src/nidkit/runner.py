@@ -59,18 +59,9 @@ def load_experiment_dataset(cfg: ExperimentConfig):
         return synth_generate(**ds_cfg["synth"])
     if "cache" in ds_cfg:
         return load_dataset(ds_cfg["cache"])
-    files = [Path(ds_cfg[key]).resolve() for key in ("csv", "schema")]
-    stamps = tuple((f.stat().st_size, f.stat().st_mtime_ns) for f in files)
-    return _csv_dataset(*files, float(ds_cfg.get("max_reject_fraction", 0.1)), stamps)
-
-
-@lru_cache(maxsize=1)
-def _csv_dataset(csv, schema, max_reject_fraction, stamps):
-    """The preprocessed dataset of a CSV, kept for the next cell of a grid:
-    the files' sizes and mtimes in ``stamps`` tie it to their contents.
-    Nothing downstream writes to a Dataset."""
-    raw, rejects = load_csv(csv, load_schema(schema),
-                            max_reject_fraction=max_reject_fraction)
+    schema = load_schema(ds_cfg["schema"])
+    raw, rejects = load_csv(ds_cfg["csv"], schema,
+                            max_reject_fraction=float(ds_cfg.get("max_reject_fraction", 0.1)))
     if rejects:
         print(f"[data] {len(rejects)} malformed rows rejected")
     return preprocess(raw)

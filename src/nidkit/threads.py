@@ -5,7 +5,9 @@ grid workers that run beside it (``plan`` sets it in each worker).
 :func:`nidkit.nn.rowwise` runs the CNN and FT-transformer forwards on that
 many threads. numpy's OpenBLAS thread count is read and set through
 ``ctypes``; with no OpenBLAS that exports the calls, the budget is 1 and
-every forward runs as one batch on the calling thread. Both settings are
+every forward runs as one batch on the calling thread. ``cpus`` is the
+budget without that gate, for work that runs no BLAS: ``data.load_csv``
+cuts a large CSV into one byte range per CPU. Both settings are
 process-wide, as the BLAS thread count itself is, and so is the one malloc
 arena that row threads share under glibc.
 """
@@ -61,11 +63,17 @@ def usable_cpus() -> int:
 _planned: Optional[int] = None      # set by ``plan``; None means every usable CPU
 
 
+def cpus() -> int:
+    """CPUs this process may keep busy: the plan's share, else every
+    usable CPU. Work that runs no BLAS, such as CSV parsing, uses this."""
+    return usable_cpus() if _planned is None else _planned
+
+
 def budget() -> int:
     """Threads a row-threaded forward may use in this process."""
     if _openblas_calls() is None:
         return 1
-    return usable_cpus() if _planned is None else _planned
+    return cpus()
 
 
 def blas_threads() -> Optional[int]:

@@ -635,8 +635,8 @@ def test_columnar_ingest_matches_the_row_by_row_oracle(tmp_path, monkeypatch, se
     path = tmp_path / "flows.csv"
     _random_csv(path, rng, plain=seed >= 60)
     if b'"' not in path.read_bytes():   # 2-4 byte ranges, parsed in processes
-        monkeypatch.setattr(data, "_RANGE_FLOOR", 0)
-        monkeypatch.setattr(threads, "budget", lambda: 2 + seed % 3)
+        monkeypatch.setattr(data, "_RANGE_BYTES", 1)
+        monkeypatch.setattr(threads, "cpus", lambda: 2 + seed % 3)
 
     new, _ = _outcome(load_csv, path, schema, 0.5)
     assert multiprocessing.active_children() == []
@@ -675,14 +675,14 @@ def _ranged_csv(ending):
 def test_ranges_start_on_any_record_and_leave_no_process(tmp_path, monkeypatch):
     schema = _write_schema(tmp_path, DIFF_SCHEMA)
     path = tmp_path / "flows.csv"
-    monkeypatch.setattr(data, "_RANGE_FLOOR", 0)
+    monkeypatch.setattr(data, "_RANGE_BYTES", 1)
     first_records = set()
     for ending in ("\r\n", "\n"):
         text = _ranged_csv(ending)
         path.write_bytes(text.encode())
         ref = load_csv_rowwise(path, schema, 0.5)
         for budget in (2, 3, 4):
-            monkeypatch.setattr(threads, "budget", lambda: budget)
+            monkeypatch.setattr(threads, "cpus", lambda: budget)
             with open(path, "rb") as fh:
                 cuts = data._cuts(fh, len(text), budget)
             assert len(cuts) == budget + 1
@@ -695,6 +695,13 @@ def test_ranges_start_on_any_record_and_leave_no_process(tmp_path, monkeypatch):
                 load_csv(path, schema, 0.1)
             assert multiprocessing.active_children() == []
     assert {0, 7, 8} <= first_records    # blank lines, short rows and full rows
+
+    # each range holds at least _RANGE_BYTES, whatever the CPU count
+    with open(path, "rb") as fh:
+        monkeypatch.setattr(data, "_RANGE_BYTES", len(text) // 3)
+        assert len(data._cuts(fh, len(text), 8)) == 4
+        monkeypatch.setattr(data, "_RANGE_BYTES", len(text) // 2 + 1)
+        assert data._cuts(fh, len(text), 8) == [0, len(text)]
 
 
 def test_cli_preprocess_of_a_small_csv_starts_no_process_pool(tmp_path):

@@ -16,7 +16,7 @@ import yaml
 from nidkit import cli, runner, threads
 from nidkit.augment import KINDS as AUG_KINDS
 from nidkit.config import config_hash, validate_config
-from nidkit.data import load_schema, preprocess, save_dataset, synth_generate
+from nidkit.data import save_dataset, synth_generate
 from nidkit.nn import ConfigError
 from nidkit.runner import expand_grid, read_report, run_experiment, run_grid
 from nidkit.ssl_models import MODEL_KINDS
@@ -500,57 +500,6 @@ def test_grid_workers_split_the_cpus_and_keep_the_scores(tmp_path):
                 env = _metrics_of(tmp_path / f"{name}-w2" / run)["env"]
                 assert env["row_threads"] == (share if threads.blas_threads() else 1)
                 assert env["blas_threads"] == (share if threads.blas_threads() else None)
-
-
-def _write_flows(tmp_path):
-    """A small CSV dataset with its schema: 300 normal and 80 attack rows."""
-    rng = np.random.default_rng(5)
-    lines = ["id,n0,n1,n2,n3,n4,c0,label"]
-    for i in range(380):
-        attack = i >= 300
-        nums = rng.normal(3.0 if attack else 0.0, 1.0, size=5)
-        proto = ("tcp", "udp", "icmp")[rng.integers(3)]
-        lines.append(f"{i}," + ",".join(map(repr, nums.tolist()))
-                     + f",{proto},{'DoS' if attack else 'BENIGN'}")
-    (tmp_path / "flows.csv").write_text("\n".join(lines) + "\n")
-    (tmp_path / "schema.yaml").write_text(yaml.safe_dump({
-        "version": 1, "label": {"column": "label", "normal_values": ["BENIGN"]},
-        "columns": {**{f"n{j}": "numeric" for j in range(5)}, "c0": "categorical"},
-        "drop": ["id"]}))
-    return {"csv": "flows.csv", "schema": "schema.yaml"}
-
-
-def test_grid_parses_a_csv_dataset_once_and_keeps_the_scores(tmp_path, monkeypatch):
-    doc = grid_doc(dataset=_write_flows(tmp_path))
-    doc["grid"]["model"] = ["vicreg", "autoencoder"]    # 2 vicreg cells, 1 baseline
-    calls = []
-    real = runner.load_csv
-    monkeypatch.setattr(runner, "load_csv", lambda *a, **k: calls.append(a) or real(*a, **k))
-    runner._csv_dataset.cache_clear()
-    doc["base"]["output_dir"] = "once"
-    rows = run_grid(doc, base_dir=tmp_path)["rows"]
-    assert [r["status"] for r in rows] == ["ok"] * 3
-    assert len(calls) == 1
-
-    # the dataset the cells shared is the one a fresh parse gives
-    cells = expand_grid(doc)
-    shared = runner.load_experiment_dataset(validate_config(cells[0], base_dir=tmp_path))
-    assert len(calls) == 1
-    fresh = preprocess(real(tmp_path / "flows.csv", load_schema(tmp_path / "schema.yaml"))[0])
-    for field in ("features", "labels", "numeric_idx", "ids"):
-        assert getattr(shared, field).tobytes() == getattr(fresh, field).tobytes()
-    assert ((shared.feature_names, shared.onehot_groups, shared.norm_stats)
-            == (fresh.feature_names, fresh.onehot_groups, fresh.norm_stats))
-
-    # each cell on a dataset parsed for it alone writes the same scores
-    for cell in cells:
-        runner._csv_dataset.cache_clear()
-        cell["output_dir"] = "per-cell"
-        run_experiment(validate_config(cell, base_dir=tmp_path))
-    assert len(calls) == 1 + len(cells)
-    for row in rows:
-        run = Path(row["hash"]) / "run0" / "scores.csv"
-        assert (tmp_path / "once" / run).read_bytes() == (tmp_path / "per-cell" / run).read_bytes()
 
 
 def test_grid_reports_failed_cells_without_stopping(tmp_path):

@@ -198,6 +198,7 @@ def test_no_blas_control_means_a_budget_of_one(monkeypatch):
     monkeypatch.setattr(threads, "_openblas_calls", lambda: None)
     threads.plan(3)
     assert threads.budget() == 1
+    assert threads.cpus() == 3      # CSV ranges need no BLAS control
     assert threads.blas_threads() is None
     with threads.blas_held(1):
         pass
