@@ -13,6 +13,8 @@ initial weights takes a ``numpy.random.Generator``.
 from __future__ import annotations
 
 import os
+import threading
+from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -102,6 +104,12 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
+    def keep_masks(self, rows: int) -> list:
+        """Draw now the dropout masks a training forward over ``rows`` rows
+        would draw, in its order (see :func:`masks_drawn`); none here. A
+        module whose forward drops out overrides this."""
+        return []
+
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: p.values.copy() for name, p in self.named_parameters()}
         for name, b in self.named_buffers():
@@ -153,7 +161,8 @@ class BatchNorm1d(Module):
 
     Training mode normalizes with current-batch statistics (population
     variance) and folds them into the running estimates with the given
-    momentum; eval mode normalizes with the running estimates.
+    momentum, after the join when it runs in a branch (:func:`T.defer`);
+    eval mode normalizes with the running estimates.
     """
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -175,10 +184,14 @@ class BatchNorm1d(Module):
         if x.shape[0] < 2:
             raise BatchSizeError("batch_norm: training mode needs batch size >= 2")
         out, (mean, var) = T.normalize(x, 0, self.eps, self.gamma, self.beta)
+        # views share the layer: inside a branch the fold waits for the join
+        T.defer(lambda: self._fold(mean, var))
+        return out
+
+    def _fold(self, mean: np.ndarray, var: np.ndarray) -> None:
         m = self.momentum
         self.running_mean.values = (1 - m) * self.running_mean.values + m * mean
         self.running_var.values = (1 - m) * self.running_var.values + m * var
-        return out
 
 
 class LayerNorm(Module):
@@ -197,6 +210,22 @@ class LayerNorm(Module):
         return T.normalize(x, -1, self.eps, self.gamma, self.beta)[0]
 
 
+# the keep masks drawn ahead for this thread's dropout layers (masks_drawn)
+_ahead = threading.local()
+
+
+@contextmanager
+def masks_drawn(masks: list):
+    """Have every ``Dropout`` on this thread take its keep masks from
+    ``masks``, in order, rather than draw them: masks a ``keep_masks`` call
+    drew ahead, on another thread, in the order the forward draws them."""
+    prev, _ahead.masks = getattr(_ahead, "masks", None), iter(masks)
+    try:
+        yield
+    finally:
+        _ahead.masks = prev
+
+
 class Dropout(Module):
     """Inverted dropout: scales surviving activations by 1/(1-p) in training,
     exact identity in eval mode."""
@@ -209,10 +238,14 @@ class Dropout(Module):
         self.rng = rng
 
     def keep_mask(self, shape) -> Optional[np.ndarray]:
-        """One draw of the boolean mask of kept entries; None when nothing
-        is dropped (eval mode or p = 0), so no random number is drawn."""
+        """One draw of the boolean mask of kept entries, or the next mask
+        drawn ahead inside ``masks_drawn``; None when nothing is dropped
+        (eval mode or p = 0), so no random number is drawn."""
         if not self.training or self.p == 0.0:
             return None
+        ahead = getattr(_ahead, "masks", None)
+        if ahead is not None:
+            return next(ahead)
         return self.rng.random(shape) < 1.0 - self.p
 
     def forward(self, x: Tensor) -> Tensor:
@@ -408,7 +441,8 @@ def rowwise(forward: Callable, module: Module, x: Tensor) -> Tensor:
     bounds = [i * ROW_BLOCK for i in range(n_blocks)] + [xv.shape[0]]
 
     def block(i):
-        return forward(Tensor(xv[bounds[i]:bounds[i + 1]])).values
+        with T.no_grad():       # a helper thread starts with the tape on
+            return forward(Tensor(xv[bounds[i]:bounds[i + 1]])).values
 
     with threads.row_pool(workers) as pool:
         return Tensor(np.concatenate(list(pool.map(block, range(n_blocks)))))

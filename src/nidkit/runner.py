@@ -9,6 +9,7 @@ a bare feature matrix, and labels surface only at the metrics stage.
 from __future__ import annotations
 
 import itertools
+import logging
 import os
 import resource
 import sys
@@ -36,7 +37,9 @@ from .encoders import build_encoder, representation_dim
 from .evaluate import (MetricsReport, aggregate_runs, format_aggregate,
                        format_report, optimal_threshold_metrics)
 from .nn import ConfigError
-from .ssl_models import MODEL_KINDS, build_model, pretrain
+from .ssl_models import MODEL_KINDS, build_model, pretrain, view_count
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -63,7 +66,7 @@ def load_experiment_dataset(cfg: ExperimentConfig):
     raw, rejects = load_csv(ds_cfg["csv"], schema,
                             max_reject_fraction=float(ds_cfg.get("max_reject_fraction", 0.1)))
     if rejects:
-        print(f"[data] {len(rejects)} malformed rows rejected")
+        log.warning("%d malformed rows rejected from %s", len(rejects), ds_cfg["csv"])
     return preprocess(raw)
 
 
@@ -156,22 +159,26 @@ def _static_env() -> dict:
             "cpu_count": os.cpu_count()}
 
 
-def _run_env() -> dict:
+def _run_env(cfg: ExperimentConfig) -> dict:
     """The settings a run executed under: the thread plan in force (BLAS
-    threads read back from the library, None without its control) and the
+    threads read back from the library, None without its control; the
+    threads an SSL step runs its views on, 1 for a baseline) and the
     process's peak RSS so far."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss   # KiB; bytes on macOS
     peak /= 2.0 ** (20 if sys.platform == "darwin" else 10)
+    views = (view_count(AugmentationSpec(**cfg.augmentation))
+             if cfg.model in MODEL_KINDS else 1)
     return {**_static_env(), "blas_threads": threads.blas_threads(),
-            "row_threads": threads.budget(), "peak_rss_mb": round(peak, 1)}
+            "row_threads": threads.budget(), "view_threads": min(threads.budget(), views),
+            "peak_rss_mb": round(peak, 1)}
 
 
-def _record_doc(rec: RunRecord) -> dict:
+def _record_doc(rec: RunRecord, cfg: ExperimentConfig) -> dict:
     doc = {
         "config_hash": rec.config_hash, "seed": rec.seed, "status": rec.status,
         "duration_s": rec.duration_s, "checkpoint": rec.checkpoint,
         "loss_first": rec.loss_first, "loss_last": rec.loss_last,
-        "env": _run_env(),
+        "env": _run_env(cfg),
     }
     if rec.status == "failed":
         doc.update(stage=rec.stage, error=rec.error)
@@ -202,7 +209,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         seed = cfg.base_seed + i
         run_dir = exp_dir / f"run{seed}"
         rec = run_single(cfg, ds, seed, run_dir)
-        _write_text(run_dir / "record.yaml", yaml.safe_dump(_record_doc(rec)))
+        _write_text(run_dir / "record.yaml", yaml.safe_dump(_record_doc(rec, cfg)))
         records.append(rec)
 
     reports = [r.report for r in records if r.status == "ok"]

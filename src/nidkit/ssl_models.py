@@ -17,11 +17,12 @@ inverse per 32-row sub-batch and branch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from . import nn, tensor as T
+from . import nn, tensor as T, threads
 from .augment import AugmentationSpec, ViewSet, make_views, mixup_partners
 from .nn import BatchSizeError, CheckpointError, ConfigError
 from .tensor import Tensor
@@ -206,10 +207,10 @@ def ema_update(online: nn.Module, target: nn.Module, tau: float) -> None:
     buffer, matched by name."""
     target_map = dict(target.named_parameters())
     target_map.update(dict(target.named_buffers()))
-    for name, arr in online.state_dict().items():
+    for name, ov in [*online.named_parameters(), *online.named_buffers()]:
         if name not in target_map:
             raise CheckpointError(f"ema_update: target missing {name!r}")
-        tv = target_map[name]
+        tv, arr = target_map[name], ov.values
         if tv.values.shape != arr.shape:
             raise CheckpointError(
                 f"ema_update: {name!r} shape {tv.values.shape} != {arr.shape}")
@@ -242,6 +243,10 @@ class SSLModel(nn.Module):
 
     # -- per-kind hooks ------------------------------------------------------
 
+    def keep_masks(self, rows: int) -> list:
+        """The dropout masks of one view's pass, drawn now."""
+        return self.encoder.keep_masks(rows)
+
     def _view_state(self, view: Tensor, partners: Optional[np.ndarray],
                     alpha: float) -> dict:
         y = self.encoder(view)
@@ -257,12 +262,19 @@ class SSLModel(nn.Module):
 
     # -- shared loss ----------------------------------------------------------
 
+    def _branch(self, view, partners, masks, alpha) -> dict:
+        with nn.masks_drawn(masks):
+            return self._view_state(view, partners, alpha)
+
     def compute_loss(self, view_set: ViewSet, alpha: float = 0.9,
                      rng: Optional[np.random.Generator] = None):
         """Mean pairwise loss over all C(k, 2) view pairs.
 
         Mixup view sets get per-view partner rows drawn here; the same
-        partners are reused for every branch pass of that view.
+        partners are reused for every branch pass of that view. Each view's
+        pass (``_view_state``) runs as a branch (:func:`T.branches`), its
+        dropout masks drawn here first, view by view, in the order one
+        thread draws them; only the pair losses join the views.
         """
         views = [Tensor(np.asarray(v)) for v in view_set.views]
         if len(views) < 2:
@@ -273,7 +285,9 @@ class SSLModel(nn.Module):
                 raise ConfigError("mixup views need an rng for partner draws")
             partners = [mixup_partners(v.shape[0], rng) for v in views]
 
-        states = [self._view_state(v, p, alpha) for v, p in zip(views, partners)]
+        masks = [self.keep_masks(v.shape[0]) for v in views]
+        states = T.branches([partial(self._branch, v, p, m, alpha)
+                             for v, p, m in zip(views, partners, masks)])
         total, terms, n_pairs = None, {}, 0
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
@@ -304,6 +318,9 @@ class BYOL(SSLModel):
         self.target_projector = ProjectionHead(rep_dim, rng, dim=dim)
         self.target_projector.load_state_dict(self.projector.state_dict())
         _freeze(self.target_projector)
+
+    def keep_masks(self, rows):
+        return self.encoder.keep_masks(rows) + self.target_encoder.keep_masks(rows)
 
     def _view_state(self, view, partners, alpha):
         state = super()._view_state(view, partners, alpha)
@@ -431,5 +448,13 @@ def pretrain(model: SSLModel, features: np.ndarray, spec: AugmentationSpec,
         view_set = make_views(batch, spec, rng, donor_pool=features, columns=columns)
         return train_step(model, view_set, optimizer, alpha=spec.alpha, rng=rng)
 
-    return nn.fit(step, features, epochs, batch_size, rng, log_path=log_path,
-                  term_names=model.term_names)
+    # the views share the budget's threads. BLAS stays held for every step
+    # (a worker it woke for the loss would spin against the view threads)
+    with threads.blas_held(max(1, threads.budget() // view_count(spec))):
+        return nn.fit(step, features, epochs, batch_size, rng, log_path=log_path,
+                      term_names=model.term_names)
+
+
+def view_count(spec: AugmentationSpec) -> int:
+    """Views, and so branches, in each step under ``spec``."""
+    return spec.k if spec.kind == "subsets" else 2

@@ -1,10 +1,16 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
-Operations executed while gradient recording is enabled are appended to a
-module-level tape. ``backward`` replays the tape in reverse and accumulates
-gradients onto leaf tensors flagged with ``requires_grad``. The tape is
-intended to live for a single training step: call ``reset_tape`` (or use the
-optimizer helpers in :mod:`nidkit.nn`) after each update.
+Operations executed while gradient recording is enabled are appended to the
+calling thread's tape. ``backward`` replays the tape in reverse and
+accumulates gradients onto leaf tensors flagged with ``requires_grad``. The
+tape is intended to live for a single training step: call ``reset_tape``
+(or use the optimizer helpers in :mod:`nidkit.nn`) after each update.
+
+``branches`` runs independent parts of a step, such as the views of an SSL
+step, on threads of their own, each recording on a sub-tape; ``backward``
+sweeps those sub-tapes on threads too and adds their leaf gradients in the
+order one tape would have, so a step gives the same bits on any number of
+threads.
 
 All linear algebra runs on numpy, so every BLAS and LAPACK call goes through
 numpy's one OpenBLAS thread pool. scipy serves only ``special.erf``, which
@@ -14,6 +20,7 @@ never builds one never loads scipy.special.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -30,6 +37,8 @@ __all__ = [
     "reset_tape",
     "tape_length",
     "grad_enabled",
+    "branches",
+    "defer",
     "backward",
     "add",
     "sub",
@@ -94,45 +103,117 @@ class _OpRecord:
         self.backward_fn = backward_fn
 
 
-_tape: list[_OpRecord] = []
-_grad_enabled: bool = True
+class _Branches:
+    """The record ``branches`` leaves on the caller's tape: one sub-tape per
+    branch, in branch order."""
+
+    __slots__ = ("tapes",)
+
+    def __init__(self, tapes: list):
+        self.tapes = tapes
+
+
+class _ThreadState(threading.local):
+    """A thread's recording state: its tape, its grad flag and, while it
+    runs a branch, the calls the branch defers. A new thread starts with an
+    empty tape and recording on."""
+
+    def __init__(self):
+        self.tape: list = []
+        self.grad_enabled = True
+        self.deferred: Optional[list] = None
+
+
+_state = _ThreadState()
 # id(factor values) -> (factor values, inverse of their lower triangle), for
 # the triangular factors of recorded ops; it lives as long as the tape does
 _inverses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def reset_tape() -> None:
-    """Drop every recorded operation. Call between training steps."""
-    _tape.clear()
+    """Drop every operation this thread recorded. Call between training
+    steps."""
+    _state.tape = []
     _inverses.clear()
 
 
+def _ops(tape: list):
+    """The op records of ``tape``, its branches' included."""
+    for rec in tape:
+        if type(rec) is _Branches:
+            for sub in rec.tapes:
+                yield from _ops(sub)
+        else:
+            yield rec
+
+
 def tape_length() -> int:
-    return len(_tape)
+    """Ops on this thread's tape, each branch's counted: the length of the
+    one tape the same step would record without branches."""
+    return sum(1 for _ in _ops(_state.tape))
 
 
 def grad_enabled() -> bool:
     """Whether operations are recorded (False inside ``no_grad``)."""
-    return _grad_enabled
+    return _state.grad_enabled
 
 
 class no_grad:
-    """Context manager that disables gradient recording."""
+    """Context manager that disables gradient recording on this thread."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _state.grad_enabled
+        _state.grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _state.grad_enabled = self._prev
         return False
 
 
 def _record(output: "Tensor", inputs: tuple, backward_fn: Callable) -> None:
-    _tape.append(_OpRecord(output, inputs, backward_fn))
+    _state.tape.append(_OpRecord(output, inputs, backward_fn))
+
+
+def branches(fns: Sequence[Callable]) -> list:
+    """Call each of ``fns`` with no arguments as one branch of a step; return
+    their results in order.
+
+    The branches run on up to :func:`nidkit.threads.budget` threads, or
+    inline on the calling thread at a budget of 1. Each records on a sub-tape
+    of its own under the caller's grad flag, and the caller's tape gets one
+    record holding the sub-tapes. A branch may read leaves and the caller's
+    tensors but no other branch's. Calls a branch ``defer``s run on the
+    calling thread after every branch has returned, in branch order.
+    """
+    grad = _state.grad_enabled
+    tapes = [[] for _ in fns]
+    deferred = [[] for _ in fns]
+
+    def run(i):
+        saved = _state.tape, _state.grad_enabled, _state.deferred
+        _state.tape, _state.grad_enabled, _state.deferred = tapes[i], grad, deferred[i]
+        try:
+            return fns[i]()
+        finally:
+            _state.tape, _state.grad_enabled, _state.deferred = saved
+
+    results = threads.each(run, len(fns))
+    if any(tapes):
+        _state.tape.append(_Branches(tapes))
+    for calls in deferred:
+        for fn in calls:
+            defer(fn)
+    return results
+
+
+def defer(fn: Callable) -> None:
+    """Call ``fn()`` now or, inside a branch, once every branch has returned:
+    for work that must run in branch order, such as updating shared state."""
+    if _state.deferred is None:
+        fn()
+    else:
+        _state.deferred.append(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +326,7 @@ def _needs_grad(inputs: tuple) -> bool:
     """Whether an op on ``inputs`` is recorded: the tape is on and some input
     needs a gradient. An op that is not may work in place on its own
     temporaries."""
-    return _grad_enabled and any(t.requires_grad for t in inputs)
+    return _state.grad_enabled and any(t.requires_grad for t in inputs)
 
 
 def _result(values: np.ndarray, inputs: tuple, backward_fn: Optional[Callable]) -> Tensor:
@@ -664,7 +745,7 @@ def triangular_solve(l: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"triangular_solve: rhs shape {bv.shape} incompatible with {lv.shape}")
     if np.any(np.diag(lv) == 0.0):
         raise SingularityError("triangular_solve: zero diagonal element")
-    linv = _factor_inverse(lv, keep=_grad_enabled and l.requires_grad)
+    linv = _factor_inverse(lv, keep=_state.grad_enabled and l.requires_grad)
     xv = linv @ bv
 
     def bwd(g):
@@ -912,24 +993,57 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of ``loss`` onto all requires_grad leaves.
 
-    ``loss`` must be a scalar recorded on the live tape. Gradients of leaves
-    add onto any existing ``grad``, so repeated calls without ``zero_grad``
-    accumulate.
+    ``loss`` must be a scalar recorded on this thread's tape. Gradients of
+    leaves add onto any existing ``grad``, so repeated calls without
+    ``zero_grad`` accumulate.
     """
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-    for rec in reversed(_tape):
+    _sweep(_state.tape, {id(loss): np.ones_like(loss.values)}, None, Tensor._accumulate)
+
+
+def _route(tensor: Tensor, g: np.ndarray, grads: dict, own: Optional[set],
+           emit: Callable) -> None:
+    """Add ``g`` to the gradient of ``tensor``: in ``grads`` when the tape
+    being swept produced it (``own`` None: any non-leaf), through ``emit``
+    for a requires_grad leaf or a tensor another tape produced."""
+    if tensor.is_leaf:
+        if tensor.requires_grad:
+            emit(tensor, g)
+    elif own is not None and id(tensor) not in own:
+        emit(tensor, g)
+    else:
+        prev = grads.get(id(tensor))
+        grads[id(tensor)] = g if prev is None else prev + g
+
+
+def _sweep(tape: list, grads: dict, own: Optional[set], emit: Callable) -> None:
+    """Replay ``tape`` in reverse from the output gradients in ``grads``."""
+    for rec in reversed(tape):
+        if type(rec) is _Branches:
+            _sweep_branches(rec.tapes, grads, own, emit)
+            continue
         g = grads.pop(id(rec.output), None)
         if g is None:
             continue
-        input_grads = rec.backward_fn(g)
-        for tensor, ig in zip(rec.inputs, input_grads):
-            if ig is None:
-                continue
-            if tensor.is_leaf:
-                if tensor.requires_grad:
-                    tensor._accumulate(ig)
-            else:
-                prev = grads.get(id(tensor))
-                grads[id(tensor)] = ig if prev is None else prev + ig
+        for tensor, ig in zip(rec.inputs, rec.backward_fn(g)):
+            if ig is not None:
+                _route(tensor, ig, grads, own, emit)
+
+
+def _sweep_branches(tapes: list, grads: dict, own: Optional[set], emit: Callable) -> None:
+    """Sweep each branch's sub-tape on a thread of its own, from the
+    gradients its outputs got. The gradients that leave a branch are kept
+    in order and routed after the join, last branch first: the order in
+    which one tape holding the branches in turn would add them."""
+    owns = [{id(rec.output) for rec in _ops(tape)} for tape in tapes]
+    seeds = [{key: grads.pop(key) for key in mine if key in grads} for mine in owns]
+
+    def sweep(i):
+        out = []
+        _sweep(tapes[i], seeds[i], owns[i], lambda t, g: out.append((t, g)))
+        return out
+
+    for out in reversed(threads.each(sweep, len(tapes))):
+        for tensor, g in out:
+            _route(tensor, g, grads, own, emit)

@@ -3,13 +3,14 @@
 A process gets a CPU budget: the CPUs it may run on, shared out among the
 grid workers that run beside it (``plan`` sets it in each worker).
 :func:`nidkit.nn.rowwise` runs the CNN and FT-transformer forwards on that
-many threads. numpy's OpenBLAS thread count is read and set through
-``ctypes``; with no OpenBLAS that exports the calls, the budget is 1 and
-every forward runs as one batch on the calling thread. ``cpus`` is the
-budget without that gate, for work that runs no BLAS: ``data.load_csv``
-cuts a large CSV into one byte range per CPU. Both settings are
+many threads, and :func:`nidkit.tensor.branches` the views of a training
+step (through :func:`each`). numpy's OpenBLAS thread count is read and set
+through ``ctypes``; with no OpenBLAS that exports the calls, the budget is
+1 and every forward and every view runs on the calling thread. ``cpus`` is
+the budget without that gate, for work that runs no BLAS:
+``data.load_csv`` cuts a large CSV into one byte range per CPU. Both settings are
 process-wide, as the BLAS thread count itself is, and so is the one malloc
-arena that row threads share under glibc.
+arena that row and view threads share under glibc.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -133,6 +134,29 @@ def row_pool(workers: int):
     one_malloc_arena()
     with blas_held(1), ThreadPoolExecutor(workers) as pool:
         yield pool
+
+
+def each(fn: Callable, n: int) -> list:
+    """``[fn(i) for i in range(n)]`` on up to :func:`budget` threads: the
+    calling thread and a pool made for the call take the next index in
+    turn. With a budget of 1 or one call, all run on the calling thread."""
+    workers = min(budget(), n)
+    if workers < 2:
+        return [fn(i) for i in range(n)]
+    one_malloc_arena()
+    results = [None] * n
+    todo = iter(range(n))          # each next() is atomic under the GIL
+
+    def drain():
+        for i in todo:
+            results[i] = fn(i)
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 def share(workers: int) -> int:

@@ -67,7 +67,7 @@ def softmax(a, axis=-1):
 def batch_norm_composed(bn, x):
     """``nn.BatchNorm1d.forward`` composed of mean, var, sub, div, sqrt, mul
     and add ops; training mode folds the batch statistics into the running
-    ones as the layer does."""
+    ones as the layer does, after the join inside a branch."""
     if x.ndim != 2 or x.shape[1] != bn.num_features:
         raise T.ShapeError(f"batch_norm: expected (b, {bn.num_features}), got {x.shape}")
     if bn.training:
@@ -76,8 +76,11 @@ def batch_norm_composed(bn, x):
         mean = T.tmean(x, axis=0)
         var = T.tvar(x, axis=0)
         m = bn.momentum
-        bn.running_mean.values = (1 - m) * bn.running_mean.values + m * mean.values
-        bn.running_var.values = (1 - m) * bn.running_var.values + m * var.values
+
+        def fold():
+            bn.running_mean.values = (1 - m) * bn.running_mean.values + m * mean.values
+            bn.running_var.values = (1 - m) * bn.running_var.values + m * var.values
+        T.defer(fold)
     else:
         mean = bn.running_mean.detach()
         var = bn.running_var.detach()
@@ -144,9 +147,10 @@ def _binary_with_both_gradients(op, name):
 
     def full(a, b):
         out = op(a, b)
-        if T._tape and T._tape[-1].output is out:
+        tape = T._state.tape
+        if tape and tape[-1].output is out:
             av, bv = a.values, b.values
-            T._tape[-1].backward_fn = lambda g: tuple(
+            tape[-1].backward_fn = lambda g: tuple(
                 T._unbroadcast(gr, t.shape) for gr, t in zip(rules[name](g, av, bv), (a, b)))
         return out
 

@@ -252,8 +252,34 @@ def test_record_carries_the_run_environment(tmp_path, monkeypatch):
                                    "MKL_NUM_THREADS"}
     assert env["cpu_count"] == os.cpu_count()
     assert env["row_threads"] == threads.budget()
+    assert env["view_threads"] == min(threads.budget(), 2)
     assert env["blas_threads"] == threads.blas_threads()
     assert 10.0 < env["peak_rss_mb"] < 1e5
+
+
+@pytest.mark.parametrize("over, views", [({}, 2), ({"model": "autoencoder"}, 1),
+                                         ({"augmentation": {"kind": "subsets", "k": 3}}, 3)])
+def test_record_names_the_threads_of_the_views(tmp_path, over, views):
+    cfg = validate_config(make_doc(output_dir="out", **over), base_dir=tmp_path)
+    env = _metrics_of(run_experiment(cfg)["dir"] / "run0")["env"]
+    assert env["view_threads"] == min(threads.budget(), views)
+
+
+def test_rejected_rows_are_logged_not_printed(tmp_path, caplog, capsys):
+    (tmp_path / "schema.yaml").write_text(
+        "version: 1\nlabel:\n  column: label\n  normal_values: [normal]\n"
+        "columns:\n  dur: numeric\n  bytes: numeric\n")
+    rows = [f"{i % 7},{i * 3 % 11},{'normal' if i % 4 else 'attack'}" for i in range(30)]
+    (tmp_path / "flows.csv").write_text("dur,bytes,label\n" + "\n".join(rows)
+                                        + "\n1,2,3,normal\n")
+    cfg = validate_config(make_doc(dataset={"csv": "flows.csv", "schema": "schema.yaml"}),
+                          base_dir=tmp_path)
+    with caplog.at_level("INFO", logger="nidkit.runner"):
+        ds = runner.load_experiment_dataset(cfg)
+    assert ds.n_rows > 0
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("nidkit.runner", "WARNING", f"1 malformed rows rejected from {tmp_path / 'flows.csv'}")]
+    assert capsys.readouterr().out == ""
 
 
 def test_identical_config_and_seed_reproduce_metrics_exactly(tmp_path):
@@ -499,6 +525,7 @@ def test_grid_workers_split_the_cpus_and_keep_the_scores(tmp_path):
                         == (tmp_path / f"{name}-w1" / run / "scores.csv").read_bytes()), name
                 env = _metrics_of(tmp_path / f"{name}-w2" / run)["env"]
                 assert env["row_threads"] == (share if threads.blas_threads() else 1)
+                assert env["view_threads"] == min(env["row_threads"], 2)
                 assert env["blas_threads"] == (share if threads.blas_threads() else None)
 
 

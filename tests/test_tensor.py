@@ -704,7 +704,7 @@ def _grads_with_and_without_input(run, arrays):
         T.reset_tape()
         ts = [T.Tensor(a, requires_grad=(first or i > 0)) for i, a in enumerate(arrays)]
         out = run(ts)
-        rule_out.append(T._tape[0].backward_fn(np.ones(out.shape))[0])
+        rule_out.append(T._state.tape[0].backward_fn(np.ones(out.shape))[0])
         T.backward(_weighted_sum(out, np.random.default_rng(3).normal(size=out.shape)))
         grads.append([t.grad for t in ts])
     return grads, rule_out
