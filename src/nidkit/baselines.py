@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 
-from . import nn, tensor as T
+from . import nn, tensor as T, threads
 from .data import DataError
 from .tensor import Tensor
 
@@ -37,8 +37,8 @@ class Autoencoder(nn.Module):
 
 
 def reconstruction_loss(model: Autoencoder, batch: Tensor) -> Tensor:
-    diff = model(batch) - batch
-    return T.tmean(diff * diff)
+    diff = T.sub(model(batch), batch)
+    return T.tmean(T.mul(diff, diff))
 
 
 def ae_score(model: Autoencoder, features: np.ndarray,
@@ -97,8 +97,8 @@ def svdd_init_center(model: DeepSVDD, features: np.ndarray,
 
 
 def svdd_loss(model: DeepSVDD, batch: Tensor) -> Tensor:
-    diff = model(batch) - model.center
-    return T.tmean(T.tsum(diff * diff, axis=1))
+    diff = T.sub(model(batch), model.center)
+    return T.tmean(T.tsum(T.mul(diff, diff), axis=1))
 
 
 def svdd_score(model: DeepSVDD, features: np.ndarray,
@@ -112,8 +112,8 @@ def svdd_score(model: DeepSVDD, features: np.ndarray,
 
 def train_baseline(model, features: np.ndarray, loss_fn, optimizer: nn.Adam,
                    epochs: int, batch_size: int, rng, log_path=None) -> list:
-    """Train either baseline with :func:`nn.fit`; returns the per-step
-    losses and leaves the model in eval mode.
+    """Train either baseline with :func:`nn.fit`, BLAS held at one thread;
+    returns the per-step losses and leaves the model in eval mode.
 
     For DeepSVDD the center must already be fixed; it is stored outside the
     optimizer's parameter list, so its bits cannot change during training.
@@ -131,6 +131,7 @@ def train_baseline(model, features: np.ndarray, loss_fn, optimizer: nn.Adam,
         return float(loss.values)
 
     model.train()
-    history = nn.fit(step, features, epochs, batch_size, rng, log_path=log_path)
+    with threads.blas_held(1):      # more BLAS threads bought CPU time, not wall time
+        history = nn.fit(step, features, epochs, batch_size, rng, log_path=log_path)
     model.eval()
     return history

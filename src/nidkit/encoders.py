@@ -108,11 +108,11 @@ class MLPEncoder(nn.Module):
 class CNNEncoder(nn.Module):
     """1xW convolutional stack over the feature vector viewed as a 1-row map.
 
-    The stages pass channel-last memory to each other as (b, C, 1, W) views,
-    so conv, ReLU and pool copy no map; the final flatten is C-major, as
-    checkpoints and ``representation_dim`` expect, and copies once. An eval
-    forward off the tape runs on row blocks across threads
-    (:func:`nidkit.nn.rowwise`).
+    The input becomes a channel-last (b, W, 1) map once; every stage takes
+    and returns (b, W, C) maps, so conv, ReLU and pool copy no map. The final
+    flatten is C-major, as checkpoints and ``representation_dim`` expect, and
+    copies once. An eval forward off the tape runs on row blocks across
+    threads (:func:`nidkit.nn.rowwise`).
     """
 
     def __init__(self, input_width: int, rng: np.random.Generator):
@@ -135,12 +135,12 @@ class CNNEncoder(nn.Module):
         if x.ndim != 2 or x.shape[1] != self.input_width:
             raise SchemaError(f"cnn: expected (b, {self.input_width}), got {x.shape}")
         b = x.shape[0]
-        h = T.reshape(x, (b, 1, 1, self.input_width))
+        h = T.reshape(x, (b, self.input_width, 1))
         for stage in self.stages:
             h = stage(h)
             if isinstance(stage, nn.Conv2d1xW):
                 h = T.relu(h)
-        return T.reshape(h, (b, h.shape[1] * h.shape[3]))
+        return T.reshape(T.transpose(h, (0, 2, 1)), (b, h.shape[1] * h.shape[2]))
 
 
 class _TransformerBlock(nn.Module):

@@ -255,26 +255,13 @@ class Dropout(Module):
         return T.mul(x, Tensor(mask.astype(x.dtype) / (1.0 - self.p)))
 
 
-def _channel_last(x: Tensor) -> Tensor:
-    """(b, C, 1, W) -> (b, W, C); a view, contiguous when the map came out of
-    another 1xW stage."""
-    b, c, _, w = x.shape
-    return T.transpose(T.reshape(x, (b, c, w)), (0, 2, 1))
-
-
-def _channel_first(h: Tensor) -> Tensor:
-    """(b, W, C) -> (b, C, 1, W), as a view of the same memory."""
-    b, w, c = h.shape
-    return T.reshape(T.transpose(h, (0, 2, 1)), (b, c, 1, w))
-
-
 class Conv2d1xW(Module):
-    """Valid cross-correlation with 1-row kernels over (b, C_in, 1, W) maps.
+    """Valid cross-correlation with 1-row kernels over (b, W, C_in) maps.
 
     Stride 1 and no padding, matching the width bookkeeping an intrusion-
     detection feature vector needs when treated as a 1xW image. The map is
-    convolved channel-last by :func:`nidkit.tensor.conv1xw`, one GEMM per
-    kernel tap; the output is a (b, C_out, 1, W_out) view of that memory.
+    convolved by :func:`nidkit.tensor.conv1xw`, one GEMM per kernel tap, into
+    a (b, W_out, C_out) map.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_width: int,
@@ -290,24 +277,19 @@ class Conv2d1xW(Module):
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.in_channels or x.shape[2] != 1:
-            raise T.ShapeError(
-                f"conv2d_1xw: expected (b, {self.in_channels}, 1, W), got {x.shape}")
-        return _channel_first(T.conv1xw(_channel_last(x), self.weight, self.bias,
-                                        self.kernel_width))
+        return T.conv1xw(x, self.weight, self.bias, self.kernel_width)
 
 
 class MaxPool1xK(Module):
-    """Non-overlapping max over width windows; stride = k, remainder dropped."""
+    """Non-overlapping max over width windows of a channel-last (b, W, C)
+    map; stride = k, remainder dropped."""
 
     def __init__(self, k: int):
         super().__init__()
         self.k = k
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[2] != 1:
-            raise T.ShapeError(f"maxpool_1xk: expected (b, C, 1, W), got {x.shape}")
-        return _channel_first(T.maxpool1xk(_channel_last(x), self.k))
+        return T.maxpool1xk(x, self.k)
 
 
 class MultiHeadAttention(Module):
@@ -427,15 +409,14 @@ def rowwise(forward: Callable, module: Module, x: Tensor) -> Tensor:
     """``forward(x)`` for a module whose rows do not interact.
 
     In eval mode off the tape, the batch splits into blocks of
-    ``ROW_BLOCK`` rows that run on up to :func:`nidkit.threads.budget`
-    threads, with BLAS held at one thread for the call; every row gets the
-    bits the one-batch forward gives it. In training mode, on the tape, or
-    with under two blocks or a budget of 1, ``forward(x)`` runs on the
-    calling thread.
+    ``ROW_BLOCK`` rows that :func:`nidkit.threads.each` runs on the calling
+    thread and up to ``budget - 1`` helpers, with BLAS held at one thread
+    for the call; every row gets the bits the one-batch forward gives it.
+    In training mode, on the tape, or with under two blocks or a budget of
+    1, ``forward(x)`` runs on the calling thread.
     """
     n_blocks = x.shape[0] // ROW_BLOCK if x.ndim == 2 else 0   # forward names a bad shape
-    workers = min(threads.budget(), n_blocks)
-    if module.training or T.grad_enabled() or workers < 2:
+    if module.training or T.grad_enabled() or min(threads.budget(), n_blocks) < 2:
         return forward(x)
     xv = x.values
     bounds = [i * ROW_BLOCK for i in range(n_blocks)] + [xv.shape[0]]
@@ -444,8 +425,8 @@ def rowwise(forward: Callable, module: Module, x: Tensor) -> Tensor:
         with T.no_grad():       # a helper thread starts with the tape on
             return forward(Tensor(xv[bounds[i]:bounds[i + 1]])).values
 
-    with threads.row_pool(workers) as pool:
-        return Tensor(np.concatenate(list(pool.map(block, range(n_blocks)))))
+    with threads.blas_held(1):
+        return Tensor(np.concatenate(threads.each(block, n_blocks)))
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,12 @@ def _run_ssl(cfg: ExperimentConfig, train, rng, run_dir: Path):
                        cfg.epochs, cfg.batch_size, rng, columns=cols,
                        log_path=run_dir / "loss.csv")
     detector = fit_center(model.encoder, train.features, subset_columns=cols)
-    return model, detector.score, [h.total for h in history]
+    # what rescoring needs beyond the weights: the centre, and the windows
+    # of a subsets run as a (k, width) array
+    meta = {"center": detector.center}
+    if cols is not None:
+        meta["subset_columns"] = cols
+    return model, detector.score, [h.total for h in history], meta
 
 
 def _run_baseline(cfg: ExperimentConfig, train, rng, run_dir: Path):
@@ -104,7 +109,7 @@ def _run_baseline(cfg: ExperimentConfig, train, rng, run_dir: Path):
     history = train_baseline(model, train.features, loss_fn, optimizer,
                              cfg.epochs, cfg.batch_size, rng,
                              log_path=run_dir / "loss.csv")
-    return model, (lambda feats: score_fn(model, feats)), history
+    return model, (lambda feats: score_fn(model, feats)), history, {}
 
 
 def run_single(cfg: ExperimentConfig, ds, seed: int, run_dir: Path) -> RunRecord:
@@ -117,9 +122,9 @@ def run_single(cfg: ExperimentConfig, ds, seed: int, run_dir: Path) -> RunRecord
         rng = np.random.default_rng(seed)
         stage = "train"
         if cfg.model in MODEL_KINDS:
-            model, score_fn, totals = _run_ssl(cfg, train, rng, run_dir)
+            model, score_fn, totals, meta = _run_ssl(cfg, train, rng, run_dir)
         else:
-            model, score_fn, totals = _run_baseline(cfg, train, rng, run_dir)
+            model, score_fn, totals, meta = _run_baseline(cfg, train, rng, run_dir)
         stage = "score"
         scores = score_fn(test.features)
         stage = "metrics"
@@ -128,7 +133,7 @@ def run_single(cfg: ExperimentConfig, ds, seed: int, run_dir: Path) -> RunRecord
         stage = "checkpoint"
         ckpt = run_dir / "checkpoint.npz"
         nn.save_checkpoint(ckpt, model,
-                           extra={"config_hash": cfg.hash, "seed": seed})
+                           extra={"config_hash": cfg.hash, "seed": seed, **meta})
         return RunRecord(
             config_hash=cfg.hash, seed=seed, status="ok",
             duration_s=time.perf_counter() - t0, checkpoint=str(ckpt),

@@ -6,6 +6,10 @@ accumulates gradients onto leaf tensors flagged with ``requires_grad``. The
 tape is intended to live for a single training step: call ``reset_tape``
 (or use the optimizer helpers in :mod:`nidkit.nn`) after each update.
 
+Every op is a module function (``add``, ``mul``, ``matmul``, ...) on
+``Tensor`` operands; ``Tensor`` defines no arithmetic operators, only
+indexing (``t[key]`` is :func:`take`).
+
 ``branches`` runs independent parts of a step, such as the views of an SSL
 step, on threads of their own, each recording on a sub-tape; ``backward``
 sweeps those sub-tapes on threads too and adds their leaf gradients in the
@@ -261,6 +265,9 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
+    def __getitem__(self, key):
+        return take(self, key)
+
     # -- graph management ---------------------------------------------------
 
     def detach(self) -> "Tensor":
@@ -275,51 +282,6 @@ class Tensor:
             self.grad = g.astype(self.values.dtype, copy=True)
         else:
             self.grad = self.grad + g
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self), self)
-
-    def __neg__(self):
-        return negate(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return take(self, key)
-
-
-def _as_tensor(x, like: Optional[Tensor] = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.values.dtype if like is not None else None
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _needs_grad(inputs: tuple) -> bool:
@@ -484,8 +446,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul: operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree ({a.shape} x {b.shape})")
-    if a.ndim > 2 and b.ndim == 2:
-        return linear(a, b)
     av, bv = a.values, b.values
 
     def bwd(g):

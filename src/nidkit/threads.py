@@ -2,15 +2,17 @@
 
 A process gets a CPU budget: the CPUs it may run on, shared out among the
 grid workers that run beside it (``plan`` sets it in each worker).
-:func:`nidkit.nn.rowwise` runs the CNN and FT-transformer forwards on that
-many threads, and :func:`nidkit.tensor.branches` the views of a training
-step (through :func:`each`). numpy's OpenBLAS thread count is read and set
-through ``ctypes``; with no OpenBLAS that exports the calls, the budget is
-1 and every forward and every view runs on the calling thread. ``cpus`` is
-the budget without that gate, for work that runs no BLAS:
-``data.load_csv`` cuts a large CSV into one byte range per CPU. Both settings are
-process-wide, as the BLAS thread count itself is, and so is the one malloc
-arena that row and view threads share under glibc.
+:func:`each` is the one way work fans out over that many threads: the row
+blocks of a CNN or FT-transformer forward (:func:`nidkit.nn.rowwise`), the
+views of a training step and the sweeps of their sub-tapes
+(:func:`nidkit.tensor.branches`). The calling thread takes indices too.
+numpy's OpenBLAS thread count is read and set through ``ctypes``; with no
+OpenBLAS that exports the calls, the budget is 1 and every forward and
+every view runs on the calling thread. ``cpus`` is the budget without that
+gate, for work that runs no BLAS: ``data.load_csv`` cuts a large CSV into
+one byte range per CPU. Both settings are process-wide, as the BLAS thread
+count itself is, and so is the one malloc arena that row and view threads
+share under glibc.
 """
 
 from __future__ import annotations
@@ -125,15 +127,6 @@ def one_malloc_arena() -> None:
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
         mallopt(_M_ARENA_MAX, 1)
-
-
-@contextmanager
-def row_pool(workers: int):
-    """A pool of ``workers`` threads for one call, BLAS held at one thread
-    while it lives. Made per call, so a forked process inherits no thread."""
-    one_malloc_arena()
-    with blas_held(1), ThreadPoolExecutor(workers) as pool:
-        yield pool
 
 
 def each(fn: Callable, n: int) -> list:

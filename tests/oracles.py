@@ -27,12 +27,12 @@ from nidkit.tensor import Tensor
 def cnn_stage_shapes(encoder, x):
     """(channels, width) after each stage of a CNNEncoder, found by running
     its stages one at a time on ``x``."""
-    h = T.reshape(x, (x.shape[0], 1, 1, encoder.input_width))
+    h = T.reshape(x, (x.shape[0], encoder.input_width, 1))
     shapes = []
     with T.no_grad():
         for stage in encoder.stages:
             h = stage(h)
-            shapes.append((h.shape[1], h.shape[3]))
+            shapes.append((h.shape[2], h.shape[1]))
     return shapes
 
 

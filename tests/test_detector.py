@@ -23,7 +23,7 @@ class _Affine(nn.Module):
         self.w = Tensor(np.asarray(w, dtype=float))
 
     def forward(self, x):
-        return x @ self.w
+        return T.matmul(x, self.w)
 
 
 def test_center_is_column_mean_under_identity_encoder():

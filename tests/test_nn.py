@@ -143,58 +143,58 @@ def test_dropout_p_zero_is_identity_in_train():
 
 def test_conv_output_shape_196():
     conv = nn.Conv2d1xW(1, 32, 2, rng_(18))
-    out = conv(Tensor(np.zeros((1, 1, 1, 196))))
-    assert out.shape == (1, 32, 1, 195)
+    out = conv(Tensor(np.zeros((1, 196, 1))))
+    assert out.shape == (1, 195, 32)
 
 
 def test_conv_identity_kernel():
     conv = nn.Conv2d1xW(1, 1, 1, rng_(19))
     conv.weight.values = np.array([[1.0]])
     conv.bias.values = np.zeros(1)
-    x = rng_(20).normal(size=(2, 1, 1, 9))
+    x = rng_(20).normal(size=(2, 9, 1))
     np.testing.assert_allclose(conv(Tensor(x)).values, x)
 
 
 def test_conv_width_guard():
     conv = nn.Conv2d1xW(1, 4, 5, rng_(21))
-    with pytest.raises(T.ShapeError):
-        conv(Tensor(np.zeros((1, 1, 1, 4))))
+    with pytest.raises(T.ShapeError, match="width 4 < kernel width 5"):
+        conv(Tensor(np.zeros((1, 4, 1))))
 
 
 def test_conv_grad():
     conv = nn.Conv2d1xW(1, 3, 2, rng_(22))
-    check_module_grad(conv, [rng_(23).normal(size=(1, 1, 1, 8))],
+    check_module_grad(conv, [rng_(23).normal(size=(1, 8, 1))],
                       lambda m, ts: m(ts[0]), rtol=1e-5, label="conv")
     multi = nn.Conv2d1xW(2, 3, 3, rng_(24))
-    check_module_grad(multi, [rng_(25).normal(size=(2, 2, 1, 7))],
+    check_module_grad(multi, [rng_(25).normal(size=(2, 7, 2))],
                       lambda m, ts: m(ts[0]), rtol=1e-5, label="conv-multi")
 
 
 def test_maxpool_shapes_from_width_table():
     pool3 = nn.MaxPool1xK(3)
-    assert pool3(Tensor(np.zeros((1, 128, 1, 193)))).shape == (1, 128, 1, 64)
+    assert pool3(Tensor(np.zeros((1, 193, 128)))).shape == (1, 64, 128)
     pool4 = nn.MaxPool1xK(4)
-    assert pool4(Tensor(np.zeros((1, 512, 1, 30)))).shape == (1, 512, 1, 7)
+    assert pool4(Tensor(np.zeros((1, 30, 512)))).shape == (1, 7, 512)
 
 
 def test_maxpool_constant_and_values():
     pool = nn.MaxPool1xK(2)
-    const = pool(Tensor(np.full((1, 1, 1, 6), 3.5)))
-    np.testing.assert_array_equal(const.values, np.full((1, 1, 1, 3), 3.5))
-    x = np.array([[[[1.0, 5.0, 2.0, 2.0, -1.0, 0.0, 9.0]]]])  # remainder dropped
+    const = pool(Tensor(np.full((1, 6, 1), 3.5)))
+    np.testing.assert_array_equal(const.values, np.full((1, 3, 1), 3.5))
+    x = np.array([[1.0, 5.0, 2.0, 2.0, -1.0, 0.0, 9.0]])[..., None]  # remainder dropped
     out = pool(Tensor(x))
-    np.testing.assert_array_equal(out.values, [[[[5.0, 2.0, 0.0]]]])
+    np.testing.assert_array_equal(out.values, [[[5.0], [2.0], [0.0]]])
 
 
 def test_maxpool_width_guard():
-    with pytest.raises(T.ShapeError):
-        nn.MaxPool1xK(4)(Tensor(np.zeros((1, 1, 1, 3))))
+    with pytest.raises(T.ShapeError, match="width 3 < window 4"):
+        nn.MaxPool1xK(4)(Tensor(np.zeros((1, 3, 1))))
 
 
 def test_maxpool_grad():
     pool = nn.MaxPool1xK(3)
     # well-separated values keep argmax stable under the FD nudge
-    x = rng_(26).permutation(np.arange(24.0)).reshape(1, 2, 1, 12)
+    x = rng_(26).permutation(np.arange(24.0)).reshape(1, 12, 2)
     check_module_grad(pool, [x], lambda m, ts: m(ts[0]), rtol=1e-6, label="maxpool")
 
 

@@ -13,13 +13,16 @@ import pytest
 import scipy
 import yaml
 
-from nidkit import cli, runner, threads
+from nidkit import cli, nn, runner, threads
 from nidkit.augment import KINDS as AUG_KINDS
-from nidkit.config import config_hash, validate_config
-from nidkit.data import save_dataset, synth_generate
+from nidkit.baselines import Autoencoder, DeepSVDD, ae_score, svdd_score
+from nidkit.config import config_hash, encoder_config_for, validate_config
+from nidkit.data import protocol_split, save_dataset, synth_generate
+from nidkit.detector import Detector, dump_scores
+from nidkit.encoders import build_encoder, representation_dim
 from nidkit.nn import ConfigError
 from nidkit.runner import expand_grid, read_report, run_experiment, run_grid
-from nidkit.ssl_models import MODEL_KINDS
+from nidkit.ssl_models import MODEL_KINDS, build_model
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -208,6 +211,52 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert "auroc" in read_report(exp_dir)
 
 
+def _rebuilt_scorer(cfg, train, seed, meta):
+    """The run's model built afresh from its config and seed, as
+    ``run_single`` builds it, and the scorer that reads it."""
+    rng = np.random.default_rng(seed)
+    d = train.n_features
+    if cfg.model == "autoencoder":
+        model = Autoencoder(d, rng, **cfg.loss_params)
+        return model, lambda x: ae_score(model, x)
+    if cfg.model == "deep_svdd":
+        model = DeepSVDD(d, rng, **cfg.loss_params)
+        return model, lambda x: svdd_score(model, x)
+    cols = meta["subset_columns"].tolist() if "subset_columns" in meta else None
+    enc_cfg = (encoder_config_for(cfg.encoder, len(cols[0])) if cols else
+               encoder_config_for(cfg.encoder, d, list(train.numeric_idx), train.onehot_groups))
+    model = build_model(cfg.model, lambda: build_encoder(enc_cfg, rng),
+                        representation_dim(enc_cfg), rng,
+                        dim=cfg.projection_dim, **cfg.loss_params)
+    detector = Detector(model.encoder.eval(), subset_columns=cols)
+    detector.center = meta["center"]
+    return model, detector.score
+
+
+@pytest.mark.parametrize("over", [
+    {},
+    {"augmentation": {"kind": "subsets", "k": 3}},
+    {"model": "autoencoder"},
+    {"model": "deep_svdd"},
+], ids=["vicreg", "vicreg-subsets", "autoencoder", "deep_svdd"])
+def test_checkpoint_rescores_the_stored_test_rows(tmp_path, over):
+    cfg = validate_config(make_doc(**over), base_dir=tmp_path)
+    run_dir = run_experiment(cfg)["dir"] / "run0"
+    _metrics_of(run_dir)
+    meta = nn.load_checkpoint(run_dir / "checkpoint.npz")["meta"]
+    if cfg.model in MODEL_KINDS:
+        assert meta["center"].shape == (cfg.encoder["hidden_dim"],)
+    subsets = cfg.model in MODEL_KINDS and cfg.augmentation["kind"] == "subsets"
+    assert ("subset_columns" in meta) == subsets
+    if subsets:
+        assert meta["subset_columns"].shape[0] == 3
+    train, test = protocol_split(runner.load_experiment_dataset(cfg), cfg.train_fraction, seed=0)
+    model, score = _rebuilt_scorer(cfg, train, 0, meta)
+    nn.load_checkpoint(run_dir / "checkpoint.npz", model)
+    dump_scores(tmp_path / "rescored.csv", test.ids, score(test.features), test.labels)
+    assert (tmp_path / "rescored.csv").read_bytes() == (run_dir / "scores.csv").read_bytes()
+
+
 def test_failed_aggregate_write_keeps_the_previous_file(tmp_path, monkeypatch):
     cfg = validate_config(make_doc(model="autoencoder", output_dir="out"), base_dir=tmp_path)
     exp_dir = run_experiment(cfg)["dir"]
@@ -282,10 +331,11 @@ def test_rejected_rows_are_logged_not_printed(tmp_path, caplog, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_identical_config_and_seed_reproduce_metrics_exactly(tmp_path):
+@pytest.mark.parametrize("model", ["vicreg", "autoencoder", "deep_svdd"])
+def test_identical_config_and_seed_reproduce_metrics_exactly(tmp_path, model):
     results = []
     for sub in ("a", "b"):
-        cfg = validate_config(make_doc(output_dir=sub), base_dir=tmp_path)
+        cfg = validate_config(make_doc(model=model, output_dir=sub), base_dir=tmp_path)
         results.append(run_experiment(cfg))
     rec_a = _metrics_of(results[0]["dir"] / "run0")
     rec_b = _metrics_of(results[1]["dir"] / "run0")

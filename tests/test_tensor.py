@@ -426,7 +426,8 @@ def test_relu_keeps_nan_and_passes_it_no_gradient():
 
 
 # ---------------------------------------------------------------------------
-# matmul with a 2-D right operand folds the left operand's leading dims
+# matmul with a 2-D right operand broadcasts it over the left operand's
+# leading dims
 
 
 def _stacked_matmul_reference(a, b, g):

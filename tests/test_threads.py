@@ -99,14 +99,15 @@ def test_rowwise_splits_into_64_row_blocks_on_helper_threads():
     with T.no_grad():
         enc(Tensor(_batch(196)))
     assert sorted(rows for _, _, rows in calls) == [64, 64, 68]
-    assert threading.get_ident() not in {ident for ident, _, _ in calls}
     assert {blas for _, blas, _ in calls} == {1}
     assert threads.blas_threads() == before
 
 
 @pytest.mark.skipif(threads.blas_threads() is None, reason="numpy's BLAS has no thread control")
 def test_first_gelu_on_helper_threads_imports_erf_and_keeps_the_bits():
-    # the first GELU a process runs imports scipy.special, here on row threads
+    # the first GELU a process runs imports scipy.special, here on the
+    # calling thread and a helper at once: each waits for the other before
+    # its first block
     script = (
         "import sys, threading\n"
         "import numpy as np\n"
@@ -119,8 +120,11 @@ def test_first_gelu_on_helper_threads_imports_erf_and_keeps_the_bits():
         "x[:, -5:] = 0.0\n"
         "x[np.arange(196), 35 + np.arange(196) % 5] = 1.0\n"
         "callers, forward = set(), enc._forward\n"
+        "both = threading.Barrier(2)\n"
         "def spy(t):\n"
-        "    callers.add(threading.get_ident())\n"
+        "    if threading.get_ident() not in callers:\n"
+        "        callers.add(threading.get_ident())\n"
+        "        both.wait(timeout=60)\n"
         "    return forward(t)\n"
         "enc._forward = spy\n"
         "assert 'scipy.special' not in sys.modules\n"
@@ -128,7 +132,7 @@ def test_first_gelu_on_helper_threads_imports_erf_and_keeps_the_bits():
         "with T.no_grad():\n"
         "    out = enc(T.Tensor(x)).values\n"
         "    assert 'scipy.special' in sys.modules\n"
-        "    assert callers and threading.get_ident() not in callers\n"
+        "    assert len(callers) == 2 and threading.get_ident() in callers\n"
         "    ref = forward(T.Tensor(x)).values\n"
         "assert np.array_equal(out, ref)\n"
         "print('ok')\n")
