@@ -53,7 +53,7 @@ def _row_normalize(x: Tensor) -> Tensor:
     sq = T.tsum(T.mul(x, x), axis=-1, keepdims=True)
     if np.any(sq.values == 0.0):
         raise NormalizationError("zero-norm row in embedding batch")
-    return T.div(x, T.sqrt(T.add(sq, Tensor(np.asarray(_NORM_EPS, dtype=x.dtype)))))
+    return T.div(x, T.sqrt(T.add(sq, _NORM_EPS)))
 
 
 def _mean_cosine(a: Tensor, b: Tensor) -> Tensor:
@@ -64,15 +64,12 @@ def byol_loss(q: Tensor, z_target: Tensor) -> Tensor:
     """One direction of the BYOL objective: mean ||q_hat - z_hat||^2, which
     equals 2 - 2 cos per row. The caller blocks gradients on ``z_target`` and
     averages the two view orderings."""
-    two = Tensor(np.asarray(2.0, dtype=q.dtype))
-    return T.sub(two, T.mul(two, _mean_cosine(q, z_target)))
+    return T.sub(2.0, T.mul(2.0, _mean_cosine(q, z_target)))
 
 
 def simsiam_loss(p: Tensor, p2: Tensor, z: Tensor, z2: Tensor) -> Tensor:
     """-1/2 cos(p, z') - 1/2 cos(p', z); z and z' must arrive detached."""
-    half = Tensor(np.asarray(0.5, dtype=p.dtype))
-    return T.negate(T.add(T.mul(half, _mean_cosine(p, z2)),
-                          T.mul(half, _mean_cosine(p2, z))))
+    return T.sub(T.mul(-0.5, _mean_cosine(p, z2)), T.mul(0.5, _mean_cosine(p2, z)))
 
 
 def _column_standardize(z: Tensor) -> Tensor:
@@ -95,12 +92,11 @@ def barlow_twins_loss(z: Tensor, z2: Tensor, lambda_bt: float = 5e-3):
         raise BatchSizeError("barlow_twins: need batch size >= 2")
     b = z.shape[0]
     c = T.mul(T.matmul(T.transpose(_column_standardize(z)), _column_standardize(z2)),
-              Tensor(np.asarray(1.0 / b, dtype=z.dtype)))
-    diag = T.diagonal(c)
-    one = Tensor(np.ones(c.shape[0], dtype=z.dtype))
-    on_diag = T.tsum(T.power(T.sub(one, diag), 2.0))
+              1.0 / b)
+    miss = T.sub(1.0, T.diagonal(c))
+    on_diag = T.tsum(T.mul(miss, miss))
     off_diag = _offdiag_sumsq(c)
-    total = T.add(on_diag, T.mul(off_diag, Tensor(np.asarray(lambda_bt, dtype=z.dtype))))
+    total = T.add(on_diag, T.mul(off_diag, lambda_bt))
     return total, LossBreakdown(total=float(total.values), terms={
         "on_diag": float(on_diag.values), "off_diag": float(off_diag.values)})
 
@@ -108,12 +104,11 @@ def barlow_twins_loss(z: Tensor, z2: Tensor, lambda_bt: float = 5e-3):
 def _vicreg_branch_terms(z: Tensor, gamma: float, eps: float):
     b, d = z.shape
     var = T.tvar(z, axis=0)
-    std = T.sqrt(T.add(var, Tensor(np.asarray(eps, dtype=z.dtype))))
-    hinge = T.tmean(T.relu(T.sub(Tensor(np.full(d, gamma, dtype=z.dtype)), std)))
+    std = T.sqrt(T.add(var, eps))
+    hinge = T.tmean(T.relu(T.sub(gamma, std)))
     centered = T.sub(z, T.tmean(z, axis=0))
-    cov = T.mul(T.matmul(T.transpose(centered), centered),
-                Tensor(np.asarray(1.0 / b, dtype=z.dtype)))
-    cov_pen = T.div(_offdiag_sumsq(cov), Tensor(np.asarray(float(d), dtype=z.dtype)))
+    cov = T.mul(T.matmul(T.transpose(centered), centered), 1.0 / b)
+    cov_pen = T.div(_offdiag_sumsq(cov), float(d))
     return hinge, cov_pen
 
 
@@ -134,10 +129,7 @@ def vicreg_loss(z: Tensor, z2: Tensor, lam: float = 25.0, mu: float = 25.0,
     h2, c2 = _vicreg_branch_terms(z2, gamma, eps)
     var_term = T.add(h1, h2)
     cov_term = T.add(c1, c2)
-    dt = z.dtype
-    total = T.add(T.add(T.mul(inv, Tensor(np.asarray(lam, dtype=dt))),
-                        T.mul(var_term, Tensor(np.asarray(mu, dtype=dt)))),
-                  T.mul(cov_term, Tensor(np.asarray(nu, dtype=dt))))
+    total = T.add(T.add(T.mul(inv, lam), T.mul(var_term, mu)), T.mul(cov_term, nu))
     return total, LossBreakdown(total=float(total.values), terms={
         "invariance": float(inv.values),
         "variance": float(var_term.values),
@@ -149,8 +141,7 @@ def whiten_slice(x: Tensor, eps: float = 1e-4) -> Tensor:
     triangular solve. Output rows have identity covariance up to the jitter."""
     s, d = x.shape
     centered = T.sub(x, T.tmean(x, axis=0))
-    cov = T.mul(T.matmul(T.transpose(centered), centered),
-                Tensor(np.asarray(1.0 / s, dtype=x.dtype)))
+    cov = T.mul(T.matmul(T.transpose(centered), centered), 1.0 / s)
     cov = T.add(cov, Tensor((eps * np.eye(d)).astype(x.dtype)))
     l = T.cholesky(cov)
     return T.transpose(T.triangular_solve(l, T.transpose(centered)))
@@ -176,7 +167,7 @@ def wmse_loss(z: Tensor, z2: Tensor, slice_size: int = 32, eps: float = 1e-4) ->
         diff = T.sub(w1, w2)
         term = T.tmean(T.mul(diff, diff))
         acc = term if acc is None else T.add(acc, term)
-    return T.mul(acc, Tensor(np.asarray(1.0 / n_slices, dtype=z.dtype)))
+    return T.mul(acc, 1.0 / n_slices)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +210,7 @@ def ema_update(online: nn.Module, target: nn.Module, tau: float) -> None:
 
 def _mixup_tensor(y: Tensor, alpha: float, partners: np.ndarray) -> Tensor:
     """Representation-space mixup: alpha * y_i + (1 - alpha) * y_partners[i]."""
-    a = Tensor(np.asarray(alpha, dtype=y.dtype))
-    b = Tensor(np.asarray(1.0 - alpha, dtype=y.dtype))
-    return T.add(T.mul(y, a), T.mul(y[partners], b))
+    return T.add(T.mul(y, alpha), T.mul(y[partners], 1.0 - alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +265,7 @@ class SSLModel(nn.Module):
         dropout masks drawn here first, view by view, in the order one
         thread draws them; only the pair losses join the views.
         """
-        views = [Tensor(np.asarray(v)) for v in view_set.views]
+        views = [Tensor(v) for v in view_set.views]
         if len(views) < 2:
             raise ConfigError("need at least two views")
         partners = [None] * len(views)
@@ -297,7 +286,7 @@ class SSLModel(nn.Module):
                     terms[key] = terms.get(key, 0.0) + val
                 n_pairs += 1
         if n_pairs > 1:
-            total = T.mul(total, Tensor(np.asarray(1.0 / n_pairs, dtype=total.dtype)))
+            total = T.mul(total, 1.0 / n_pairs)
             terms = {k: v / n_pairs for k, v in terms.items()}
         return total, LossBreakdown(total=float(total.values), terms=terms)
 
@@ -332,9 +321,7 @@ class BYOL(SSLModel):
         return state
 
     def _pair_loss(self, si, sj):
-        half = Tensor(np.asarray(0.5))
-        loss = T.mul(half, T.add(byol_loss(si["q"], sj["t"]),
-                                 byol_loss(sj["q"], si["t"])))
+        loss = T.mul(0.5, T.add(byol_loss(si["q"], sj["t"]), byol_loss(sj["q"], si["t"])))
         return loss, {}
 
     def after_step(self):

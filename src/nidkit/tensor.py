@@ -8,7 +8,9 @@ tape is intended to live for a single training step: call ``reset_tape``
 
 Every op is a module function (``add``, ``mul``, ``matmul``, ...) on
 ``Tensor`` operands; ``Tensor`` defines no arithmetic operators, only
-indexing (``t[key]`` is :func:`take`).
+indexing (``t[key]`` is :func:`take`). The four binary ops ``add``, ``sub``,
+``mul`` and ``div`` share one rule, and either operand may be a Python
+float: a constant that keeps the other operand's dtype and is no tape input.
 
 ``branches`` runs independent parts of a step, such as the views of an SSL
 step, on threads of their own, each recording on a sub-tape; ``backward``
@@ -49,10 +51,8 @@ __all__ = [
     "mul",
     "div",
     "sqrt",
-    "power",
     "relu",
     "gelu",
-    "negate",
     "matmul",
     "linear",
     "conv1xw",
@@ -313,63 +313,65 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
-
-
 # ---------------------------------------------------------------------------
 # Elementwise primitives
 
 
-# The backward rules of the four binary ops, like linear's, skip the
-# gradient of an operand that does not require one, such as raw features.
+Operand = Union[Tensor, float]
+
+# name -> (forward, gradient rule of a, gradient rule of b); a rule maps the
+# output gradient and both operands' values to its operand's gradient
+_BINARY = {
+    "add": (np.add, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (np.subtract, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    "div": (np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
+}
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
+def _binary(name: str, a: Operand, b: Operand) -> Tensor:
+    """The binary op ``name`` on two operands that broadcast, either of them
+    a Tensor or a Python float.
+
+    A float is a constant: weak-typed under NumPy 2's promotion rules, so
+    the result keeps the Tensor's dtype, and no tape input. The backward
+    unbroadcasts each Tensor operand's gradient to its shape and, like
+    linear's, skips an operand that does not require one, such as raw
+    features.
+    """
+    forward, *rules = _BINARY[name]
+    av = a.values if isinstance(a, Tensor) else float(a)
+    bv = b.values if isinstance(b, Tensor) else float(b)
+    try:
+        np.broadcast_shapes(np.shape(av), np.shape(bv))
+    except ValueError:
+        raise ShapeError(f"{name}: shapes {np.shape(av)} and {np.shape(bv)} "
+                         f"do not broadcast") from None
+    operands = [(t, rule) for t, rule in zip((a, b), rules) if isinstance(t, Tensor)]
 
     def bwd(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return tuple(_unbroadcast(rule(g, av, bv), t.shape) if t.requires_grad else None
+                     for t, rule in operands)
 
-    return _result(a.values + b.values, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-
-    def bwd(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
-
-    return _result(a.values - b.values, (a, b), bwd)
+    return _result(forward(av, bv), tuple(t for t, _ in operands), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    av, bv = a.values, b.values
-
-    def bwd(g):
-        return (_unbroadcast(g * bv, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * av, b.shape) if b.requires_grad else None)
-
-    return _result(av * bv, (a, b), bwd)
+def add(a: Operand, b: Operand) -> Tensor:
+    return _binary("add", a, b)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "div")
-    if np.any(b.values == 0.0):
+def sub(a: Operand, b: Operand) -> Tensor:
+    return _binary("sub", a, b)
+
+
+def mul(a: Operand, b: Operand) -> Tensor:
+    return _binary("mul", a, b)
+
+
+def div(a: Operand, b: Operand) -> Tensor:
+    if np.any((b.values if isinstance(b, Tensor) else b) == 0.0):
         raise DomainError("div: divisor contains zero elements")
-    av, bv = a.values, b.values
-
-    def bwd(g):
-        return (_unbroadcast(g / bv, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g * av / (bv * bv), b.shape) if b.requires_grad else None)
-
-    return _result(av / bv, (a, b), bwd)
+    return _binary("div", a, b)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -381,16 +383,6 @@ def sqrt(a: Tensor) -> Tensor:
         return (g * 0.5 / out_v,)
 
     return _result(out_v, (a,), bwd)
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    p = float(exponent)
-    av = a.values
-
-    def bwd(g):
-        return (g * p * np.power(av, p - 1.0),)
-
-    return _result(np.power(av, p), (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -428,13 +420,6 @@ def gelu(a: Tensor) -> Tensor:
         return (g * (cdf + av * pdf),)
 
     return _result(av * cdf, (a,), bwd)
-
-
-def negate(a: Tensor) -> Tensor:
-    def bwd(g):
-        return (-g,)
-
-    return _result(-a.values, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

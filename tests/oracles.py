@@ -5,9 +5,9 @@ come from central finite differences on the raw numpy arrays, ranking metrics
 from O(n^2) pairwise counting, thresholds from exhaustive enumeration, CSV
 ingest from a row-by-row parse and a per-row dedup key. Two exceptions:
 ``cnn_stage_shapes`` runs an encoder's own stages one at a time to audit the
-shape each one produces, and ``exp``, ``log`` and ``softmax`` record
-themselves on the library's tape (no model uses them) so the gradient suites
-can drive the tape through them. ``composed_layers`` swaps the library's
+shape each one produces, and ``exp``, ``power``, ``negate``, ``log`` and
+``softmax`` record themselves on the library's tape (no model uses them) so
+the gradient suites can drive the tape through them. ``composed_layers`` swaps the library's
 normalisation and attention layers for their forwards composed of small tape
 ops, the references for the fused ``normalize`` and ``attention``.
 """
@@ -40,6 +40,17 @@ def exp(a):
     """Elementwise exp as a tape op: d exp(a) = exp(a) da."""
     out = np.exp(a.values)
     return T._result(out, (a,), lambda g: (g * out,))
+
+
+def power(a, exponent):
+    """Elementwise power as a tape op: d a^p = p a^(p - 1) da."""
+    av, p = a.values, float(exponent)
+    return T._result(np.power(av, p), (a,), lambda g: (g * p * np.power(av, p - 1.0),))
+
+
+def negate(a):
+    """Elementwise negation as a tape op."""
+    return T._result(-a.values, (a,), lambda g: (-g,))
 
 
 def log(a):
@@ -136,8 +147,8 @@ def composed_layers():
 
 
 def _binary_with_both_gradients(op, name):
-    """``op`` with a backward rule that returns both operands' gradients
-    whether they need one or not."""
+    """``op`` with a backward rule that returns the gradient of each Tensor
+    operand whether it needs one or not; a float operand gets none."""
     rules = {
         "add": lambda g, av, bv: (g, g),
         "sub": lambda g, av, bv: (g, -g),
@@ -149,9 +160,10 @@ def _binary_with_both_gradients(op, name):
         out = op(a, b)
         tape = T._state.tape
         if tape and tape[-1].output is out:
-            av, bv = a.values, b.values
+            av, bv = (t.values if isinstance(t, Tensor) else t for t in (a, b))
             tape[-1].backward_fn = lambda g: tuple(
-                T._unbroadcast(gr, t.shape) for gr, t in zip(rules[name](g, av, bv), (a, b)))
+                T._unbroadcast(gr, t.shape) for gr, t in zip(rules[name](g, av, bv), (a, b))
+                if isinstance(t, Tensor))
         return out
 
     return full

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nidkit import tensor as T
-from oracles import check_tensor_grad, exp, log, softmax
+from oracles import check_tensor_grad, exp, log, negate, power, softmax
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +24,33 @@ def clean_tape():
 def test_add_values():
     out = T.add(T.Tensor([1.0, 2.0]), T.Tensor([3.0, 4.0]))
     np.testing.assert_array_equal(out.values, [4.0, 6.0])
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_float_operand_is_a_constant_off_the_tape(name, side):
+    # the same bits as a float64 constant Tensor, forward and backward, with
+    # only the Tensor operand on the tape
+    op, c = getattr(T, name), 1.7
+    x = np.random.default_rng(3).normal(size=(3, 4))
+    results = []
+    for const in (c, T.Tensor(np.asarray(c))):
+        T.reset_tape()
+        t = T.Tensor(x.copy(), requires_grad=True)
+        operands = (t, const) if side == 0 else (const, t)
+        out = op(*operands)
+        assert T._state.tape[-1].inputs == tuple(o for o in operands if isinstance(o, T.Tensor))
+        T.backward(T.tsum(out))
+        results.append((out.values, t.grad))
+    np.testing.assert_array_equal(results[0][0], results[1][0])
+    np.testing.assert_array_equal(results[0][1], results[1][1])
+
+
+def test_float_operand_errors():
+    with pytest.raises(T.DomainError):
+        T.div(T.Tensor([1.0]), 0.0)
+    with pytest.raises(TypeError):
+        T.mul(T.Tensor([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
 def test_relu_values():
@@ -102,13 +129,13 @@ ELEMENTWISE_CASES = {
     "sub": lambda ts, w: _weighted_sum(T.sub(ts[0], ts[1]), w),
     "mul": lambda ts, w: _weighted_sum(T.mul(ts[0], ts[1]), w),
     "div": lambda ts, w: _weighted_sum(T.div(ts[0], ts[1]), w),
-    "negate": lambda ts, w: _weighted_sum(T.negate(ts[0]), w),
+    "negate": lambda ts, w: _weighted_sum(negate(ts[0]), w),
     "exp": lambda ts, w: _weighted_sum(exp(ts[0]), w),
     "gelu": lambda ts, w: _weighted_sum(T.gelu(ts[0]), w),
     "relu": lambda ts, w: _weighted_sum(T.relu(ts[0]), w),
     "sqrt": lambda ts, w: _weighted_sum(T.sqrt(ts[0]), w),
     "log": lambda ts, w: _weighted_sum(log(ts[0]), w),
-    "pow": lambda ts, w: _weighted_sum(T.power(ts[0], 3.0), w),
+    "pow": lambda ts, w: _weighted_sum(power(ts[0], 3.0), w),
     "softmax": lambda ts, w: _weighted_sum(softmax(ts[0], axis=-1), w),
     "sum_axis": lambda ts, w: _weighted_sum(T.tsum(ts[0], axis=1), w[:, 0]),
     "mean_axis": lambda ts, w: _weighted_sum(T.tmean(ts[0], axis=0), w[0, :]),
