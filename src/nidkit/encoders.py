@@ -167,8 +167,8 @@ class FTTransformerEncoder(nn.Module):
     """Feature-tokenizer transformer for mixed tabular inputs.
 
     Each numerical feature j becomes the token x_j * W_j + b_j; each
-    categorical feature becomes an embedding row selected by its one-hot
-    block. Tokens run through pre-norm transformer blocks and the final token
+    categorical feature becomes the row its one-hot block selects from one
+    embedding table that holds every feature's categories. Tokens run through pre-norm transformer blocks and the final token
     matrix is flattened (no classification token). An eval forward off the
     tape runs on row blocks across threads (:func:`nidkit.nn.rowwise`).
     """
@@ -193,9 +193,12 @@ class FTTransformerEncoder(nn.Module):
                                  requires_grad=True)
         self.num_bias = Tensor(rng.normal(scale=std, size=(n_num, token_dim)),
                                requires_grad=True)
-        self.embeddings = [
-            Tensor(rng.normal(scale=std, size=(len(cols), token_dim)), requires_grad=True)
-            for cols in self.group_cols]
+        # one table for every group's categories, group g's rows from
+        # offsets[g] on; no groups, no table (Adam needs every gradient)
+        sizes = [len(cols) for cols in self.group_cols]
+        self.offsets = np.cumsum([0] + sizes[:-1])
+        self.embedding = Tensor(rng.normal(scale=std, size=(sum(sizes), token_dim)),
+                                requires_grad=True) if sizes else None
         self.blocks = [_TransformerBlock(token_dim, heads, dropout, rng)
                        for _ in range(layers)]
 
@@ -208,10 +211,10 @@ class FTTransformerEncoder(nn.Module):
             vals = x[(slice(None), self.numeric_cols)]          # (b, n_num)
             vals = T.reshape(vals, (b, len(self.numeric_cols), 1))
             parts.append(T.add(T.mul(vals, self.num_weight), self.num_bias))
-        for cols, emb in zip(self.group_cols, self.embeddings):
-            idx = np.argmax(x.values[:, cols], axis=1)
-            token = emb[idx]                                     # (b, token_dim)
-            parts.append(T.reshape(token, (b, 1, self.token_dim)))
+        if self.embedding is not None:
+            codes = np.stack([np.argmax(x.values[:, cols], axis=1)
+                              for cols in self.group_cols], axis=1)  # (b, G)
+            parts.append(self.embedding[codes + self.offsets])    # (b, G, token_dim)
         return parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
 
     def keep_masks(self, rows: int) -> list:

@@ -140,7 +140,7 @@ def test_ft_categorical_lookup():
     x[:, 0:2] = 1.0
     x[0, 2] = x[1, 3] = x[2, 4] = 1.0  # categories 0, 1, 2
     tokens = enc.tokenize(Tensor(x))
-    np.testing.assert_allclose(tokens.values[:, 2, :], enc.embeddings[0].values)
+    np.testing.assert_allclose(tokens.values[:, 2, :], enc.embedding.values[:3])
 
 
 def test_ft_eval_deterministic_with_dropout():
@@ -351,6 +351,32 @@ def test_vicreg_step_gradients_match_composed_layers(kind):
         assert diff.max() <= 1e-13 * scale, name
         big = np.abs(ref) >= 1e-3 * scale
         assert (diff[big] <= 1e-12 * np.abs(ref[big])).all(), name
+
+
+@pytest.mark.parametrize("kind, width", [("mlp", 12), ("cnn", 40), ("ft_transformer", 12)])
+def test_train_step_moves_every_leaf_that_gets_a_gradient(kind, width, monkeypatch):
+    # a trainable leaf outside model.parameters() gets gradients that Adam
+    # never applies, zero_grad never clears and checkpoints never store
+    rng = rng_(89)
+    cfg = (_ft_config(width) if kind == "ft_transformer"
+           else encoders.EncoderConfig(kind=kind, input_width=width, hidden_dim=32))
+    model = ssl_models.build_model("vicreg", lambda: encoders.build_encoder(cfg, rng),
+                                   encoders.representation_dim(cfg), rng, dim=32)
+    before = {id(p): p.values.copy() for p in model.parameters()}
+    graded = {}
+    accumulate = Tensor._accumulate
+
+    def spy(t, g):
+        graded[id(t)] = t
+        accumulate(t, g)
+
+    monkeypatch.setattr(Tensor, "_accumulate", spy)
+    views = make_views(_tabular_batch(48, width, 90), AugmentationSpec(kind="gaussian_noise"),
+                       rng)
+    ssl_models.train_step(model, views, nn.Adam(model), rng=rng)
+    assert graded
+    assert not [t.shape for k, t in graded.items() if k not in before]     # not parameters
+    assert not [t.shape for k, t in graded.items() if np.array_equal(t.values, before[k])]
 
 
 def test_vicreg_ft_step_computes_no_gradient_it_throws_away(monkeypatch):

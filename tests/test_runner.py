@@ -236,22 +236,28 @@ def _rebuilt_scorer(cfg, train, seed, meta):
 @pytest.mark.parametrize("over", [
     {},
     {"augmentation": {"kind": "subsets", "k": 3}},
+    {"encoder": {"kind": "ft_transformer"}},
     {"model": "autoencoder"},
     {"model": "deep_svdd"},
-], ids=["vicreg", "vicreg-subsets", "autoencoder", "deep_svdd"])
+], ids=["vicreg", "vicreg-subsets", "vicreg-ft_transformer", "autoencoder", "deep_svdd"])
 def test_checkpoint_rescores_the_stored_test_rows(tmp_path, over):
     cfg = validate_config(make_doc(**over), base_dir=tmp_path)
     run_dir = run_experiment(cfg)["dir"] / "run0"
     _metrics_of(run_dir)
-    meta = nn.load_checkpoint(run_dir / "checkpoint.npz")["meta"]
-    if cfg.model in MODEL_KINDS:
-        assert meta["center"].shape == (cfg.encoder["hidden_dim"],)
+    stored = nn.load_checkpoint(run_dir / "checkpoint.npz")
+    meta = stored["meta"]
     subsets = cfg.model in MODEL_KINDS and cfg.augmentation["kind"] == "subsets"
     assert ("subset_columns" in meta) == subsets
     if subsets:
         assert meta["subset_columns"].shape[0] == 3
     train, test = protocol_split(runner.load_experiment_dataset(cfg), cfg.train_fraction, seed=0)
     model, score = _rebuilt_scorer(cfg, train, 0, meta)
+    if cfg.model in MODEL_KINDS:
+        assert meta["center"].shape == (model.projector.fc1.in_features,)
+    if cfg.encoder.get("kind") == "ft_transformer":
+        # the categorical embeddings are stored, and training moved them
+        assert not np.array_equal(stored["state"]["encoder.embedding"],
+                                  model.encoder.embedding.values)
     nn.load_checkpoint(run_dir / "checkpoint.npz", model)
     dump_scores(tmp_path / "rescored.csv", test.ids, score(test.features), test.labels)
     assert (tmp_path / "rescored.csv").read_bytes() == (run_dir / "scores.csv").read_bytes()
