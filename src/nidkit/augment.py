@@ -102,11 +102,12 @@ def zero_out(batch: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarra
 
 def gaussian_noise(batch: np.ndarray, p: float, mu: float, sigma2: float,
                    rng: np.random.Generator) -> np.ndarray:
-    """Add N(mu, sigma2) noise to each element with probability p."""
+    """Add N(mu, sigma2) noise, cast to the batch's dtype, to each element with
+    probability p."""
     batch = np.asarray(batch)
     mask = rng.random(batch.shape) < p
     noise = rng.normal(loc=mu, scale=np.sqrt(sigma2), size=batch.shape)
-    return batch + noise * mask
+    return batch + noise.astype(batch.dtype, copy=False) * mask
 
 
 def random_shuffle(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -26,6 +26,7 @@ never builds one never loads scipy.special.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Optional, Sequence, Union
 
@@ -395,8 +396,9 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.maximum(av, 0.0), (a,), bwd)
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, which keep a float32 input float32
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
