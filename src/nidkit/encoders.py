@@ -168,9 +168,10 @@ class FTTransformerEncoder(nn.Module):
 
     Each numerical feature j becomes the token x_j * W_j + b_j; each
     categorical feature becomes the row its one-hot block selects from one
-    embedding table that holds every feature's categories. Tokens run through pre-norm transformer blocks and the final token
-    matrix is flattened (no classification token). An eval forward off the
-    tape runs on row blocks across threads (:func:`nidkit.nn.rowwise`).
+    embedding table that holds every feature's categories. Tokens run
+    through pre-norm transformer blocks and the final token matrix is
+    flattened (no classification token). An eval forward off the tape runs
+    on row blocks across threads (:func:`nidkit.nn.rowwise`).
     """
 
     def __init__(self, input_width: int, numeric_cols, cat_groups: dict,

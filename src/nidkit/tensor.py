@@ -340,21 +340,21 @@ def _binary(name: str, a: Operand, b: Operand) -> Tensor:
     linear's, skips an operand that does not require one, such as raw
     features.
     """
-    forward, *rules = _BINARY[name]
+    forward, rule_a, rule_b = _BINARY[name]
     av = a.values if isinstance(a, Tensor) else float(a)
     bv = b.values if isinstance(b, Tensor) else float(b)
     try:
-        np.broadcast_shapes(np.shape(av), np.shape(bv))
+        out = forward(av, bv)
     except ValueError:
         raise ShapeError(f"{name}: shapes {np.shape(av)} and {np.shape(bv)} "
                          f"do not broadcast") from None
-    operands = [(t, rule) for t, rule in zip((a, b), rules) if isinstance(t, Tensor)]
+    operands = [(t, rule) for t, rule in ((a, rule_a), (b, rule_b)) if isinstance(t, Tensor)]
 
     def bwd(g):
         return tuple(_unbroadcast(rule(g, av, bv), t.shape) if t.requires_grad else None
                      for t, rule in operands)
 
-    return _result(forward(av, bv), tuple(t for t, _ in operands), bwd)
+    return _result(out, tuple(t for t, _ in operands), bwd)
 
 
 def add(a: Operand, b: Operand) -> Tensor:
