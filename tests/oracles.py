@@ -7,9 +7,10 @@ ingest from a row-by-row parse and a per-row dedup key. Two exceptions:
 ``cnn_stage_shapes`` runs an encoder's own stages one at a time to audit the
 shape each one produces, and ``exp``, ``power``, ``negate``, ``log`` and
 ``softmax`` record themselves on the library's tape (no model uses them) so
-the gradient suites can drive the tape through them. ``composed_layers`` swaps the library's
-normalisation and attention layers for their forwards composed of small tape
-ops, the references for the fused ``normalize`` and ``attention``.
+the gradient suites can drive the tape through them. ``composed_layers``
+swaps the library's normalisation and attention layers for their forwards
+composed of small tape ops, the references for the fused ``normalize`` and
+``attention``.
 """
 
 import csv
