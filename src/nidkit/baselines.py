@@ -41,12 +41,11 @@ def reconstruction_loss(model: Autoencoder, batch: Tensor) -> Tensor:
     return T.tmean(T.mul(diff, diff))
 
 
-def ae_score(model: Autoencoder, features: np.ndarray,
-             batch_size: int = 512) -> np.ndarray:
+def ae_score(model: Autoencoder, features: np.ndarray) -> np.ndarray:
     """Per-sample mean squared reconstruction error."""
     model.eval()
     errors = nn.infer(lambda x: np.mean((model(Tensor(x)).values - x) ** 2, axis=1),
-                      features, batch_size)
+                      features)
     return np.concatenate([np.empty(0), *errors])
 
 
@@ -55,8 +54,9 @@ class DeepSVDD(nn.Module):
 
     Every linear map is bias-free and there is no normalization layer:
     any translation-capable parameter would let the network collapse onto
-    the center for free. The center ``c`` is set once from the untrained
-    network's outputs and never updated afterwards.
+    the center for free. :func:`train_baseline` sets the center ``c`` once
+    from the untrained network's outputs, before its first step; the
+    optimizer never updates it.
     """
 
     def __init__(self, input_dim: int, rng, widths=(256, 64, 32)):
@@ -65,7 +65,6 @@ class DeepSVDD(nn.Module):
         self.layers = [nn.Linear(dims[i], dims[i + 1], rng, bias=False)
                        for i in range(len(dims) - 1)]
         self.center = Tensor(np.zeros(dims[-1]))
-        self._center_set = False
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
@@ -76,8 +75,7 @@ class DeepSVDD(nn.Module):
         return h
 
 
-def svdd_init_center(model: DeepSVDD, features: np.ndarray,
-                     batch_size: int = 512) -> np.ndarray:
+def svdd_init_center(model: DeepSVDD, features: np.ndarray) -> np.ndarray:
     """Fix c at the mean initial-network output over the training set.
 
     A center too close to the origin makes the trivial all-zero map optimal,
@@ -86,13 +84,12 @@ def svdd_init_center(model: DeepSVDD, features: np.ndarray,
     if features.shape[0] == 0:
         raise DataError("svdd_init_center: empty training set")
     model.eval()
-    sums = nn.infer(lambda x: model(Tensor(x)).values.sum(axis=0), features, batch_size)
+    sums = nn.infer(lambda x: model(Tensor(x)).values.sum(axis=0), features)
     c = reduce(np.add, sums) / features.shape[0]
     if np.all(np.abs(c) < 1e-3):
         warnings.warn("hypersphere center is nearly zero; training may "
                       "collapse to the trivial solution", RuntimeWarning)
     model.center = Tensor(c)
-    model._center_set = True
     return c
 
 
@@ -101,12 +98,11 @@ def svdd_loss(model: DeepSVDD, batch: Tensor) -> Tensor:
     return T.tmean(T.tsum(T.mul(diff, diff), axis=1))
 
 
-def svdd_score(model: DeepSVDD, features: np.ndarray,
-               batch_size: int = 512) -> np.ndarray:
+def svdd_score(model: DeepSVDD, features: np.ndarray) -> np.ndarray:
     """Squared distance of the network output to the fixed center."""
     model.eval()
     dists = nn.infer(lambda x: np.sum((model(Tensor(x)).values - model.center.values) ** 2,
-                                      axis=1), features, batch_size)
+                                      axis=1), features)
     return np.concatenate([np.empty(0), *dists])
 
 
@@ -115,11 +111,12 @@ def train_baseline(model, features: np.ndarray, loss_fn, optimizer: nn.Adam,
     """Train either baseline with :func:`nn.fit`, BLAS held at one thread;
     returns the per-step losses and leaves the model in eval mode.
 
-    For DeepSVDD the center must already be fixed; it is stored outside the
-    optimizer's parameter list, so its bits cannot change during training.
+    A DeepSVDD first fixes its center with :func:`svdd_init_center`; the
+    center is stored outside the optimizer's parameter list, so its bits
+    cannot change during training.
     """
-    if isinstance(model, DeepSVDD) and not model._center_set:
-        raise nn.ConfigError("DeepSVDD center must be initialized before training")
+    if isinstance(model, DeepSVDD):
+        svdd_init_center(model, features)
 
     def step(batch):
         T.reset_tape()
@@ -135,3 +132,10 @@ def train_baseline(model, features: np.ndarray, loss_fn, optimizer: nn.Adam,
         history = nn.fit(step, features, epochs, batch_size, rng, log_path=log_path)
     model.eval()
     return history
+
+
+# name -> (module class, training loss, scorer) of each baseline
+BASELINES = {
+    "autoencoder": (Autoencoder, reconstruction_loss, ae_score),
+    "deep_svdd": (DeepSVDD, svdd_loss, svdd_score),
+}

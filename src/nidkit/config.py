@@ -19,7 +19,7 @@ import yaml
 
 from .augment import KINDS as AUG_KINDS
 from .augment import AugmentationSpec
-from .baselines import Autoencoder, DeepSVDD
+from .baselines import BASELINES
 from .encoders import (CNNEncoder, EncoderConfig, FTTransformerEncoder,
                        MLPEncoder)
 from .nn import ConfigError
@@ -28,7 +28,7 @@ from .ssl_models import MODEL_CLASSES, MODEL_KINDS, WMSE
 CONFIG_VERSION = 1
 CONVENTIONAL_LRS = (1e-2, 1e-3, 1e-4, 1e-5)
 # the keyword parameters of a kind's builder are the keys its section may set
-MODEL_BUILDERS = {**MODEL_CLASSES, "autoencoder": Autoencoder, "deep_svdd": DeepSVDD}
+MODEL_BUILDERS = {**MODEL_CLASSES, **{name: cls for name, (cls, _, _) in BASELINES.items()}}
 ENCODER_BUILDERS = {"mlp": MLPEncoder, "cnn": CNNEncoder, "ft_transformer": FTTransformerEncoder}
 
 

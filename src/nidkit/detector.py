@@ -40,13 +40,13 @@ class Detector:
                  for cols in self.subset_columns]
         return np.mean(parts, axis=0)
 
-    def fit(self, features: np.ndarray, batch_size: int = 512) -> "Detector":
+    def fit(self, features: np.ndarray) -> "Detector":
         if features.shape[0] == 0:
             raise DataError("fit_center: empty training set")
         self.encoder.eval()
         for p in self.encoder.parameters():
             p.requires_grad = False
-        sums = nn.infer(lambda b: self._represent(b).sum(axis=0), features, batch_size)
+        sums = nn.infer(lambda b: self._represent(b).sum(axis=0), features)
         self.center = reduce(np.add, sums) / features.shape[0]
         return self
 
@@ -60,12 +60,10 @@ class Detector:
 
 
 def fit_center(encoder: nn.Module, train_features,
-               subset_columns: Optional[list] = None,
-               batch_size: int = 512) -> Detector:
+               subset_columns: Optional[list] = None) -> Detector:
     """Freeze the encoder and place the center at the mean representation of
     the (normal-only) training samples."""
-    return Detector(encoder, subset_columns=subset_columns).fit(
-        train_features, batch_size=batch_size)
+    return Detector(encoder, subset_columns=subset_columns).fit(train_features)
 
 
 def dump_scores(path, ids, scores, labels=None) -> None:

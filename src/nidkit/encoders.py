@@ -10,6 +10,7 @@ values and categorical indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -126,7 +127,7 @@ class CNNEncoder(nn.Module):
                 self.stages.append(nn.Conv2d1xW(c_in, c_out, size, rng))
                 c_in = c_out
             else:
-                self.stages.append(nn.MaxPool1xK(size))
+                self.stages.append(partial(T.maxpool1xk, k=size))
 
     def forward(self, x: Tensor) -> Tensor:
         return nn.rowwise(self._forward, self, x)

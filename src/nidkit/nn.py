@@ -4,10 +4,10 @@ loop and its no-grad twin, the row-threaded eval forward, and checkpoint I/O.
 Each layer runs on the primitives of :mod:`nidkit.tensor` and gets its
 backward rule from the tape: ``Linear`` on ``linear``, ``BatchNorm1d`` and
 ``LayerNorm`` on ``normalize``, ``MultiHeadAttention`` on ``attention``
-between four ``Linear`` maps, the 1xW stages on ``conv1xw`` and
-``maxpool1xk``. Those primitives carry closed-form backward rules of their
-own. Construction is explicit about randomness: every layer that draws
-initial weights takes a ``numpy.random.Generator``.
+between four ``Linear`` maps, ``Conv2d1xW`` on ``conv1xw``. Those primitives
+carry closed-form backward rules of their own. Construction is explicit
+about randomness: every layer that draws initial weights takes a
+``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,13 @@ from .data import atomic_write
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 1
+BN_MOMENTUM = 0.1       # weight of a batch's statistics in BatchNorm1d's running ones
+NORM_EPS = 1e-5         # variance jitter of BatchNorm1d and LayerNorm
+ADAM_BETAS, ADAM_EPS = (0.9, 0.999), 1e-8
 
 
 class BatchSizeError(ValueError):
-    """Training-mode batch statistics need at least two rows."""
+    """Too few rows: two for training-mode batch statistics, one batch to train."""
 
 
 class ConfigError(ValueError):
@@ -160,16 +163,14 @@ class BatchNorm1d(Module):
     """Batch normalization over axis 0 of a (batch, features) tensor.
 
     Training mode normalizes with current-batch statistics (population
-    variance) and folds them into the running estimates with the given
-    momentum, after the join when it runs in a branch (:func:`T.defer`);
+    variance) and folds them into the running estimates with momentum
+    ``BN_MOMENTUM``, after the join when it runs in a branch (:func:`T.defer`);
     eval mode normalizes with the running estimates.
     """
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, num_features: int):
         super().__init__()
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Tensor(np.ones(num_features), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features), requires_grad=True)
         self.running_mean = Tensor(np.zeros(num_features))
@@ -179,17 +180,17 @@ class BatchNorm1d(Module):
         if x.ndim != 2 or x.shape[1] != self.num_features:
             raise T.ShapeError(f"batch_norm: expected (b, {self.num_features}), got {x.shape}")
         if not self.training:
-            return T.normalize(x, 0, self.eps, self.gamma, self.beta,
+            return T.normalize(x, 0, NORM_EPS, self.gamma, self.beta,
                                stats=(self.running_mean.values, self.running_var.values))[0]
         if x.shape[0] < 2:
             raise BatchSizeError("batch_norm: training mode needs batch size >= 2")
-        out, (mean, var) = T.normalize(x, 0, self.eps, self.gamma, self.beta)
+        out, (mean, var) = T.normalize(x, 0, NORM_EPS, self.gamma, self.beta)
         # views share the layer: inside a branch the fold waits for the join
         T.defer(lambda: self._fold(mean, var))
         return out
 
     def _fold(self, mean: np.ndarray, var: np.ndarray) -> None:
-        m = self.momentum
+        m = BN_MOMENTUM
         self.running_mean.values = (1 - m) * self.running_mean.values + m * mean
         self.running_var.values = (1 - m) * self.running_var.values + m * var
 
@@ -197,17 +198,16 @@ class BatchNorm1d(Module):
 class LayerNorm(Module):
     """Per-row normalization over the last axis with affine parameters."""
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
-        self.eps = eps
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.dim:
             raise T.ShapeError(f"layer_norm: last axis {x.shape[-1]} != {self.dim}")
-        return T.normalize(x, -1, self.eps, self.gamma, self.beta)[0]
+        return T.normalize(x, -1, NORM_EPS, self.gamma, self.beta)[0]
 
 
 # the keep masks drawn ahead for this thread's dropout layers (masks_drawn)
@@ -280,18 +280,6 @@ class Conv2d1xW(Module):
         return T.conv1xw(x, self.weight, self.bias, self.kernel_width)
 
 
-class MaxPool1xK(Module):
-    """Non-overlapping max over width windows of a channel-last (b, W, C)
-    map; stride = k, remainder dropped."""
-
-    def __init__(self, k: int):
-        super().__init__()
-        self.k = k
-
-    def forward(self, x: Tensor) -> Tensor:
-        return T.maxpool1xk(x, self.k)
-
-
 class MultiHeadAttention(Module):
     """Scaled dot-product self-attention with per-head splitting.
 
@@ -330,16 +318,12 @@ class MultiHeadAttention(Module):
 class Adam:
     """ADAM with bias correction; operates in place on a module's parameters."""
 
-    def __init__(self, module: Module, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, module: Module, lr: float = 1e-3):
         self.named = list(module.named_parameters())
         names = [n for n, _ in self.named]
         if len(names) != len(set(names)):
             raise ConfigError("duplicate parameter names in module")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {n: np.zeros_like(p.values) for n, p in self.named}
         self._v = {n: np.zeros_like(p.values) for n, p in self.named}
@@ -350,14 +334,14 @@ class Adam:
                 raise OptimizerError(f"parameter {name!r} has no gradient")
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         for name, p in self.named:
             g = p.grad
             m = self._m[name] = b1 * self._m[name] + (1 - b1) * g
             v = self._v[name] = b2 * self._v[name] + (1 - b2) * (g * g)
             m_hat = m / (1 - b1 ** t)
             v_hat = v / (1 - b2 ** t)
-            p.values = p.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.values = p.values - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +356,12 @@ def fit(step: Callable, features: np.ndarray, epochs: int, batch_size: int,
     batch. ``step(batch)`` takes one optimization step and returns its loss,
     a float or a record with a ``total`` and a ``terms`` dict. ``log_path``
     gets a ``step,total,<term_names>`` CSV row per step. A non-finite total
-    raises ``FloatingPointError`` naming the step.
+    raises ``FloatingPointError`` naming the step; fewer rows than one
+    batch raise ``BatchSizeError``, as no step could run.
     """
     features = np.asarray(features)
+    if features.shape[0] < batch_size:
+        raise BatchSizeError(f"{features.shape[0]} training rows < batch size {batch_size}")
     history = []
     with open(log_path or os.devnull, "w") as log:
         log.write(",".join(["step", "total", *term_names]) + "\n")

@@ -25,9 +25,7 @@ import yaml
 
 from . import nn, threads
 from .augment import AugmentationSpec, subset_columns
-from .baselines import (Autoencoder, DeepSVDD, ae_score, reconstruction_loss,
-                        svdd_init_center, svdd_loss, svdd_score,
-                        train_baseline)
+from .baselines import BASELINES, train_baseline
 from .config import (CONFIG_VERSION, ExperimentConfig, encoder_config_for,
                      validate_config)
 from .data import (atomic_write, load_csv, load_dataset, load_schema,
@@ -97,14 +95,8 @@ def _run_ssl(cfg: ExperimentConfig, train, rng, run_dir: Path):
 
 
 def _run_baseline(cfg: ExperimentConfig, train, rng, run_dir: Path):
-    d = train.n_features
-    if cfg.model == "autoencoder":
-        model = Autoencoder(d, rng, **cfg.loss_params)
-        loss_fn, score_fn = reconstruction_loss, ae_score
-    else:
-        model = DeepSVDD(d, rng, **cfg.loss_params)
-        svdd_init_center(model, train.features)
-        loss_fn, score_fn = svdd_loss, svdd_score
+    cls, loss_fn, score_fn = BASELINES[cfg.model]
+    model = cls(train.n_features, rng, **cfg.loss_params)
     optimizer = nn.Adam(model, lr=cfg.learning_rate)
     history = train_baseline(model, train.features, loss_fn, optimizer,
                              cfg.epochs, cfg.batch_size, rng,
@@ -272,10 +264,9 @@ def _cell_label(cell: dict) -> str:
 
 
 def _run_cell(args):
-    cell, base_dir = args
-    cfg = validate_config(cell, base_dir=base_dir, source=_cell_label(cell))
+    label, cfg = args
     agg_path = Path(cfg.output_dir) / cfg.hash / "aggregate.yaml"
-    row = {"cell": _cell_label(cell), "model": cfg.model,
+    row = {"cell": label, "model": cfg.model,
            "encoder": cfg.encoder.get("kind", "-"),
            "augmentation": (cfg.augmentation or {}).get("kind", "-"),
            "hash": cfg.hash}
@@ -303,13 +294,21 @@ def run_grid(doc: dict, base_dir=".", workers: int = 1) -> dict:
     """Run every grid cell (skipping those whose runs all succeeded before)
     and rank the results.
 
-    Cells are independent; with workers > 1 they execute in separate
-    processes, each still fully deterministic given its config and seeds,
-    and each with a budget of ``threads.share(workers)`` CPUs for its row
-    and BLAS threads.
+    Every cell is validated before any runs; one ``ConfigError`` names each
+    invalid cell. Cells are independent; with workers > 1 they execute in
+    separate processes, each still fully deterministic given its config and
+    seeds, and each with a budget of ``threads.share(workers)`` CPUs for its
+    row and BLAS threads.
     """
-    cells = expand_grid(doc)
-    args = [(cell, base_dir) for cell in cells]
+    args, bad = [], []
+    for cell in expand_grid(doc):
+        label = _cell_label(cell)
+        try:
+            args.append((label, validate_config(cell, base_dir=base_dir, source=label)))
+        except ConfigError as exc:
+            bad.append(str(exc))
+    if bad:
+        raise ConfigError(f"grid: {len(bad)} invalid cell(s): " + "; ".join(bad))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=threads.plan,

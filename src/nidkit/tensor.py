@@ -429,18 +429,11 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul: operands must have at least 2 dimensions")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree ({a.shape} x {b.shape})")
+    """The product of an (m, k) and a (k, n) matrix."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: expected (m, k) x (k, n) matrices, got {a.shape} x {b.shape}")
     av, bv = a.values, b.values
-
-    def bwd(g):
-        ga = _unbroadcast(g @ bv.swapaxes(-1, -2), a.shape)
-        gb = _unbroadcast(av.swapaxes(-1, -2) @ g, b.shape)
-        return ga, gb
-
-    return _result(av @ bv, (a, b), bwd)
+    return _result(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

@@ -5,12 +5,12 @@ come from central finite differences on the raw numpy arrays, ranking metrics
 from O(n^2) pairwise counting, thresholds from exhaustive enumeration, CSV
 ingest from a row-by-row parse and a per-row dedup key. Two exceptions:
 ``cnn_stage_shapes`` runs an encoder's own stages one at a time to audit the
-shape each one produces, and ``exp``, ``power``, ``negate``, ``log`` and
-``softmax`` record themselves on the library's tape (no model uses them) so
-the gradient suites can drive the tape through them. ``composed_layers``
-swaps the library's normalisation and attention layers for their forwards
-composed of small tape ops, the references for the fused ``normalize`` and
-``attention``.
+shape each one produces, and ``exp``, ``power``, ``negate``, ``log``,
+``softmax`` and ``batched_matmul`` record themselves on the library's tape
+(no model uses them) so the gradient suites and the composed attention can
+drive the tape through them. ``composed_layers`` swaps the library's
+normalisation and attention layers for their forwards composed of small tape
+ops, the references for the fused ``normalize`` and ``attention``.
 """
 
 import csv
@@ -63,6 +63,14 @@ def log(a):
     return T._result(np.log(av), (a,), lambda g: (g / av,))
 
 
+def batched_matmul(a, b):
+    """``a @ b`` over stacks of matrices with equal leading dims as a tape op;
+    the library's ``matmul`` takes two matrices only."""
+    av, bv = a.values, b.values
+    return T._result(av @ bv, (a, b),
+                     lambda g: (g @ bv.swapaxes(-1, -2), av.swapaxes(-1, -2) @ g))
+
+
 def softmax(a, axis=-1):
     """Softmax as a tape op: dS = S * (dA - sum(dA * S)) along ``axis``."""
     shifted = a.values - a.values.max(axis=axis, keepdims=True)
@@ -87,7 +95,7 @@ def batch_norm_composed(bn, x):
             raise nn.BatchSizeError("batch_norm: training mode needs batch size >= 2")
         mean = T.tmean(x, axis=0)
         var = T.tvar(x, axis=0)
-        m = bn.momentum
+        m = nn.BN_MOMENTUM
 
         def fold():
             bn.running_mean.values = (1 - m) * bn.running_mean.values + m * mean.values
@@ -97,7 +105,7 @@ def batch_norm_composed(bn, x):
         mean = bn.running_mean.detach()
         var = bn.running_var.detach()
     inv = T.div(T.sub(x, mean), T.sqrt(T.add(var, Tensor(np.full(
-        bn.num_features, bn.eps, dtype=x.dtype)))))
+        bn.num_features, nn.NORM_EPS, dtype=x.dtype)))))
     return T.add(T.mul(inv, bn.gamma), bn.beta)
 
 
@@ -107,15 +115,15 @@ def layer_norm_composed(ln, x):
         raise T.ShapeError(f"layer_norm: last axis {x.shape[-1]} != {ln.dim}")
     mean = T.tmean(x, axis=-1, keepdims=True)
     var = T.tvar(x, axis=-1, keepdims=True)
-    eps = Tensor(np.asarray(ln.eps, dtype=x.dtype))
+    eps = Tensor(np.asarray(nn.NORM_EPS, dtype=x.dtype))
     xhat = T.div(T.sub(x, mean), T.sqrt(T.add(var, eps)))
     return T.add(T.mul(xhat, ln.gamma), ln.beta)
 
 
 def attention_composed(mha, x):
     """``nn.MultiHeadAttention.forward`` composed of reshape, transpose,
-    matmul, mul, :func:`softmax` and the ``Dropout`` layer's float mask,
-    drawn from the layer's generator at the same point."""
+    :func:`batched_matmul`, mul, :func:`softmax` and the ``Dropout`` layer's
+    float mask, drawn from the layer's generator at the same point."""
     if x.ndim != 3 or x.shape[-1] != mha.dim:
         raise T.ShapeError(f"attention: expected (b, t, {mha.dim}), got {x.shape}")
     b, t, _ = x.shape
@@ -124,9 +132,9 @@ def attention_composed(mha, x):
         return T.transpose(T.reshape(h, (b, t, mha.heads, mha.head_dim)), (0, 2, 1, 3))
 
     q, k, v = split(mha.wq(x)), split(mha.wk(x)), split(mha.wv(x))
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    scores = batched_matmul(q, T.transpose(k, (0, 1, 3, 2)))
     scores = T.mul(scores, Tensor(np.asarray(1.0 / np.sqrt(mha.head_dim), dtype=x.dtype)))
-    ctx = T.matmul(mha.drop(softmax(scores, axis=-1)), v)     # (b, h, t, hd)
+    ctx = batched_matmul(mha.drop(softmax(scores, axis=-1)), v)     # (b, h, t, hd)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, mha.dim))
     return mha.wo(ctx)
 

@@ -8,9 +8,6 @@ from nidkit.baselines import (Autoencoder, DeepSVDD, ae_score,
 from nidkit.data import DataError
 from nidkit.tensor import Tensor
 
-# one row per call, a batch that leaves a remainder, and the default
-SCORE_BATCH_SIZES = (1, 7, 512)
-
 
 class _LinearAE(nn.Module):
     """The autoencoder's four linear maps without its normalization and
@@ -68,14 +65,12 @@ def test_ae_training_reduces_loss():
 
 def test_ae_score_matches_manual_mse():
     rng = np.random.default_rng(7)
-    X = rng.normal(size=(1030, 5))
+    X = rng.normal(size=(1030, 5))     # two full 512-row slices and a remainder
     ae = Autoencoder(5, np.random.default_rng(8), hidden=16, latent=3)
     ae.eval()
     with T.no_grad():
         rec = ae(Tensor(X)).values
-    for batch_size in SCORE_BATCH_SIZES:
-        np.testing.assert_allclose(ae_score(ae, X, batch_size=batch_size),
-                                   np.mean((rec - X) ** 2, axis=1), atol=1e-12)
+    np.testing.assert_allclose(ae_score(ae, X), np.mean((rec - X) ** 2, axis=1), atol=1e-12)
 
 
 def test_svdd_has_zero_bias_parameters():
@@ -91,7 +86,7 @@ def test_svdd_center_is_mean_initial_output():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(33, 6))
     model = DeepSVDD(6, np.random.default_rng(11), widths=(16, 8))
-    c = svdd_init_center(model, X, batch_size=10)
+    c = svdd_init_center(model, X)
     with T.no_grad():
         out = model(Tensor(X)).values
     np.testing.assert_allclose(c, out.mean(axis=0), atol=1e-10)
@@ -110,6 +105,20 @@ def test_svdd_center_fixed_bit_for_bit_during_training():
     assert model.center.values.tobytes() == before
 
 
+def test_train_baseline_fixes_svdd_center_at_mean_initial_output():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(48, 6))
+    model = DeepSVDD(6, np.random.default_rng(13), widths=(16, 8))
+    fixed = DeepSVDD(6, np.random.default_rng(13), widths=(16, 8))
+    expected = svdd_init_center(fixed, X)
+    with T.no_grad():
+        np.testing.assert_allclose(expected, model(Tensor(X)).values.mean(axis=0), atol=1e-10)
+    train_baseline(model, X, svdd_loss, nn.Adam(model, lr=1e-3),
+                   epochs=10, batch_size=16, rng=rng)
+    assert model.center.values.tobytes() == expected.tobytes()
+    assert model.layers[0].weight.values.tobytes() != fixed.layers[0].weight.values.tobytes()
+
+
 def test_svdd_near_zero_center_warns():
     model = DeepSVDD(4, np.random.default_rng(14), widths=(8, 4))
     model.layers[-1].weight.values[:] = 0.0
@@ -117,19 +126,10 @@ def test_svdd_near_zero_center_warns():
         svdd_init_center(model, np.ones((5, 4)))
 
 
-def test_svdd_training_requires_center():
-    model = DeepSVDD(4, np.random.default_rng(15), widths=(8, 4))
-    opt = nn.Adam(model, lr=1e-3)
-    with pytest.raises(nn.ConfigError):
-        train_baseline(model, np.ones((8, 4)), svdd_loss, opt,
-                       epochs=1, batch_size=4, rng=np.random.default_rng(16))
-
-
 def test_svdd_training_reduces_loss():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(64, 8))
     model = DeepSVDD(8, np.random.default_rng(18), widths=(32, 16))
-    svdd_init_center(model, X)
     opt = nn.Adam(model, lr=1e-3)
     hist = train_baseline(model, X, svdd_loss, opt,
                           epochs=30, batch_size=16, rng=rng)
@@ -138,15 +138,13 @@ def test_svdd_training_reduces_loss():
 
 def test_svdd_score_matches_manual_distance():
     rng = np.random.default_rng(19)
-    X = rng.normal(size=(1030, 5))
+    X = rng.normal(size=(1030, 5))     # two full 512-row slices and a remainder
     model = DeepSVDD(5, np.random.default_rng(20), widths=(8, 4))
     svdd_init_center(model, X)
     with T.no_grad():
         out = model(Tensor(X)).values
     expected = np.sum((out - model.center.values) ** 2, axis=1)
-    for batch_size in SCORE_BATCH_SIZES:
-        np.testing.assert_allclose(svdd_score(model, X, batch_size=batch_size),
-                                   expected, atol=1e-12)
+    np.testing.assert_allclose(svdd_score(model, X), expected, atol=1e-12)
 
 
 def test_scores_of_zero_rows_are_an_empty_float_array():

@@ -43,9 +43,9 @@ def test_three_four_five_distance():
 
 def test_batched_fit_matches_full_mean():
     rng = np.random.default_rng(1)
-    X = rng.normal(size=(41, 7))  # deliberately not a multiple of the batch
+    X = rng.normal(size=(1030, 7))  # two full 512-row slices and a remainder
     w = rng.normal(size=(7, 3))
-    det = Detector(_Affine(w)).fit(X, batch_size=7)
+    det = Detector(_Affine(w)).fit(X)
     np.testing.assert_allclose(det.center, (X @ w).mean(axis=0), atol=1e-10)
 
 

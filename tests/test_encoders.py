@@ -220,8 +220,9 @@ def _cnn_im2col_reference(enc, x):
             out = windows @ stage.weight.values + stage.bias.values
             h = np.maximum(out, 0.0).transpose(0, 2, 1)
         else:
-            wo = w // stage.k
-            groups = h[:, :, :wo * stage.k].reshape(b, c, wo, stage.k)
+            k = stage.keywords["k"]         # the pool slot's partial(T.maxpool1xk, k=...)
+            wo = w // k
+            groups = h[:, :, :wo * k].reshape(b, c, wo, k)
             am = np.argmax(groups, axis=-1)
             h = np.take_along_axis(groups, am[..., None], axis=-1)[..., 0]
     return h.reshape(h.shape[0], -1)

@@ -402,6 +402,17 @@ def test_non_finite_loss_fails_the_run_at_train(tmp_path):
     assert "non-finite loss inf at step 0" in rec["error"]
 
 
+@pytest.mark.parametrize("model", ["vicreg", "autoencoder", "deep_svdd"])
+def test_fewer_training_rows_than_a_batch_fail_the_run_at_train(tmp_path, model):
+    # 100 normal rows at train fraction 0.5 leave 50 rows, under one 64-row batch
+    doc = make_doc(model=model, dataset={"synth": {"n_normal": 100, "n_attack": 40, "d": 12,
+                                                   "separation": 6.0, "seed": 3}})
+    result = run_experiment(validate_config(doc, base_dir=tmp_path))
+    rec = yaml.safe_load((result["dir"] / "run0" / "record.yaml").read_text())
+    assert rec["status"] == "failed" and rec["stage"] == "train", rec
+    assert "BatchSizeError: 50 training rows < batch size 64" in rec["error"]
+
+
 def test_non_finite_features_fail_the_run_at_split(tmp_path):
     # a NaN feature would pass relu as 0 and train on finite losses
     ds = synth_generate(300, 80, 12, 6.0, seed=3)
@@ -583,6 +594,15 @@ def test_grid_workers_split_the_cpus_and_keep_the_scores(tmp_path):
                 assert env["row_threads"] == (share if threads.blas_threads() else 1)
                 assert env["view_threads"] == min(env["row_threads"], 2)
                 assert env["blas_threads"] == (share if threads.blas_threads() else None)
+
+
+def test_grid_validates_every_cell_before_running_any(tmp_path):
+    doc = grid_doc(loss={"lam": 25})        # vicreg reads lam, barlow_twins does not
+    with pytest.raises(ConfigError, match="2 invalid cell") as exc:
+        run_grid(doc, base_dir=tmp_path)
+    for aug in ("gaussian_noise", "zero_out"):
+        assert f"barlow_twins/mlp/{aug}: model 'barlow_twins' does not read" in str(exc.value)
+    assert not (tmp_path / "runs").exists()
 
 
 def test_grid_reports_failed_cells_without_stopping(tmp_path):

@@ -397,6 +397,8 @@ def test_shape_errors():
         T.add(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 5))))
     with pytest.raises(T.ShapeError):
         T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
+    with pytest.raises(T.ShapeError, match="matrices"):     # no batched operands
+        T.matmul(T.Tensor(np.ones((2, 2, 3))), T.Tensor(np.ones((3, 2))))
     with pytest.raises(T.ShapeError):
         T.backward(T.mul(T.Tensor(np.ones(3), requires_grad=True), T.Tensor(np.ones(3))))
 
@@ -450,46 +452,6 @@ def test_relu_keeps_nan_and_passes_it_no_gradient():
     np.testing.assert_array_equal(out.values, [np.nan, 0.0, 0.0, 2.0])
     T.backward(T.tsum(T.mul(out, T.Tensor([1.0, 1.0, 1.0, 3.0]))))
     np.testing.assert_array_equal(t.grad, [0.0, 0.0, 0.0, 3.0])
-
-
-# ---------------------------------------------------------------------------
-# matmul with a 2-D right operand broadcasts it over the left operand's
-# leading dims
-
-
-def _stacked_matmul_reference(a, b, g):
-    """The broadcast formulation: per-row products, and a (..., K, N) weight
-    gradient summed down to (K, N)."""
-    gb = a.swapaxes(-1, -2) @ g
-    return a @ b, g @ b.T, gb.reshape(-1, *b.shape).sum(axis=0)
-
-
-@pytest.mark.parametrize("a_shape", [(3, 5, 4), (2, 3, 5, 4), "transposed"],
-                         ids=["3d", "4d", "transposed"])
-def test_folded_matmul_matches_stacked_reference(a_shape):
-    rng = np.random.default_rng(31)
-    if a_shape == "transposed":
-        a = rng.normal(size=(5, 3, 4)).transpose(1, 0, 2)   # not contiguous
-        assert not a.flags.c_contiguous
-    else:
-        a = rng.normal(size=a_shape)
-    b = rng.normal(size=(4, 6))
-    g = rng.normal(size=a.shape[:-1] + (6,))
-    ta, tb = T.Tensor(a, requires_grad=True), T.Tensor(b, requires_grad=True)
-    out = T.matmul(ta, tb)
-    T.backward(T.tsum(T.mul(out, T.Tensor(g))))
-    ref_out, ref_ga, ref_gb = _stacked_matmul_reference(a, b, g)
-    for got, ref in ((out.values, ref_out), (ta.grad, ref_ga), (tb.grad, ref_gb)):
-        assert got.shape == ref.shape
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-
-def test_folded_matmul_grad_fd():
-    rng = np.random.default_rng(32)
-    w = rng.normal(size=(2, 3, 2))
-    check_tensor_grad(lambda ts: _weighted_sum(T.matmul(ts[0], ts[1]), w),
-                      [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2))],
-                      rtol=1e-6, label="folded matmul")
 
 
 @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
