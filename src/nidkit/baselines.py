@@ -1,7 +1,7 @@
 """Reconstruction and one-class baselines trained directly on features.
 
-Both are scored the same way as the representation detector: higher score,
-more anomalous.
+Each module scores itself with ``score(features)``, like the representation
+detector: higher score, more anomalous.
 """
 
 from __future__ import annotations
@@ -35,18 +35,17 @@ class Autoencoder(nn.Module):
             h = T.relu(norm(layer(h)))
         return self.layers[-1](h)
 
+    def score(self, features: np.ndarray) -> np.ndarray:
+        """Per-sample mean squared reconstruction error."""
+        self.eval()
+        errors = nn.infer(lambda x: np.mean((self(Tensor(x)).values - x) ** 2, axis=1),
+                          features)
+        return np.concatenate([np.empty(0), *errors])
+
 
 def reconstruction_loss(model: Autoencoder, batch: Tensor) -> Tensor:
     diff = T.sub(model(batch), batch)
     return T.tmean(T.mul(diff, diff))
-
-
-def ae_score(model: Autoencoder, features: np.ndarray) -> np.ndarray:
-    """Per-sample mean squared reconstruction error."""
-    model.eval()
-    errors = nn.infer(lambda x: np.mean((model(Tensor(x)).values - x) ** 2, axis=1),
-                      features)
-    return np.concatenate([np.empty(0), *errors])
 
 
 class DeepSVDD(nn.Module):
@@ -74,6 +73,13 @@ class DeepSVDD(nn.Module):
                 h = T.relu(h)
         return h
 
+    def score(self, features: np.ndarray) -> np.ndarray:
+        """Squared distance of the network output to the fixed center."""
+        self.eval()
+        dists = nn.infer(lambda x: np.sum((self(Tensor(x)).values - self.center.values) ** 2,
+                                          axis=1), features)
+        return np.concatenate([np.empty(0), *dists])
+
 
 def svdd_init_center(model: DeepSVDD, features: np.ndarray) -> np.ndarray:
     """Fix c at the mean initial-network output over the training set.
@@ -96,14 +102,6 @@ def svdd_init_center(model: DeepSVDD, features: np.ndarray) -> np.ndarray:
 def svdd_loss(model: DeepSVDD, batch: Tensor) -> Tensor:
     diff = T.sub(model(batch), model.center)
     return T.tmean(T.tsum(T.mul(diff, diff), axis=1))
-
-
-def svdd_score(model: DeepSVDD, features: np.ndarray) -> np.ndarray:
-    """Squared distance of the network output to the fixed center."""
-    model.eval()
-    dists = nn.infer(lambda x: np.sum((model(Tensor(x)).values - model.center.values) ** 2,
-                                      axis=1), features)
-    return np.concatenate([np.empty(0), *dists])
 
 
 def train_baseline(model, features: np.ndarray, loss_fn, optimizer: nn.Adam,
@@ -134,8 +132,8 @@ def train_baseline(model, features: np.ndarray, loss_fn, optimizer: nn.Adam,
     return history
 
 
-# name -> (module class, training loss, scorer) of each baseline
+# name -> (module class, training loss) of each baseline
 BASELINES = {
-    "autoencoder": (Autoencoder, reconstruction_loss, ae_score),
-    "deep_svdd": (DeepSVDD, svdd_loss, svdd_score),
+    "autoencoder": (Autoencoder, reconstruction_loss),
+    "deep_svdd": (DeepSVDD, svdd_loss),
 }

@@ -87,14 +87,14 @@ def main(argv=None) -> int:
             result = run_experiment(cfg)
             print(read_report(result["dir"]))
             print(f"artifacts: {result['dir']}")
-            return 0 if result["aggregate"] is not None else 1
+            return 0 if all(r["status"] == "ok" for r in result["records"]) else 1
 
         if args.verb == "grid":
             doc = load_config(args.config)
             result = run_grid(doc, base_dir=args.config.parent,
                               workers=args.workers)
             print((result["dir"] / "grid_report.txt").read_text().rstrip("\n"))
-            return 0 if all(r.get("metrics") for r in result["rows"]) else 1
+            return 0 if all(r["status"] in ("ok", "cached") for r in result["rows"]) else 1
 
         if args.verb == "report":
             print(read_report(args.exp_dir))

@@ -28,7 +28,7 @@ from .ssl_models import MODEL_CLASSES, MODEL_KINDS, WMSE
 CONFIG_VERSION = 1
 CONVENTIONAL_LRS = (1e-2, 1e-3, 1e-4, 1e-5)
 # the keyword parameters of a kind's builder are the keys its section may set
-MODEL_BUILDERS = {**MODEL_CLASSES, **{name: cls for name, (cls, _, _) in BASELINES.items()}}
+MODEL_BUILDERS = {**MODEL_CLASSES, **{name: cls for name, (cls, _) in BASELINES.items()}}
 ENCODER_BUILDERS = {"mlp": MLPEncoder, "cnn": CNNEncoder, "ft_transformer": FTTransformerEncoder}
 
 

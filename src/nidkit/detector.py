@@ -66,13 +66,11 @@ def fit_center(encoder: nn.Module, train_features,
     return Detector(encoder, subset_columns=subset_columns).fit(train_features)
 
 
-def dump_scores(path, ids, scores, labels=None) -> None:
-    """Score CSV: sample_id, score, label (label blank when unknown); the
-    three columns must have equal lengths."""
+def dump_scores(path, ids, scores, labels) -> None:
+    """Score CSV: sample_id, score, label, three columns of equal length."""
     ids = np.asarray(ids)
     scores = np.asarray(scores, dtype=float)
-    labels = ([""] * len(ids) if labels is None
-              else list(map(int, np.asarray(labels).tolist())))
+    labels = list(map(int, np.asarray(labels).tolist()))
     if not len(ids) == len(scores) == len(labels):
         raise ValueError(f"dump_scores: {len(ids)} ids, {len(scores)} scores and "
                          f"{len(labels)} labels")

@@ -15,10 +15,8 @@ import resource
 import sys
 import time
 from copy import deepcopy
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import yaml
@@ -32,26 +30,12 @@ from .data import (atomic_write, load_csv, load_dataset, load_schema,
                    preprocess, protocol_split, synth_generate)
 from .detector import dump_scores, fit_center
 from .encoders import build_encoder, representation_dim
-from .evaluate import (MetricsReport, aggregate_runs, format_aggregate,
-                       format_report, optimal_threshold_metrics)
+from .evaluate import (METRIC_FIELDS, MetricsReport, aggregate_runs,
+                       format_aggregate, format_report, optimal_threshold_metrics)
 from .nn import ConfigError
 from .ssl_models import MODEL_KINDS, build_model, pretrain, view_count
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class RunRecord:
-    config_hash: str
-    seed: int
-    status: str                       # "ok" | "failed"
-    stage: Optional[str] = None       # failing stage when status == "failed"
-    error: Optional[str] = None
-    duration_s: float = 0.0
-    checkpoint: Optional[str] = None
-    loss_first: Optional[float] = None
-    loss_last: Optional[float] = None
-    report: Optional[MetricsReport] = None
 
 
 def load_experiment_dataset(cfg: ExperimentConfig):
@@ -68,7 +52,12 @@ def load_experiment_dataset(cfg: ExperimentConfig):
     return preprocess(raw)
 
 
-def _run_ssl(cfg: ExperimentConfig, train, rng, run_dir: Path):
+def build_run(cfg: ExperimentConfig, train, rng):
+    """The untrained model of any run kind, and a subsets run's k column
+    windows of equal width (None otherwise). ``rng`` draws the subset
+    permutation first, then the encoder(s), then the heads."""
+    if cfg.model in BASELINES:
+        return BASELINES[cfg.model][0](train.n_features, rng, **cfg.loss_params), None
     d = train.n_features
     aug = AugmentationSpec(**cfg.augmentation)
     cols, width = None, d
@@ -81,61 +70,55 @@ def _run_ssl(cfg: ExperimentConfig, train, rng, run_dir: Path):
     model = build_model(cfg.model, lambda: build_encoder(enc_cfg, rng),
                         representation_dim(enc_cfg), rng,
                         dim=cfg.projection_dim, **cfg.loss_params)
+    return model, cols
+
+
+def _train(cfg: ExperimentConfig, model, cols, features, rng, log_path: Path):
+    """Train a built run. Returns its scorer (a baseline scores itself, an
+    SSL run through the ``Detector`` on its frozen encoder), the per-step
+    loss totals and what rescoring needs beyond the weights."""
     optimizer = nn.Adam(model, lr=cfg.learning_rate)
-    history = pretrain(model, train.features, aug, optimizer,
-                       cfg.epochs, cfg.batch_size, rng, columns=cols,
-                       log_path=run_dir / "loss.csv")
-    detector = fit_center(model.encoder, train.features, subset_columns=cols)
-    # what rescoring needs beyond the weights: the centre, and the windows
-    # of a subsets run as a (k, width) array
+    if cfg.model in BASELINES:
+        history = train_baseline(model, features, BASELINES[cfg.model][1], optimizer,
+                                 cfg.epochs, cfg.batch_size, rng, log_path=log_path)
+        return model, history, {}
+    history = pretrain(model, features, AugmentationSpec(**cfg.augmentation), optimizer,
+                       cfg.epochs, cfg.batch_size, rng, columns=cols, log_path=log_path)
+    detector = fit_center(model.encoder, features, subset_columns=cols)
     meta = {"center": detector.center}
     if cols is not None:
         meta["subset_columns"] = cols
-    return model, detector.score, [h.total for h in history], meta
+    return detector, [h.total for h in history], meta
 
 
-def _run_baseline(cfg: ExperimentConfig, train, rng, run_dir: Path):
-    cls, loss_fn, score_fn = BASELINES[cfg.model]
-    model = cls(train.n_features, rng, **cfg.loss_params)
-    optimizer = nn.Adam(model, lr=cfg.learning_rate)
-    history = train_baseline(model, train.features, loss_fn, optimizer,
-                             cfg.epochs, cfg.batch_size, rng,
-                             log_path=run_dir / "loss.csv")
-    return model, (lambda feats: score_fn(model, feats)), history, {}
-
-
-def run_single(cfg: ExperimentConfig, ds, seed: int, run_dir: Path) -> RunRecord:
-    """One seeded run; failures are captured with their stage name."""
+def run_single(cfg: ExperimentConfig, ds, seed: int, run_dir: Path) -> dict:
+    """One seeded run, returned as its ``record.yaml`` document; a failure
+    is recorded with its stage name instead of raised."""
     run_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
+    doc = {"config_hash": cfg.hash, "seed": seed, "status": "ok",
+           "checkpoint": None, "loss_first": None, "loss_last": None}
     stage = "split"
     try:
         train, test = protocol_split(ds, cfg.train_fraction, seed=seed)
         rng = np.random.default_rng(seed)
         stage = "train"
-        if cfg.model in MODEL_KINDS:
-            model, score_fn, totals, meta = _run_ssl(cfg, train, rng, run_dir)
-        else:
-            model, score_fn, totals, meta = _run_baseline(cfg, train, rng, run_dir)
+        model, cols = build_run(cfg, train, rng)
+        scorer, totals, meta = _train(cfg, model, cols, train.features, rng, run_dir / "loss.csv")
         stage = "score"
-        scores = score_fn(test.features)
+        scores = scorer.score(test.features)
         stage = "metrics"
         report = optimal_threshold_metrics(scores, test.labels, seed=seed)
         dump_scores(run_dir / "scores.csv", test.ids, scores, test.labels)
         stage = "checkpoint"
         ckpt = run_dir / "checkpoint.npz"
-        nn.save_checkpoint(ckpt, model,
-                           extra={"config_hash": cfg.hash, "seed": seed, **meta})
-        return RunRecord(
-            config_hash=cfg.hash, seed=seed, status="ok",
-            duration_s=time.perf_counter() - t0, checkpoint=str(ckpt),
-            loss_first=totals[0] if totals else None,
-            loss_last=totals[-1] if totals else None,
-            report=report)
+        nn.save_checkpoint(ckpt, model, extra={"config_hash": cfg.hash, "seed": seed, **meta})
+        doc.update(checkpoint=str(ckpt), loss_first=totals[0], loss_last=totals[-1],
+                   metrics={f: getattr(report, f) for f in (*METRIC_FIELDS, "threshold")})
     except Exception as exc:  # recorded, remaining seeds continue
-        return RunRecord(config_hash=cfg.hash, seed=seed, status="failed",
-                         stage=stage, error=f"{type(exc).__name__}: {exc}",
-                         duration_s=time.perf_counter() - t0)
+        doc.update(status="failed", stage=stage, error=f"{type(exc).__name__}: {exc}")
+    doc.update(duration_s=time.perf_counter() - t0, env=_run_env(cfg))
+    return doc
 
 
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -170,24 +153,6 @@ def _run_env(cfg: ExperimentConfig) -> dict:
             "peak_rss_mb": round(peak, 1)}
 
 
-def _record_doc(rec: RunRecord, cfg: ExperimentConfig) -> dict:
-    doc = {
-        "config_hash": rec.config_hash, "seed": rec.seed, "status": rec.status,
-        "duration_s": rec.duration_s, "checkpoint": rec.checkpoint,
-        "loss_first": rec.loss_first, "loss_last": rec.loss_last,
-        "env": _run_env(cfg),
-    }
-    if rec.status == "failed":
-        doc.update(stage=rec.stage, error=rec.error)
-    if rec.report is not None:
-        doc["metrics"] = {
-            "precision": rec.report.precision, "recall": rec.report.recall,
-            "f1": rec.report.f1, "auroc": rec.report.auroc,
-            "threshold": rec.report.threshold,
-        }
-    return doc
-
-
 def _write_text(path: Path, text: str) -> None:
     with atomic_write(path) as fh:
         fh.write(text)
@@ -205,20 +170,23 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for i in range(cfg.n_runs):
         seed = cfg.base_seed + i
         run_dir = exp_dir / f"run{seed}"
-        rec = run_single(cfg, ds, seed, run_dir)
-        _write_text(run_dir / "record.yaml", yaml.safe_dump(_record_doc(rec, cfg)))
-        records.append(rec)
+        records.append(run_single(cfg, ds, seed, run_dir))
+        _write_text(run_dir / "record.yaml", yaml.safe_dump(records[-1]))
 
-    reports = [r.report for r in records if r.status == "ok"]
-    aggregate = aggregate_runs(reports) if reports else None
+    reports = {r["seed"]: MetricsReport(**r["metrics"], seed=r["seed"])
+               for r in records if r["status"] == "ok"}
+    aggregate = aggregate_runs(list(reports.values())) if reports else None
 
-    lines = [format_report(r.report) if r.status == "ok"
-             else f"run seed={r.seed}: FAILED at {r.stage} ({r.error})"
+    lines = [format_report(reports[r["seed"]]) if r["seed"] in reports
+             else f"run seed={r['seed']}: FAILED at {r['stage']} ({r['error']})"
              for r in records]
     if aggregate is not None:
         lines.append(format_aggregate(aggregate, len(reports)))
     _write_text(exp_dir / "report.txt", "\n".join(lines) + "\n")
-    if aggregate is not None:
+    if aggregate is None:
+        # an earlier run's aggregate would mark this cell complete
+        (exp_dir / "aggregate.yaml").unlink(missing_ok=True)
+    else:
         # the grid treats a cell as complete once n_runs_ok equals its runs
         _write_text(exp_dir / "aggregate.yaml", yaml.safe_dump({
             "config_hash": cfg.hash, "model": cfg.model,
@@ -264,27 +232,33 @@ def _cell_label(cell: dict) -> str:
 
 
 def _run_cell(args):
+    """One grid cell as a report row. A cell is ``cached`` or ``ok`` only
+    when every run succeeded; ``partial`` when some did, ``failed`` when
+    none did."""
     label, cfg = args
     agg_path = Path(cfg.output_dir) / cfg.hash / "aggregate.yaml"
     row = {"cell": label, "model": cfg.model,
            "encoder": cfg.encoder.get("kind", "-"),
            "augmentation": (cfg.augmentation or {}).get("kind", "-"),
-           "hash": cfg.hash}
+           "hash": cfg.hash, "runs": cfg.n_runs, "n_runs_ok": 0, "metrics": None}
     stored = yaml.safe_load(agg_path.read_text()) if agg_path.exists() else None
     if stored and stored.get("n_runs_ok") == cfg.n_runs:
-        row.update(status="cached", metrics=stored["metrics"])
+        row.update(status="cached", n_runs_ok=cfg.n_runs, metrics=stored["metrics"])
         return row
     try:
         result = run_experiment(cfg)
     except Exception as exc:
-        row.update(status="failed", error=f"{type(exc).__name__}: {exc}", metrics=None)
+        row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
         return row
+    failed = [r for r in result["records"] if r["status"] == "failed"]
+    row["n_runs_ok"] = cfg.n_runs - len(failed)
+    if failed:
+        row["error"] = (f"{len(failed)} of {cfg.n_runs} run(s) failed at "
+                        f"{sorted({r['stage'] for r in failed})}")
     if result["aggregate"] is None:
-        failures = {r.stage for r in result["records"]}
-        row.update(status="failed", error=f"all runs failed at {sorted(failures)}",
-                   metrics=None)
+        row["status"] = "failed"
     else:
-        row.update(status="ok",
+        row.update(status="partial" if failed else "ok",
                    metrics={k: [float(m), float(s)]
                             for k, (m, s) in result["aggregate"].items()})
     return row
@@ -331,32 +305,36 @@ def run_grid(doc: dict, base_dir=".", workers: int = 1) -> dict:
 
 
 def _write_grid_report(out_dir: Path, rows, ranking, best_per_model) -> None:
+    """Ranked cells, then unscored ones, each with its n_runs_ok / runs."""
     with atomic_write(out_dir / "grid_report.csv") as fh:
-        fh.write("rank,model,encoder,augmentation,hash,status,"
+        fh.write("rank,model,encoder,augmentation,hash,status,n_runs_ok,runs,"
                  "f1_mean,f1_std,auroc_mean,auroc_std\n")
         for rank, row in enumerate(ranking, start=1):
             f1m, f1s = row["metrics"]["f1"]
             aum, aus = row["metrics"]["auroc"]
             fh.write(f"{rank},{row['model']},{row['encoder']},{row['augmentation']},"
-                     f"{row['hash']},{row['status']},{f1m!r},{f1s!r},{aum!r},{aus!r}\n")
+                     f"{row['hash']},{row['status']},{row['n_runs_ok']},{row['runs']},"
+                     f"{f1m!r},{f1s!r},{aum!r},{aus!r}\n")
         failed = [r for r in rows if not r.get("metrics")]
         for row in failed:
             fh.write(f",{row['model']},{row['encoder']},{row['augmentation']},"
-                     f"{row['hash']},{row['status']},,,,\n")
+                     f"{row['hash']},{row['status']},{row['n_runs_ok']},{row['runs']},,,,\n")
+
+    def tag(row):
+        return f"[{row['status']} {row['n_runs_ok']}/{row['runs']}]"
 
     lines = ["best encoder + augmentation per model (by mean F1):"]
     for model, row in best_per_model.items():
         f1m, f1s = row["metrics"]["f1"]
         lines.append(f"  {model}: {row['encoder']} + {row['augmentation']}"
-                     f"  f1={f1m:.4f}±{f1s:.4f}")
-    lines.append("")
-    lines.append("full ranking:")
+                     f"  f1={f1m:.4f}±{f1s:.4f} {tag(row)}")
+    lines += ["", "full ranking:"]
     for rank, row in enumerate(ranking, start=1):
         f1m, f1s = row["metrics"]["f1"]
-        lines.append(f"  {rank:2d}. {row['cell']:40s} f1={f1m:.4f}±{f1s:.4f} [{row['status']}]")
+        lines.append(f"  {rank:2d}. {row['cell']:40s} f1={f1m:.4f}±{f1s:.4f} {tag(row)}")
     for row in rows:
-        if not row.get("metrics"):
-            lines.append(f"   -. {row['cell']:40s} FAILED: {row.get('error', '?')}")
+        if row["status"] not in ("ok", "cached"):
+            lines.append(f"   -. {row['cell']:40s} {row['status'].upper()}: {row['error']}")
     _write_text(out_dir / "grid_report.txt", "\n".join(lines) + "\n")
 
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from nidkit import nn, tensor as T
-from nidkit.baselines import (Autoencoder, DeepSVDD, ae_score,
-                              reconstruction_loss, svdd_init_center,
-                              svdd_loss, svdd_score, train_baseline)
+from nidkit.baselines import (Autoencoder, DeepSVDD, reconstruction_loss,
+                              svdd_init_center, svdd_loss, train_baseline)
 from nidkit.data import DataError
 from nidkit.tensor import Tensor
 
@@ -70,7 +69,7 @@ def test_ae_score_matches_manual_mse():
     ae.eval()
     with T.no_grad():
         rec = ae(Tensor(X)).values
-    np.testing.assert_allclose(ae_score(ae, X), np.mean((rec - X) ** 2, axis=1), atol=1e-12)
+    np.testing.assert_allclose(ae.score(X), np.mean((rec - X) ** 2, axis=1), atol=1e-12)
 
 
 def test_svdd_has_zero_bias_parameters():
@@ -144,7 +143,7 @@ def test_svdd_score_matches_manual_distance():
     with T.no_grad():
         out = model(Tensor(X)).values
     expected = np.sum((out - model.center.values) ** 2, axis=1)
-    np.testing.assert_allclose(svdd_score(model, X), expected, atol=1e-12)
+    np.testing.assert_allclose(model.score(X), expected, atol=1e-12)
 
 
 def test_scores_of_zero_rows_are_an_empty_float_array():
@@ -152,7 +151,7 @@ def test_scores_of_zero_rows_are_an_empty_float_array():
     ae = Autoencoder(5, rng, hidden=16, latent=3)
     svdd = DeepSVDD(5, rng, widths=(8, 4))
     svdd_init_center(svdd, rng.normal(size=(4, 5)))
-    for scores in (ae_score(ae, np.zeros((0, 5))), svdd_score(svdd, np.zeros((0, 5)))):
+    for scores in (ae.score(np.zeros((0, 5))), svdd.score(np.zeros((0, 5)))):
         assert scores.shape == (0,) and scores.dtype == np.float64
 
 
@@ -172,5 +171,5 @@ def test_center_survives_checkpoint_roundtrip(tmp_path):
     fresh = DeepSVDD(5, np.random.default_rng(24), widths=(8, 4))
     nn.load_checkpoint(path, fresh)
     np.testing.assert_array_equal(fresh.center.values, model.center.values)
-    np.testing.assert_allclose(svdd_score(fresh, X), svdd_score(model, X),
+    np.testing.assert_allclose(fresh.score(X), model.score(X),
                                atol=0)

@@ -137,31 +137,21 @@ def test_score_dump_roundtrip(tmp_path):
     assert [float(r[1]) for r in rows[1:]] == [0.125, 2.5, 0.0625]
 
 
-def test_score_dump_blank_labels(tmp_path):
-    path = tmp_path / "scores.csv"
-    dump_scores(path, ids=[0, 1], scores=[1.0, 2.0])
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[1][2] == "" and rows[2][2] == ""
-
-
-def _dump_scores_rowwise(path, ids, scores, labels=None):
+def _dump_scores_rowwise(path, ids, scores, labels):
     """The row-at-a-time writer ``dump_scores`` must stay byte-equal to."""
-    ids, scores = np.asarray(ids), np.asarray(scores)
+    ids, scores, labels = np.asarray(ids), np.asarray(scores), np.asarray(labels)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "score", "label"])
         for i in range(len(ids)):
-            label = "" if labels is None else int(np.asarray(labels)[i])
-            writer.writerow([ids[i], repr(float(scores[i])), label])
+            writer.writerow([ids[i], repr(float(scores[i])), int(labels[i])])
 
 
-@pytest.mark.parametrize("with_labels", [True, False])
-def test_score_dump_bytes_match_the_rowwise_writer(tmp_path, with_labels):
+def test_score_dump_bytes_match_the_rowwise_writer(tmp_path):
     rng = np.random.default_rng(3)
     ids = rng.permutation(1000)[:300]
     scores = np.concatenate([rng.lognormal(size=297), [0.0, 1e-300, 1.0 / 3.0]])
-    labels = rng.integers(0, 2, size=300) if with_labels else None
+    labels = rng.integers(0, 2, size=300)
     dump_scores(tmp_path / "new.csv", ids, scores, labels)
     _dump_scores_rowwise(tmp_path / "ref.csv", ids, scores, labels)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -169,6 +159,6 @@ def test_score_dump_bytes_match_the_rowwise_writer(tmp_path, with_labels):
 
 def test_score_dump_rejects_mismatched_lengths(tmp_path):
     with pytest.raises(ValueError, match="3 ids, 2 scores"):
-        dump_scores(tmp_path / "s.csv", [1, 2, 3], [0.5, 0.25])
+        dump_scores(tmp_path / "s.csv", [1, 2, 3], [0.5, 0.25], [0, 1, 0])
     with pytest.raises(ValueError, match="2 labels"):
         dump_scores(tmp_path / "s.csv", [1, 2, 3], [0.5, 0.25, 1.0], [0, 1])

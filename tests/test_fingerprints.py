@@ -90,7 +90,7 @@ def fingerprint(name, out_dir):
     cfg = validate_config(_doc(RUNS[name]), base_dir=out_dir)
     result = run_experiment(cfg)
     run_dir = result["dir"] / "run1"
-    assert result["records"][0].status == "ok", result["records"][0].error
+    assert result["records"][0]["status"] == "ok", result["records"][0]
     prints = {f: _sha((run_dir / f).read_bytes()) for f in ("scores.csv", "loss.csv")}
     with np.load(run_dir / "checkpoint.npz", allow_pickle=False) as archive:
         for key in sorted(archive.files):

@@ -15,14 +15,12 @@ import yaml
 
 from nidkit import cli, nn, runner, threads
 from nidkit.augment import KINDS as AUG_KINDS
-from nidkit.baselines import Autoencoder, DeepSVDD, ae_score, svdd_score
-from nidkit.config import config_hash, encoder_config_for, validate_config
+from nidkit.config import config_hash, validate_config
 from nidkit.data import protocol_split, save_dataset, synth_generate
 from nidkit.detector import Detector, dump_scores
-from nidkit.encoders import build_encoder, representation_dim
 from nidkit.nn import ConfigError
 from nidkit.runner import expand_grid, read_report, run_experiment, run_grid
-from nidkit.ssl_models import MODEL_KINDS, build_model
+from nidkit.ssl_models import MODEL_KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -212,34 +210,29 @@ def test_run_experiment_writes_artifacts(tmp_path):
 
 
 def _rebuilt_scorer(cfg, train, seed, meta):
-    """The run's model built afresh from its config and seed, as
-    ``run_single`` builds it, and the scorer that reads it."""
-    rng = np.random.default_rng(seed)
-    d = train.n_features
-    if cfg.model == "autoencoder":
-        model = Autoencoder(d, rng, **cfg.loss_params)
-        return model, lambda x: ae_score(model, x)
-    if cfg.model == "deep_svdd":
-        model = DeepSVDD(d, rng, **cfg.loss_params)
-        return model, lambda x: svdd_score(model, x)
+    """The run's model built afresh by ``runner.build_run`` from its config
+    and seed, and the scorer that reads it with the checkpoint's meta."""
+    model, _ = runner.build_run(cfg, train, np.random.default_rng(seed))
+    if cfg.model not in MODEL_KINDS:
+        return model, model
     cols = meta["subset_columns"].tolist() if "subset_columns" in meta else None
-    enc_cfg = (encoder_config_for(cfg.encoder, len(cols[0])) if cols else
-               encoder_config_for(cfg.encoder, d, list(train.numeric_idx), train.onehot_groups))
-    model = build_model(cfg.model, lambda: build_encoder(enc_cfg, rng),
-                        representation_dim(enc_cfg), rng,
-                        dim=cfg.projection_dim, **cfg.loss_params)
     detector = Detector(model.encoder.eval(), subset_columns=cols)
     detector.center = meta["center"]
-    return model, detector.score
+    return model, detector
 
 
 @pytest.mark.parametrize("over", [
     {},
     {"augmentation": {"kind": "subsets", "k": 3}},
     {"encoder": {"kind": "ft_transformer"}},
+    {"model": "byol"},
+    {"model": "simsiam"},
+    {"model": "barlow_twins"},
+    {"model": "wmse"},
     {"model": "autoencoder"},
     {"model": "deep_svdd"},
-], ids=["vicreg", "vicreg-subsets", "vicreg-ft_transformer", "autoencoder", "deep_svdd"])
+], ids=["vicreg", "vicreg-subsets", "vicreg-ft_transformer", "byol", "simsiam",
+        "barlow_twins", "wmse", "autoencoder", "deep_svdd"])
 def test_checkpoint_rescores_the_stored_test_rows(tmp_path, over):
     cfg = validate_config(make_doc(**over), base_dir=tmp_path)
     run_dir = run_experiment(cfg)["dir"] / "run0"
@@ -251,7 +244,7 @@ def test_checkpoint_rescores_the_stored_test_rows(tmp_path, over):
     if subsets:
         assert meta["subset_columns"].shape[0] == 3
     train, test = protocol_split(runner.load_experiment_dataset(cfg), cfg.train_fraction, seed=0)
-    model, score = _rebuilt_scorer(cfg, train, 0, meta)
+    model, scorer = _rebuilt_scorer(cfg, train, 0, meta)
     if cfg.model in MODEL_KINDS:
         assert meta["center"].shape == (model.projector.fc1.in_features,)
     if cfg.encoder.get("kind") == "ft_transformer":
@@ -259,7 +252,7 @@ def test_checkpoint_rescores_the_stored_test_rows(tmp_path, over):
         assert not np.array_equal(stored["state"]["encoder.embedding"],
                                   model.encoder.embedding.values)
     nn.load_checkpoint(run_dir / "checkpoint.npz", model)
-    dump_scores(tmp_path / "rescored.csv", test.ids, score(test.features), test.labels)
+    dump_scores(tmp_path / "rescored.csv", test.ids, scorer.score(test.features), test.labels)
     assert (tmp_path / "rescored.csv").read_bytes() == (run_dir / "scores.csv").read_bytes()
 
 
@@ -561,12 +554,57 @@ def test_grid_reruns_a_cell_with_a_failed_seed(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "train_baseline", flaky)
     first = run_grid(doc, base_dir=tmp_path)["rows"][0]
+    assert (first["status"], first["n_runs_ok"], first["runs"]) == ("partial", 1, 2)
+    report = (tmp_path / "runs" / "grid_report.txt").read_text()
+    assert "[partial 1/2]" in report and "PARTIAL: 1 of 2 run(s) failed at ['train']" in report
+    csv_rows = [line.split(",") for line in
+                (tmp_path / "runs" / "grid_report.csv").read_text().splitlines()]
+    assert [r[5:8] for r in csv_rows] == [["status", "n_runs_ok", "runs"], ["partial", "1", "2"]]
     agg_path = tmp_path / "runs" / first["hash"] / "aggregate.yaml"
     assert yaml.safe_load(agg_path.read_text())["n_runs_ok"] == 1
     again = run_grid(doc, base_dir=tmp_path)["rows"][0]
     assert again["status"] == "ok" and len(calls) == 4
     assert yaml.safe_load(agg_path.read_text())["n_runs_ok"] == 2
     assert run_grid(doc, base_dir=tmp_path)["rows"][0]["status"] == "cached"
+
+
+def test_cli_exits_1_when_one_seed_fails(tmp_path, monkeypatch, capsys):
+    calls, real = [], runner.train_baseline
+
+    def every_second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) % 2 == 0:
+            raise RuntimeError("interrupted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "train_baseline", every_second_fails)
+    doc = grid_doc(runs=2)
+    doc["grid"] = {"model": ["autoencoder"]}
+    (tmp_path / "grid.yaml").write_text(yaml.safe_dump(doc))
+    assert cli.main(["grid", str(tmp_path / "grid.yaml")]) == 1
+    assert "[partial 1/2]" in capsys.readouterr().out
+    (tmp_path / "exp.yaml").write_text(yaml.safe_dump(make_doc(model="autoencoder", runs=2)))
+    assert cli.main(["run", str(tmp_path / "exp.yaml"), "--output-dir", str(tmp_path / "one")]) == 1
+    assert "FAILED at train" in capsys.readouterr().out
+
+
+def test_a_rerun_in_which_every_seed_fails_removes_the_old_aggregate(tmp_path, monkeypatch):
+    doc = grid_doc()
+    doc["grid"] = {"model": ["autoencoder"]}
+    first = run_grid(doc, base_dir=tmp_path)["rows"][0]
+    assert first["status"] == "ok"
+    cfg = validate_config({**doc["base"], "model": "autoencoder"}, base_dir=tmp_path)
+    assert cfg.hash == first["hash"]
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(runner, "train_baseline", crash)
+    result = run_experiment(cfg)
+    assert "FAILED at train" in read_report(result["dir"])
+    assert not (result["dir"] / "aggregate.yaml").exists()
+    again = run_grid(doc, base_dir=tmp_path)["rows"][0]
+    assert (again["status"], again["metrics"]) == ("failed", None)
 
 
 def test_grid_workers_split_the_cpus_and_keep_the_scores(tmp_path):
