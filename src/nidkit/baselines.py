@@ -63,7 +63,7 @@ class DeepSVDD(nn.Module):
         dims = [input_dim, *widths]
         self.layers = [nn.Linear(dims[i], dims[i + 1], rng, bias=False)
                        for i in range(len(dims) - 1)]
-        self.center = Tensor(np.zeros(dims[-1]))
+        self.center = Tensor(np.zeros(dims[-1], T.DTYPE))
 
     def forward(self, x: Tensor) -> Tensor:
         h = x

@@ -23,6 +23,7 @@ import numpy as np
 import yaml
 
 from . import threads
+from .tensor import DTYPE
 
 DATASET_CACHE_VERSION = 1
 SCHEMA_VERSION = 1
@@ -483,28 +484,46 @@ def preprocess(raw: RawTable) -> Dataset:
 # Protocol split
 
 
-def _renormalize(train_feat, other_feat, numeric_idx, feature_names, norm_stats):
-    """Min-max each numeric column with training-split statistics."""
-    stats = dict(norm_stats)
-    for j in numeric_idx:
-        lo = float(train_feat[:, j].min())
-        hi = float(train_feat[:, j].max())
-        name = feature_names[j]
+# rows per block of the split's cast to the compute dtype: a float64 copy of
+# the whole split would set the peak memory of a large one
+_CAST_ROWS = 4096
+
+
+def _train_stats(ds: Dataset, train_idx):
+    """The composed (raw min, raw max) statistics of the numeric columns over
+    the training rows, and the ``lo`` and ``span`` that min-max those columns
+    as ``(x - lo) / span``; a column constant over them is only shifted."""
+    values = ds.features[np.ix_(train_idx, ds.numeric_idx)]
+    lo, hi = values.min(axis=0), values.max(axis=0)
+    stats = dict(ds.norm_stats)
+    for j, name in enumerate(ds.feature_names[k] for k in ds.numeric_idx):
+        raw_lo, raw_hi = float(lo[j]), float(hi[j])
         # compose with whatever affine map produced the current values
         if name in stats:
             old_lo, old_hi = stats[name]
-            raw_lo = old_lo + lo * (old_hi - old_lo)
-            raw_hi = old_lo + hi * (old_hi - old_lo)
-        else:
-            raw_lo, raw_hi = lo, hi
+            raw_lo, raw_hi = (old_lo + raw_lo * (old_hi - old_lo),
+                              old_lo + raw_hi * (old_hi - old_lo))
         stats[name] = (raw_lo, raw_hi)
-        if hi == lo:
-            train_feat[:, j] = 0.0
-            other_feat[:, j] = other_feat[:, j] - lo
-        else:
-            train_feat[:, j] = (train_feat[:, j] - lo) / (hi - lo)
-            other_feat[:, j] = (other_feat[:, j] - lo) / (hi - lo)
-    return stats
+    return stats, lo, np.where(hi == lo, 1.0, hi - lo)
+
+
+def _cast_rows(ds: Dataset, idx, lo, span):
+    """Rows ``idx`` in the compute dtype, numeric columns min-maxed in
+    float64 first, a row block at a time. Raises ``DataError`` naming the
+    columns that leave the dtype's finite range."""
+    out = np.empty((len(idx), ds.n_features), DTYPE)
+    finite = np.ones(ds.n_features, dtype=bool)
+    with np.errstate(over="ignore"):
+        for i in range(0, len(idx), _CAST_ROWS):
+            block = ds.features[idx[i:i + _CAST_ROWS]]
+            block[:, ds.numeric_idx] = (block[:, ds.numeric_idx] - lo) / span
+            out[i:i + _CAST_ROWS] = block
+            finite &= np.isfinite(out[i:i + _CAST_ROWS]).all(axis=0)
+    if not finite.all():
+        names = [ds.feature_names[j] for j in np.flatnonzero(~finite)]
+        raise DataError(f"protocol_split: feature column(s) {names} hold values beyond "
+                        f"{np.dtype(DTYPE).name} range")
+    return out
 
 
 def protocol_split(ds: Dataset, train_fraction_of_normals: float = 0.5,
@@ -513,7 +532,9 @@ def protocol_split(ds: Dataset, train_fraction_of_normals: float = 0.5,
 
     Numeric columns are re-normalized with statistics of the training split
     only; because min-max composition is affine, this equals normalizing the
-    raw values with train statistics (no test leakage).
+    raw values with train statistics (no test leakage). The statistics and
+    the re-normalization are float64; both splits' features are then cast to
+    the compute dtype, ``nidkit.tensor.DTYPE``.
     """
     normal = np.flatnonzero(ds.labels == 0)
     attack = np.flatnonzero(ds.labels == 1)
@@ -533,19 +554,15 @@ def protocol_split(ds: Dataset, train_fraction_of_normals: float = 0.5,
     train_idx = np.sort(order[:n_train])
     test_idx = np.sort(np.concatenate([order[n_train:], attack]))
 
-    # an index array makes copies, which _renormalize then writes in place
-    train_feat = ds.features[train_idx]
-    test_feat = ds.features[test_idx]
-    stats = _renormalize(train_feat, test_feat, ds.numeric_idx,
-                         ds.feature_names, ds.norm_stats)
+    stats, lo, span = _train_stats(ds, train_idx)
 
-    mk = lambda feat, idx: Dataset(
-        features=feat, labels=ds.labels[idx],
+    mk = lambda idx: Dataset(
+        features=_cast_rows(ds, idx, lo, span), labels=ds.labels[idx],
         feature_names=list(ds.feature_names),
         numeric_idx=ds.numeric_idx.copy(),
         onehot_groups={k: list(v) for k, v in ds.onehot_groups.items()},
         norm_stats=stats, ids=ds.ids[idx])
-    return mk(train_feat, train_idx), mk(test_feat, test_idx)
+    return mk(train_idx), mk(test_idx)
 
 
 # ---------------------------------------------------------------------------

@@ -191,16 +191,14 @@ class FTTransformerEncoder(nn.Module):
 
         std = 1.0 / np.sqrt(token_dim)
         n_num = len(self.numeric_cols)
-        self.num_weight = Tensor(rng.normal(scale=std, size=(n_num, token_dim)),
-                                 requires_grad=True)
-        self.num_bias = Tensor(rng.normal(scale=std, size=(n_num, token_dim)),
-                               requires_grad=True)
+        draw = lambda rows: rng.normal(scale=std, size=(rows, token_dim)).astype(T.DTYPE)
+        self.num_weight = Tensor(draw(n_num), requires_grad=True)
+        self.num_bias = Tensor(draw(n_num), requires_grad=True)
         # one table for every group's categories, group g's rows from
         # offsets[g] on; no groups, no table (Adam needs every gradient)
         sizes = [len(cols) for cols in self.group_cols]
         self.offsets = np.cumsum([0] + sizes[:-1])
-        self.embedding = Tensor(rng.normal(scale=std, size=(sum(sizes), token_dim)),
-                                requires_grad=True) if sizes else None
+        self.embedding = Tensor(draw(sum(sizes)), requires_grad=True) if sizes else None
         self.blocks = [_TransformerBlock(token_dim, heads, dropout, rng)
                        for _ in range(layers)]
 

@@ -139,7 +139,7 @@ class Module:
 
 def _kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return rng.uniform(-bound, bound, size=shape).astype(T.DTYPE)
 
 
 class Linear(Module):
@@ -153,7 +153,7 @@ class Linear(Module):
         self.weight = Tensor(
             _kaiming_uniform(rng, in_features, (in_features, out_features)),
             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(out_features, T.DTYPE), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
@@ -171,10 +171,10 @@ class BatchNorm1d(Module):
     def __init__(self, num_features: int):
         super().__init__()
         self.num_features = num_features
-        self.gamma = Tensor(np.ones(num_features), requires_grad=True)
-        self.beta = Tensor(np.zeros(num_features), requires_grad=True)
-        self.running_mean = Tensor(np.zeros(num_features))
-        self.running_var = Tensor(np.ones(num_features))
+        self.gamma = Tensor(np.ones(num_features, T.DTYPE), requires_grad=True)
+        self.beta = Tensor(np.zeros(num_features, T.DTYPE), requires_grad=True)
+        self.running_mean = Tensor(np.zeros(num_features, T.DTYPE))
+        self.running_var = Tensor(np.ones(num_features, T.DTYPE))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.num_features:
@@ -201,8 +201,8 @@ class LayerNorm(Module):
     def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
-        self.gamma = Tensor(np.ones(dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True)
+        self.gamma = Tensor(np.ones(dim, T.DTYPE), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim, T.DTYPE), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.dim:
@@ -274,7 +274,7 @@ class Conv2d1xW(Module):
         self.weight = Tensor(
             _kaiming_uniform(rng, fan_in, (fan_in, out_channels)),
             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_channels, T.DTYPE), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.conv1xw(x, self.weight, self.bias, self.kernel_width)

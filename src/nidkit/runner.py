@@ -112,7 +112,11 @@ def run_single(cfg: ExperimentConfig, ds, seed: int, run_dir: Path) -> dict:
         dump_scores(run_dir / "scores.csv", test.ids, scores, test.labels)
         stage = "checkpoint"
         ckpt = run_dir / "checkpoint.npz"
-        nn.save_checkpoint(ckpt, model, extra={"config_hash": cfg.hash, "seed": seed, **meta})
+        # the train split's (min, max) per numeric feature, to normalise raw rows
+        norm = {"norm_names": list(train.norm_stats),
+                "norm_stats": np.array(list(train.norm_stats.values()), np.float64).reshape(-1, 2)}
+        nn.save_checkpoint(ckpt, model, extra={"config_hash": cfg.hash, "seed": seed,
+                                               **meta, **norm})
         doc.update(checkpoint=str(ckpt), loss_first=totals[0], loss_last=totals[-1],
                    metrics={f: getattr(report, f) for f in (*METRIC_FIELDS, "threshold")})
     except Exception as exc:  # recorded, remaining seeds continue

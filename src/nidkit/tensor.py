@@ -95,6 +95,11 @@ class SingularityError(ArithmeticError):
 
 ArrayLike = Union[float, int, Sequence, np.ndarray]
 
+# the compute dtype: every layer builds its parameters and buffers in it and
+# the protocol split emits its features in it, so a run computes in it
+# throughout. Statistics, scores and metrics stay float64.
+DTYPE = np.float32
+
 # ---------------------------------------------------------------------------
 # Tape machinery
 

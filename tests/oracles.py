@@ -192,6 +192,15 @@ def both_operand_gradients():
             setattr(T, name, op)
 
 
+def as_dtype(module, dtype=np.float64):
+    """``module`` with every parameter and buffer cast to ``dtype``. Layers
+    build float32 (``nidkit.tensor.DTYPE``); the finite-difference checks and
+    the tests that pin float64 precision build float64 modules through this."""
+    for _, t in [*module.named_parameters(), *module.named_buffers()]:
+        t.values = t.values.astype(dtype)
+    return module
+
+
 def finite_difference_grad(fn, arrays, wrt, h=1e-5):
     """Central-difference gradient of scalar-valued ``fn`` w.r.t. arrays[wrt].
 

@@ -35,7 +35,7 @@ from nidkit.ssl_models import (MODEL_KINDS, barlow_twins_loss, build_model,
                                byol_loss, pretrain, simsiam_loss, vicreg_loss,
                                whiten_slice, wmse_loss)
 from nidkit.tensor import Tensor
-from oracles import cnn_stage_shapes, exp, log, negate, power, softmax
+from oracles import as_dtype, cnn_stage_shapes, exp, log, negate, power, softmax
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -206,12 +206,12 @@ def _encoder_cases(rng):
     cases = []
 
     mlp_cfg = EncoderConfig(kind="mlp", input_width=12, hidden_dim=16)
-    mlp = build_encoder(mlp_cfg, rng)
+    mlp = as_dtype(build_encoder(mlp_cfg, rng))
     x_mlp = Tensor(rng.normal(size=(5, 12)))
     cases.append(("encoder_mlp", _trainable(mlp), lambda: _sq_mean(mlp(x_mlp))))
 
     cnn_cfg = EncoderConfig(kind="cnn", input_width=40)
-    cnn = build_encoder(cnn_cfg, rng)
+    cnn = as_dtype(build_encoder(cnn_cfg, rng))
     x_cnn = Tensor(rng.normal(size=(3, 40)))
     cases.append(("encoder_cnn", _trainable(cnn), lambda: _sq_mean(cnn(x_cnn))))
 
@@ -219,7 +219,7 @@ def _encoder_cases(rng):
                            numeric_cols=list(range(7)),
                            cat_groups={"proto": [7, 8, 9]},
                            token_dim=8, heads=2, layers=1, dropout=0.0)
-    ft = build_encoder(ft_cfg, rng)
+    ft = as_dtype(build_encoder(ft_cfg, rng))
     x_ft = rng.normal(size=(4, 10))
     x_ft[:, 7:10] = 0.0
     x_ft[np.arange(4), 7 + rng.integers(0, 3, size=4)] = 1.0
@@ -263,8 +263,8 @@ def _model_cases(rng):
     for kind in MODEL_KINDS:
         cfg = EncoderConfig(kind="mlp", input_width=10, hidden_dim=8)
         hyper = {"slice_size": 6} if kind == "wmse" else {}
-        model = build_model(kind, lambda: build_encoder(cfg, rng), 8, rng,
-                            dim=8, **hyper)
+        model = as_dtype(build_model(kind, lambda: build_encoder(cfg, rng), 8, rng,
+                                     dim=8, **hyper))
         leaves = (_trainable(model.predictor) if kind == "simsiam"
                   else _trainable(model))
         cases.append((f"model_{kind}", leaves,

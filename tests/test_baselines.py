@@ -6,6 +6,7 @@ from nidkit.baselines import (Autoencoder, DeepSVDD, reconstruction_loss,
                               svdd_init_center, svdd_loss, train_baseline)
 from nidkit.data import DataError
 from nidkit.tensor import Tensor
+from oracles import as_dtype
 
 
 class _LinearAE(nn.Module):
@@ -164,11 +165,11 @@ def test_svdd_empty_train_set_raises():
 def test_center_survives_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(22)
     X = rng.normal(size=(16, 5))
-    model = DeepSVDD(5, np.random.default_rng(23), widths=(8, 4))
+    model = as_dtype(DeepSVDD(5, np.random.default_rng(23), widths=(8, 4)))
     svdd_init_center(model, X)
     path = tmp_path / "svdd.npz"
     nn.save_checkpoint(path, model)
-    fresh = DeepSVDD(5, np.random.default_rng(24), widths=(8, 4))
+    fresh = as_dtype(DeepSVDD(5, np.random.default_rng(24), widths=(8, 4)))
     nn.load_checkpoint(path, fresh)
     np.testing.assert_array_equal(fresh.center.values, model.center.values)
     np.testing.assert_allclose(fresh.score(X), model.score(X),

@@ -121,17 +121,33 @@ def test_branches_under_frequent_thread_switches(monkeypatch):
 @threaded
 def test_views_run_on_their_own_threads_under_the_blas_hold(monkeypatch):
     threads._planned = 2
-    seen, record = [], T._record
+    seen, record, branches, steps = [], T._record, T.branches, []
 
     def spy(output, inputs, backward_fn):
-        seen.append((threading.get_ident(), threads.blas_threads()))
+        seen.append(threads.blas_threads())
         record(output, inputs, backward_fn)
 
+    def together(fns):
+        # each view waits until the other has started, so a step whose views
+        # do not run at once on two threads times out. Idents are counted per
+        # step: each step makes a new helper thread, whose ident may be new
+        both, idents = threading.Barrier(len(fns), timeout=10), []
+
+        def run(fn):
+            idents.append(threading.get_ident())
+            both.wait()
+            return fn()
+
+        out = branches([lambda fn=fn: run(fn) for fn in fns])
+        steps.append(len(set(idents)))
+        return out
+
     monkeypatch.setattr(T, "_record", spy)
+    monkeypatch.setattr(T, "branches", together)
     before = threads.blas_threads()
     _train("vicreg", "mlp", {"kind": "gaussian_noise"})
-    assert len({ident for ident, _ in seen}) == 2
-    assert {blas for _, blas in seen} == {1}          # budget 2 // 2 views
+    assert steps == [2, 2]
+    assert set(seen) == {1}          # budget 2 // 2 views
     assert threads.blas_threads() == before
 
 

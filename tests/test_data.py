@@ -370,6 +370,37 @@ def test_split_rejects_non_finite_features():
         protocol_split(ds)
 
 
+def test_split_rejects_values_beyond_float32_range():
+    # finite in float64, inf once cast: a huge one-hot cell (the split leaves
+    # it unscaled) and a numeric cell far outside the training range, both
+    # in attack rows, which the test split holds
+    ds = synth_generate(60, 10, d=10, separation=1.0, seed=9)
+    attacks = np.flatnonzero(ds.labels == 1)
+    ds.features[attacks[0], 4] = 1e200
+    ds.features[attacks[1], 1] = 1e300
+    with pytest.raises(DataError, match=r"feature column\(s\) \['num1', 'cat0=1'\] hold "
+                                        r"values beyond float32 range"):
+        protocol_split(ds)
+
+
+@pytest.mark.parametrize("block_rows", [7, 4096])
+def test_split_features_are_the_float64_renormalisation_cast_to_float32(monkeypatch,
+                                                                         block_rows):
+    monkeypatch.setattr(data, "_CAST_ROWS", block_rows)
+    ds = synth_generate(100, 30, d=12, separation=3.0, seed=6)
+    ds.features[ds.labels == 0, 2] = 0.25      # constant on the train rows: only shifted
+    train, test = protocol_split(ds, seed=1)
+    parts = [ds.features[np.searchsorted(ds.ids, p.ids)] for p in (train, test)]
+    for j in ds.numeric_idx:
+        lo, hi = parts[0][:, j].min(), parts[0][:, j].max()
+        for part in parts:
+            part[:, j] = part[:, j] - lo if hi == lo else (part[:, j] - lo) / (hi - lo)
+    assert train.features.dtype == test.features.dtype == np.float32
+    assert train.features.tobytes() == parts[0].astype(np.float32).tobytes()
+    assert test.features.tobytes() == parts[1].astype(np.float32).tobytes()
+    assert np.any(test.features[:, 2] != 0.0)
+
+
 def test_split_rejects_a_fraction_that_leaves_no_training_rows():
     ds = synth_generate(100, 10, d=10, separation=1.0, seed=9)
     with pytest.raises(DataError, match="leaves no training rows"):

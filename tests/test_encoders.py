@@ -12,8 +12,8 @@ from nidkit import encoders, nn, ssl_models, tensor as T
 from nidkit.augment import AugmentationSpec, make_views
 from nidkit.data import SchemaError
 from nidkit.tensor import Tensor
-from oracles import (both_operand_gradients, check_module_grad, cnn_stage_shapes,
-                     composed_layers)
+from oracles import (as_dtype, both_operand_gradients, check_module_grad,
+                     cnn_stage_shapes, composed_layers)
 
 
 @pytest.fixture(autouse=True)
@@ -52,7 +52,7 @@ def test_mlp_width_guard():
 
 
 def test_mlp_grad():
-    enc = encoders.MLPEncoder(5, rng_(7), hidden_dim=6)
+    enc = as_dtype(encoders.MLPEncoder(5, rng_(7), hidden_dim=6))
     check_module_grad(enc, [rng_(8).normal(size=(4, 5))],
                       lambda m, ts: m(ts[0]), rtol=1e-4, label="mlp",
                       max_coords_per_param=10)
@@ -91,7 +91,7 @@ def test_cnn_guard_names_failing_layer():
 
 
 def test_cnn_grad():
-    enc = encoders.CNNEncoder(36, rng_(14))
+    enc = as_dtype(encoders.CNNEncoder(36, rng_(14)))
     check_module_grad(enc, [rng_(15).normal(size=(2, 36))],
                       lambda m, ts: m(ts[0]), rtol=1e-4, label="cnn",
                       max_coords_per_param=6)
@@ -153,7 +153,7 @@ def test_ft_eval_deterministic_with_dropout():
 
 
 def test_ft_grad_single_layer():
-    enc = _toy_ft(layers=1, seed=19)
+    enc = as_dtype(_toy_ft(layers=1, seed=19))
     check_module_grad(enc, [_toy_batch(b=3, seed=20)],
                       lambda m, ts: m(ts[0]), rtol=1e-4, label="ft",
                       max_coords_per_param=8, check_inputs=False)

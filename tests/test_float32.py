@@ -1,12 +1,15 @@
-"""float32 in, float32 through: no op, loss or augmentation promotes a
-float32 input to float64, forward or backward. The engine has no dtype
-setting; the data's dtype is the compute dtype."""
+"""float32 is the compute dtype, ``nidkit.tensor.DTYPE``, with no setting:
+layers build float32 parameters and buffers, the protocol split emits float32
+features, and no op, loss or augmentation promotes a float32 input to
+float64, forward or backward. So a run computes in float32 from its split to
+its checkpoint; statistics, scores and metrics stay float64."""
 
 import numpy as np
 import pytest
 
-from nidkit import encoders, ssl_models, tensor as T
+from nidkit import encoders, nn, runner, ssl_models, tensor as T
 from nidkit.augment import KINDS, AugmentationSpec, make_views, subset_columns
+from nidkit.config import validate_config
 from nidkit.tensor import Tensor
 
 F32 = np.float32
@@ -92,9 +95,8 @@ def test_op_keeps_float32(name, monkeypatch):
     assert seen and set(seen) == {np.dtype(F32)}
 
 
-def _as_float32(module):
-    for _, t in [*module.named_parameters(), *module.named_buffers()]:
-        t.values = t.values.astype(F32)
+def _dtypes(module):
+    return {t.dtype for _, t in [*module.named_parameters(), *module.named_buffers()]}
 
 
 @pytest.mark.parametrize("kind, encoder", [
@@ -109,7 +111,7 @@ def test_compute_loss_keeps_float32(kind, encoder, monkeypatch):
                                  layers=1)
     model = ssl_models.build_model(kind, lambda: encoders.build_encoder(cfg, rng),
                                    encoders.representation_dim(cfg), rng, dim=16)
-    _as_float32(model)
+    assert _dtypes(model) == {np.dtype(F32)}
     batch = rng.normal(size=(64, width)).astype(F32)
     batch[:, -4:] = np.eye(4, dtype=F32)[rng.integers(0, 4, size=64)]
     seen = _float32_gradients(monkeypatch)
@@ -128,3 +130,48 @@ def test_make_views_keeps_float32(kind):
     views = make_views(batch, AugmentationSpec(kind=kind), rng, donor_pool=batch,
                        columns=columns)
     assert [v.dtype for v in views.views] == [F32] * len(views.views)
+
+
+@pytest.mark.parametrize("over", [
+    {"model": "vicreg"},
+    {"model": "vicreg", "encoder": {"kind": "cnn"}},
+    {"model": "vicreg", "encoder": {"kind": "ft_transformer"}},
+    {"model": "autoencoder"},
+    {"model": "deep_svdd"},
+], ids=["vicreg-mlp", "vicreg-cnn", "vicreg-ft_transformer", "autoencoder", "deep_svdd"])
+def test_a_run_computes_in_float32(tmp_path, monkeypatch, over):
+    seen = {"split": [], "moments": set()}
+    split, build, step = runner.protocol_split, runner.build_run, nn.Adam.step
+
+    def spy_split(*args, **kwargs):
+        parts = split(*args, **kwargs)
+        seen["split"] += [p.features.dtype for p in parts]
+        return parts
+
+    def spy_build(*args):
+        seen["model"], cols = build(*args)
+        return seen["model"], cols
+
+    def spy_step(adam):
+        step(adam)
+        seen["moments"] |= {m.dtype for m in [*adam._m.values(), *adam._v.values()]}
+
+    monkeypatch.setattr(runner, "protocol_split", spy_split)
+    monkeypatch.setattr(runner, "build_run", spy_build)
+    monkeypatch.setattr(nn.Adam, "step", spy_step)
+    doc = {"version": 1, "model": "vicreg",
+           "dataset": {"synth": {"n_normal": 300, "n_attack": 60, "d": 40,
+                                 "separation": 3.0, "seed": 1}},
+           "encoder": {"kind": "mlp", "hidden_dim": 32},
+           "augmentation": {"kind": "gaussian_noise"},
+           "training": {"epochs": 1, "batch_size": 64, "projection_dim": 16},
+           **over}
+    record = runner.run_experiment(validate_config(doc, base_dir=tmp_path))["records"][0]
+    assert record["status"] == "ok", record
+    f32 = {np.dtype(F32)}
+    assert set(seen["split"]) == f32 and seen["moments"] == f32
+    assert _dtypes(seen["model"]) == f32
+    stored = nn.load_checkpoint(record["checkpoint"])
+    assert {a.dtype for a in stored["state"].values()} == f32    # Deep SVDD's centre too
+    if doc["model"] == "vicreg":
+        assert stored["meta"]["center"].dtype == F32

@@ -5,7 +5,7 @@ import pytest
 
 from nidkit import nn, tensor as T
 from nidkit.tensor import Tensor
-from oracles import check_module_grad
+from oracles import as_dtype, check_module_grad
 
 
 @pytest.fixture(autouse=True)
@@ -39,7 +39,7 @@ def test_linear_shape_error():
 
 
 def test_linear_grad():
-    lin = nn.Linear(4, 3, rng_(2))
+    lin = as_dtype(nn.Linear(4, 3, rng_(2)))
     check_module_grad(lin, [rng_(3).normal(size=(5, 4))],
                       lambda m, ts: m(ts[0]), rtol=1e-6, label="linear")
 
@@ -71,7 +71,7 @@ def test_batchnorm_batch_size_guard():
 
 
 def test_batchnorm_eval_uses_running_stats():
-    bn = nn.BatchNorm1d(2)
+    bn = as_dtype(nn.BatchNorm1d(2))
     x = rng_(6).normal(size=(16, 2))
     bn(Tensor(x))
     # hand-computed: running = 0.9 * init + 0.1 * batch
@@ -95,7 +95,7 @@ def test_batchnorm_running_stats_frozen_in_eval():
 
 
 def test_batchnorm_grad():
-    bn = nn.BatchNorm1d(3)
+    bn = as_dtype(nn.BatchNorm1d(3))
     bn.gamma.values = rng_(9).normal(size=3)
     bn.beta.values = rng_(10).normal(size=3)
     check_module_grad(bn, [rng_(11).normal(size=(8, 3))],
@@ -114,7 +114,7 @@ def test_layernorm_rows_standardized():
 
 
 def test_layernorm_grad():
-    ln = nn.LayerNorm(4)
+    ln = as_dtype(nn.LayerNorm(4))
     ln.gamma.values = rng_(13).normal(size=4)
     check_module_grad(ln, [rng_(14).normal(size=(3, 6, 4))],
                       lambda m, ts: m(ts[0]), rtol=1e-4, label="layernorm")
@@ -162,10 +162,10 @@ def test_conv_width_guard():
 
 
 def test_conv_grad():
-    conv = nn.Conv2d1xW(1, 3, 2, rng_(22))
+    conv = as_dtype(nn.Conv2d1xW(1, 3, 2, rng_(22)))
     check_module_grad(conv, [rng_(23).normal(size=(1, 8, 1))],
                       lambda m, ts: m(ts[0]), rtol=1e-5, label="conv")
-    multi = nn.Conv2d1xW(2, 3, 3, rng_(24))
+    multi = as_dtype(nn.Conv2d1xW(2, 3, 3, rng_(24)))
     check_module_grad(multi, [rng_(25).normal(size=(2, 7, 2))],
                       lambda m, ts: m(ts[0]), rtol=1e-5, label="conv-multi")
 
@@ -239,7 +239,7 @@ def test_attention_head_divisibility():
 
 
 def test_attention_grad():
-    mha = nn.MultiHeadAttention(8, 2, rng_(32))
+    mha = as_dtype(nn.MultiHeadAttention(8, 2, rng_(32)))
     check_module_grad(mha, [rng_(33).normal(size=(2, 3, 8))],
                       lambda m, ts: m(ts[0]), rtol=1e-4, label="attention")
 

@@ -244,6 +244,10 @@ def test_checkpoint_rescores_the_stored_test_rows(tmp_path, over):
     if subsets:
         assert meta["subset_columns"].shape[0] == 3
     train, test = protocol_split(runner.load_experiment_dataset(cfg), cfg.train_fraction, seed=0)
+    # the train split's statistics, to normalise raw rows
+    assert meta["norm_names"].tolist() == list(train.norm_stats)
+    assert meta["norm_stats"].dtype == np.float64
+    np.testing.assert_array_equal(meta["norm_stats"], list(train.norm_stats.values()))
     model, scorer = _rebuilt_scorer(cfg, train, 0, meta)
     if cfg.model in MODEL_KINDS:
         assert meta["center"].shape == (model.projector.fc1.in_features,)
@@ -381,10 +385,10 @@ def test_failed_runs_record_stage_and_do_not_abort_later_seeds(tmp_path):
 
 
 def test_non_finite_loss_fails_the_run_at_train(tmp_path):
-    # finite but huge one-hot cells (the split leaves them unscaled) make
-    # the first reconstruction loss overflow to inf
+    # huge one-hot cells (the split leaves them unscaled) fit in float32,
+    # but the first reconstruction loss overflows to inf
     ds = synth_generate(300, 80, 12, 6.0, seed=3)
-    ds.features[:, ds.onehot_groups["cat0"][0]] *= 1e200
+    ds.features[:, ds.onehot_groups["cat0"][0]] *= 1e30
     save_dataset(tmp_path / "huge.npz", ds)
     cfg = validate_config(make_doc(dataset={"cache": "huge.npz"}, model="autoencoder"),
                           base_dir=tmp_path)

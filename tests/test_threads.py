@@ -14,6 +14,7 @@ import pytest
 from nidkit import encoders, threads, tensor as T
 from nidkit.data import SchemaError
 from nidkit.tensor import Tensor
+from oracles import as_dtype
 
 ROWS = (1, 2, 63, 64, 65, 127, 128, 129, 196, 512, 513)
 
@@ -62,15 +63,19 @@ def _spy(enc):
 
 @pytest.mark.parametrize("kind", ["cnn", "ft_transformer"])
 def test_rowwise_is_bit_equal_to_the_one_batch_forward(kind):
-    enc = _encoder(kind).eval()
-    x = _batch(max(ROWS))
-    for n in ROWS:
-        with T.no_grad():
-            ref = enc._forward(Tensor(x[:n])).values
-            for budget in (1, 2, 3):
-                threads._planned = budget
-                np.testing.assert_array_equal(enc(Tensor(x[:n])).values, ref,
-                                              err_msg=f"{kind}, {n} rows, budget {budget}")
+    # on float32 and float64: sgemm and dgemm take different small-matrix kernels
+    for dtype in (np.float32, np.float64):
+        enc = as_dtype(_encoder(kind), dtype).eval()
+        x = _batch(max(ROWS)).astype(dtype)
+        for n in ROWS:
+            with T.no_grad():
+                ref = enc._forward(Tensor(x[:n])).values
+                for budget in (1, 2, 3):
+                    threads._planned = budget
+                    out = enc(Tensor(x[:n])).values
+                    assert out.dtype == dtype
+                    np.testing.assert_array_equal(
+                        out, ref, err_msg=f"{kind}, {dtype.__name__}, {n} rows, budget {budget}")
 
 
 def test_rowwise_under_frequent_thread_switches():
