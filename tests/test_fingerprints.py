@@ -1,4 +1,4 @@
-"""Same bits across commits: sha256 fingerprints of nine seed-1 runs.
+"""Same bits across commits: sha256 fingerprints of eleven seed-1 runs.
 
 ``fingerprints.yaml`` holds, for each run below, the sha256 of its
 ``scores.csv``, its ``loss.csv`` and every array of its ``checkpoint.npz``.
@@ -28,7 +28,7 @@ from nidkit.runner import run_experiment
 
 FILE = Path(__file__).with_name("fingerprints.yaml")
 
-# name -> the overrides of one run; a tiny schedule keeps all nine at seconds
+# name -> the overrides of one run; a tiny schedule keeps all eleven at seconds
 RUNS = {
     "byol-mlp": {"model": "byol", "augmentation": {"kind": "gaussian_noise"}},
     "simsiam-mlp": {"model": "simsiam", "augmentation": {"kind": "mixup"}},
@@ -39,6 +39,8 @@ RUNS = {
     "vicreg-ft_transformer": {"model": "vicreg", "encoder": {"kind": "ft_transformer"}},
     "autoencoder": {"model": "autoencoder"},
     "deep_svdd": {"model": "deep_svdd"},
+    "byol-mlp-mixup": {"model": "byol", "augmentation": {"kind": "mixup"}},
+    "vicreg-mlp-subsets": {"model": "vicreg", "augmentation": {"kind": "subsets", "k": 2}},
 }
 
 
