@@ -6,10 +6,10 @@ columns are treated as ordinary features). Each function is pure given its
 per-element masks.
 
 Five kinds act in input space; ``mixup`` is special — it mixes encoder
-*outputs*, so the trainer applies it after the encoder rather than here on
-raw rows. ``subsets`` is also special in that its views are feature slices
-cut by column lists the caller draws once (:func:`subset_columns`) and
-reuses at test time.
+*outputs*, so its views are the raw batch plus the partner rows drawn here,
+which the trainer mixes after the encoder. ``subsets`` is also special in
+that its views are feature slices cut by column lists the caller draws once
+(:func:`subset_columns`) and reuses at test time.
 """
 
 from __future__ import annotations
@@ -60,18 +60,24 @@ class AugmentationSpec:
         if self.kind == "mixup" and not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"mixup: alpha={self.alpha} outside [0, 1]")
 
+    @property
+    def n_views(self) -> int:
+        """Views, and so branches, in each step under this spec."""
+        return self.k if self.kind == "subsets" else 2
+
 
 @dataclass
 class ViewSet:
     """Views produced from one source batch.
 
     ``views`` holds >= 2 arrays; subsets views differ in meaning but share
-    width. ``representation_space`` marks view sets that must be built after
-    the encoder (mixup).
+    width. A mixup set also holds each view's ``partners`` (row indices) and
+    the ``alpha`` that mixes a row's representation with its partner's.
     """
 
     views: list
-    representation_space: bool = False
+    partners: Optional[list] = None
+    alpha: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +193,8 @@ def make_views(batch: np.ndarray, spec: AugmentationSpec,
 
     Input-space kinds corrupt the batch independently per view, two views;
     subsets cuts one view per column list of ``columns`` (from
-    :func:`subset_columns`); mixup defers to the trainer (returns the
-    uncorrupted batch twice, flagged representation_space).
+    :func:`subset_columns`); mixup returns the uncorrupted batch twice with
+    each view's partner rows, for the trainer to mix after the encoder.
     """
     batch = np.asarray(batch)
     if spec.kind == "subsets":
@@ -196,7 +202,8 @@ def make_views(batch: np.ndarray, spec: AugmentationSpec,
             raise ConfigError("subsets: columns are required")
         return ViewSet(views=[batch[:, c] for c in columns])
     if spec.kind == "mixup":
-        return ViewSet(views=[batch.copy(), batch.copy()], representation_space=True)
+        return ViewSet(views=[batch, batch], alpha=spec.alpha,
+                       partners=[mixup_partners(len(batch), rng) for _ in range(2)])
     if spec.kind == "swap_noise" and donor_pool is None:
         raise ConfigError("swap_noise: donor_pool is required")
     corrupt = {

@@ -23,12 +23,14 @@ from .baselines import BASELINES
 from .encoders import (CNNEncoder, EncoderConfig, FTTransformerEncoder,
                        MLPEncoder)
 from .nn import ConfigError
-from .ssl_models import MODEL_CLASSES, MODEL_KINDS, WMSE
+from .ssl_models import MODEL_CLASSES, MODEL_KINDS, wmse_loss
 
 CONFIG_VERSION = 1
 CONVENTIONAL_LRS = (1e-2, 1e-3, 1e-4, 1e-5)
-# the keyword parameters of a kind's builder are the keys its section may set
-MODEL_BUILDERS = {**MODEL_CLASSES, **{name: cls for name, (cls, _) in BASELINES.items()}}
+# the keyword parameters of a kind's builder are the keys its section may set;
+# a symmetric SSL kind's ``loss:`` keys are its loss function's
+MODEL_BUILDERS = {**{kind: cls.loss or cls for kind, cls in MODEL_CLASSES.items()},
+                  **{name: cls for name, (cls, _) in BASELINES.items()}}
 ENCODER_BUILDERS = {"mlp": MLPEncoder, "cnn": CNNEncoder, "ft_transformer": FTTransformerEncoder}
 
 
@@ -152,7 +154,7 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
         # a slice of n rows has a covariance of rank <= n - 1: below the
         # embedding width the whitening jitter fills the missing directions
         slice_size = int(loss_params.get(
-            "slice_size", inspect.signature(WMSE).parameters["slice_size"].default))
+            "slice_size", inspect.signature(wmse_loss).parameters["slice_size"].default))
         if slice_size <= projection_dim:
             warnings.warn(f"{source}: wmse slice_size {slice_size} <= projection_dim "
                           f"{projection_dim}, so each slice's covariance has rank <= "

@@ -33,7 +33,7 @@ from .encoders import build_encoder, representation_dim
 from .evaluate import (METRIC_FIELDS, MetricsReport, aggregate_runs,
                        format_aggregate, format_report, optimal_threshold_metrics)
 from .nn import ConfigError
-from .ssl_models import MODEL_KINDS, build_model, pretrain, view_count
+from .ssl_models import MODEL_KINDS, build_model, pretrain
 
 log = logging.getLogger(__name__)
 
@@ -150,8 +150,7 @@ def _run_env(cfg: ExperimentConfig) -> dict:
     process's peak RSS so far."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss   # KiB; bytes on macOS
     peak /= 2.0 ** (20 if sys.platform == "darwin" else 10)
-    views = (view_count(AugmentationSpec(**cfg.augmentation))
-             if cfg.model in MODEL_KINDS else 1)
+    views = AugmentationSpec(**cfg.augmentation).n_views if cfg.model in MODEL_KINDS else 1
     return {**_static_env(), "blas_threads": threads.blas_threads(),
             "row_threads": threads.budget(), "view_threads": min(threads.budget(), views),
             "peak_rss_mb": round(peak, 1)}

@@ -16,6 +16,7 @@ inverse per 32-row sub-batch and branch.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import nn, tensor as T, threads
-from .augment import AugmentationSpec, ViewSet, make_views, mixup_partners
+from .augment import AugmentationSpec, ViewSet, make_views
 from .nn import BatchSizeError, CheckpointError, ConfigError
 from .tensor import Tensor
 
@@ -86,7 +87,7 @@ def barlow_twins_loss(z: Tensor, z2: Tensor, lambda_bt: float = 5e-3):
 
     C = (1/b) Zhat^T Zhat' on batch-standardized embeddings; the on-diagonal
     term pulls C_ii to 1, the off-diagonal term (weighted lambda_bt) pushes
-    C_ij to 0. Returns (loss tensor, LossBreakdown).
+    C_ij to 0. Returns (loss tensor, terms).
     """
     if z.shape[0] < 2:
         raise BatchSizeError("barlow_twins: need batch size >= 2")
@@ -97,8 +98,7 @@ def barlow_twins_loss(z: Tensor, z2: Tensor, lambda_bt: float = 5e-3):
     on_diag = T.tsum(T.mul(miss, miss))
     off_diag = _offdiag_sumsq(c)
     total = T.add(on_diag, T.mul(off_diag, lambda_bt))
-    return total, LossBreakdown(total=float(total.values), terms={
-        "on_diag": float(on_diag.values), "off_diag": float(off_diag.values)})
+    return total, {"on_diag": float(on_diag.values), "off_diag": float(off_diag.values)}
 
 
 def _vicreg_branch_terms(z: Tensor, gamma: float, eps: float):
@@ -119,7 +119,7 @@ def vicreg_loss(z: Tensor, z2: Tensor, lam: float = 25.0, mu: float = 25.0,
     total = lam * mean elementwise (z - z')^2
           + mu * [hinge(z) + hinge(z')]          (per-dim std vs gamma)
           + nu * [covpen(z) + covpen(z')]        (off-diag^2 / d per branch)
-    Batch statistics use population denominators. Returns (tensor, breakdown).
+    Batch statistics use population denominators. Returns (tensor, terms).
     """
     if z.shape[0] < 2:
         raise BatchSizeError("vicreg: need batch size >= 2")
@@ -130,10 +130,8 @@ def vicreg_loss(z: Tensor, z2: Tensor, lam: float = 25.0, mu: float = 25.0,
     var_term = T.add(h1, h2)
     cov_term = T.add(c1, c2)
     total = T.add(T.add(T.mul(inv, lam), T.mul(var_term, mu)), T.mul(cov_term, nu))
-    return total, LossBreakdown(total=float(total.values), terms={
-        "invariance": float(inv.values),
-        "variance": float(var_term.values),
-        "covariance": float(cov_term.values)})
+    return total, {"invariance": float(inv.values), "variance": float(var_term.values),
+                   "covariance": float(cov_term.values)}
 
 
 def whiten_slice(x: Tensor, eps: float = 1e-4) -> Tensor:
@@ -147,10 +145,10 @@ def whiten_slice(x: Tensor, eps: float = 1e-4) -> Tensor:
     return T.transpose(T.triangular_solve(l, T.transpose(centered)))
 
 
-def wmse_loss(z: Tensor, z2: Tensor, slice_size: int = 32, eps: float = 1e-4) -> Tensor:
+def wmse_loss(z: Tensor, z2: Tensor, slice_size: int = 32, eps: float = 1e-4):
     """Whitening MSE: l2-normalize rows, slice the batch, whiten each branch's
     sub-batch independently, and compare elementwise. Remainder rows beyond
-    the last full sub-batch are dropped."""
+    the last full sub-batch are dropped. Returns (tensor, no terms)."""
     if slice_size < 2:
         raise ConfigError(f"wmse: slice_size {slice_size} must be >= 2")
     b = z.shape[0]
@@ -167,7 +165,7 @@ def wmse_loss(z: Tensor, z2: Tensor, slice_size: int = 32, eps: float = 1e-4) ->
         diff = T.sub(w1, w2)
         term = T.tmean(T.mul(diff, diff))
         acc = term if acc is None else T.add(acc, term)
-    return T.mul(acc, 1.0 / n_slices)
+    return T.mul(acc, 1.0 / n_slices), {}
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +217,20 @@ def _mixup_tensor(y: Tensor, alpha: float, partners: np.ndarray) -> Tensor:
 
 class SSLModel(nn.Module):
     """Shared plumbing: encoder -> (optional representation mixup) -> projector,
-    multi-view pair averaging, per-kind pair loss."""
+    multi-view pair averaging, per-kind pair loss. A symmetric kind declares
+    ``loss(z, z2, **objective)``, which returns (tensor, terms); the keywords
+    given at build time are its ``objective``."""
 
     kind = "base"
     term_names: tuple = ()
+    loss = None
 
     def __init__(self, encoder: nn.Module, rep_dim: int,
-                 rng: np.random.Generator, dim: int = 256):
+                 rng: np.random.Generator, dim: int = 256, **objective):
         super().__init__()
+        if objective:   # a keyword the loss does not take fails here, not at step 1
+            inspect.signature(self.loss).bind(None, None, **objective)
+        self.objective = objective
         self.encoder = encoder
         self.projector = ProjectionHead(rep_dim, rng, dim=dim)
 
@@ -236,15 +240,19 @@ class SSLModel(nn.Module):
         """The dropout masks of one view's pass, drawn now."""
         return self.encoder.keep_masks(rows)
 
-    def _view_state(self, view: Tensor, partners: Optional[np.ndarray],
-                    alpha: float) -> dict:
-        y = self.encoder(view)
+    @staticmethod
+    def _embed(encoder, projector, view: Tensor, partners: Optional[np.ndarray],
+               alpha: Optional[float]) -> Tensor:
+        y = encoder(view)
         if partners is not None:
             y = _mixup_tensor(y, alpha, partners)
-        return {"z": self.projector(y)}
+        return projector(y)
+
+    def _view_state(self, view, partners, alpha) -> dict:
+        return {"z": self._embed(self.encoder, self.projector, view, partners, alpha)}
 
     def _pair_loss(self, si: dict, sj: dict):
-        raise NotImplementedError
+        return self.loss(si["z"], sj["z"], **self.objective)
 
     def after_step(self) -> None:
         """Post-optimizer hook (EMA update for BYOL)."""
@@ -255,27 +263,21 @@ class SSLModel(nn.Module):
         with nn.masks_drawn(masks):
             return self._view_state(view, partners, alpha)
 
-    def compute_loss(self, view_set: ViewSet, alpha: float = 0.9,
-                     rng: Optional[np.random.Generator] = None):
+    def compute_loss(self, view_set: ViewSet):
         """Mean pairwise loss over all C(k, 2) view pairs.
 
-        Mixup view sets get per-view partner rows drawn here; the same
-        partners are reused for every branch pass of that view. Each view's
-        pass (``_view_state``) runs as a branch (:func:`T.branches`), its
-        dropout masks drawn here first, view by view, in the order one
-        thread draws them; only the pair losses join the views.
+        A mixup view set carries each view's partner rows, used by every
+        branch pass of that view. Each view's pass (``_view_state``) runs as
+        a branch (:func:`T.branches`), its dropout masks drawn here first,
+        view by view, in the order one thread draws them; only the pair
+        losses join the views.
         """
         views = [Tensor(v) for v in view_set.views]
         if len(views) < 2:
             raise ConfigError("need at least two views")
-        partners = [None] * len(views)
-        if view_set.representation_space:
-            if rng is None:
-                raise ConfigError("mixup views need an rng for partner draws")
-            partners = [mixup_partners(v.shape[0], rng) for v in views]
-
+        partners = view_set.partners or [None] * len(views)
         masks = [self.keep_masks(v.shape[0]) for v in views]
-        states = T.branches([partial(self._branch, v, p, m, alpha)
+        states = T.branches([partial(self._branch, v, p, m, view_set.alpha)
                              for v, p, m in zip(views, partners, masks)])
         total, terms, n_pairs = None, {}, 0
         for i in range(len(states)):
@@ -314,10 +316,8 @@ class BYOL(SSLModel):
     def _view_state(self, view, partners, alpha):
         state = super()._view_state(view, partners, alpha)
         state["q"] = self.predictor(state["z"])
-        yt = self.target_encoder(view)
-        if partners is not None:
-            yt = _mixup_tensor(yt, alpha, partners)
-        state["t"] = self.target_projector(yt).detach()
+        state["t"] = self._embed(self.target_encoder, self.target_projector,
+                                 view, partners, alpha).detach()
         return state
 
     def _pair_loss(self, si, sj):
@@ -351,42 +351,18 @@ class SimSiam(SSLModel):
 class BarlowTwins(SSLModel):
     kind = "barlow_twins"
     term_names = ("on_diag", "off_diag")
-
-    def __init__(self, encoder, rep_dim, rng, dim=256, lambda_bt=5e-3):
-        super().__init__(encoder, rep_dim, rng, dim=dim)
-        self.lambda_bt = lambda_bt
-
-    def _pair_loss(self, si, sj):
-        loss, br = barlow_twins_loss(si["z"], sj["z"], self.lambda_bt)
-        return loss, br.terms
+    loss = staticmethod(barlow_twins_loss)
 
 
 class VICReg(SSLModel):
     kind = "vicreg"
     term_names = ("invariance", "variance", "covariance")
-
-    def __init__(self, encoder, rep_dim, rng, dim=256, lam=25.0, mu=25.0,
-                 nu=1.0, gamma=1.0, eps=1e-4):
-        super().__init__(encoder, rep_dim, rng, dim=dim)
-        self.lam, self.mu, self.nu = lam, mu, nu
-        self.gamma, self.eps = gamma, eps
-
-    def _pair_loss(self, si, sj):
-        loss, br = vicreg_loss(si["z"], sj["z"], self.lam, self.mu, self.nu,
-                               self.gamma, self.eps)
-        return loss, br.terms
+    loss = staticmethod(vicreg_loss)
 
 
 class WMSE(SSLModel):
     kind = "wmse"
-
-    def __init__(self, encoder, rep_dim, rng, dim=256, slice_size=32, eps=1e-4):
-        super().__init__(encoder, rep_dim, rng, dim=dim)
-        self.slice_size = slice_size
-        self.eps = eps
-
-    def _pair_loss(self, si, sj):
-        return wmse_loss(si["z"], sj["z"], self.slice_size, self.eps), {}
+    loss = staticmethod(wmse_loss)
 
 
 MODEL_CLASSES = {cls.kind: cls for cls in (BYOL, SimSiam, BarlowTwins, VICReg, WMSE)}
@@ -406,13 +382,11 @@ def build_model(kind: str, encoder_factory, rep_dim: int,
 # Training loop
 
 
-def train_step(model: SSLModel, view_set: ViewSet, optimizer: nn.Adam,
-               alpha: float = 0.9,
-               rng: Optional[np.random.Generator] = None) -> LossBreakdown:
+def train_step(model: SSLModel, view_set: ViewSet, optimizer: nn.Adam) -> LossBreakdown:
     """One optimization step: forward all views, backward, ADAM, EMA hook."""
     T.reset_tape()
     model.zero_grad()
-    loss, breakdown = model.compute_loss(view_set, alpha=alpha, rng=rng)
+    loss, breakdown = model.compute_loss(view_set)
     T.backward(loss)
     optimizer.step()
     model.after_step()
@@ -433,15 +407,11 @@ def pretrain(model: SSLModel, features: np.ndarray, spec: AugmentationSpec,
 
     def step(batch):
         view_set = make_views(batch, spec, rng, donor_pool=features, columns=columns)
-        return train_step(model, view_set, optimizer, alpha=spec.alpha, rng=rng)
+        return train_step(model, view_set, optimizer)
 
     # the views share the budget's threads. BLAS stays held for every step
     # (a worker it woke for the loss would spin against the view threads)
-    with threads.blas_held(max(1, threads.budget() // view_count(spec))):
+    with threads.blas_held(max(1, threads.budget() // spec.n_views)):
         return nn.fit(step, features, epochs, batch_size, rng, log_path=log_path,
                       term_names=model.term_names)
 
-
-def view_count(spec: AugmentationSpec) -> int:
-    """Views, and so branches, in each step under ``spec``."""
-    return spec.k if spec.kind == "subsets" else 2

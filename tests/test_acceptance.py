@@ -243,7 +243,7 @@ def _loss_function_cases(rng):
     cases.append(("loss_vicreg", [v1, v2], lambda: vicreg_loss(v1, v2)[0]))
     w1, w2 = _leaf(rng, (8, 3)), _leaf(rng, (8, 3))
     cases.append(("loss_wmse", [w1, w2],
-                  lambda: wmse_loss(w1, w2, slice_size=4)))
+                  lambda: wmse_loss(w1, w2, slice_size=4)[0]))
     return cases
 
 
@@ -344,7 +344,7 @@ def test_criterion_03_loss_endpoints():
     checks["barlow identity"] = abs(float(barlow_twins_loss(gt, gt)[0].values))
     checks["vicreg satisfied"] = abs(float(vicreg_loss(gt, gt)[0].values))
     wt = Tensor(rng.normal(size=(16, 4)))
-    checks["wmse identical"] = abs(float(wmse_loss(wt, wt, slice_size=8).values))
+    checks["wmse identical"] = abs(float(wmse_loss(wt, wt, slice_size=8)[0].values))
 
     worst = max(checks.values())
     _verdict(3, worst < 1e-8, f"worst endpoint deviation {worst:.2e} (< 1e-8)")

@@ -235,7 +235,7 @@ def test_make_views_input_space_kinds():
     spec = AugmentationSpec(kind="swap_noise", p=0.5)
     vs = make_views(batch, spec, np.random.default_rng(20), donor_pool=donors)
     assert isinstance(vs, ViewSet) and len(vs.views) == 2
-    assert not vs.representation_space
+    assert vs.partners is None
     assert not np.array_equal(vs.views[0], vs.views[1])  # independent draws
     for v in vs.views:
         assert v.shape == batch.shape
@@ -257,13 +257,18 @@ def test_make_views_subsets_and_mixup_special_cases():
     cols = subset_columns(8, 2, 0.0, np.arange(8))
     vs = make_views(batch, AugmentationSpec(kind="subsets", k=2),
                     np.random.default_rng(23), columns=cols)
-    assert len(vs.views) == 2 and not vs.representation_space
+    assert len(vs.views) == 2 and vs.partners is None
     with pytest.raises(ConfigError):
         make_views(batch, AugmentationSpec(kind="subsets", k=2),
                    np.random.default_rng(24))
     vs = make_views(batch, AugmentationSpec(kind="mixup", alpha=0.9),
                     np.random.default_rng(25))
-    assert vs.representation_space
+    # each view's partner rows, drawn in view order after nothing else
+    rng = np.random.default_rng(25)
+    assert vs.alpha == 0.9
+    for got, want in zip(vs.partners, [mixup_partners(6, rng), mixup_partners(6, rng)],
+                         strict=True):
+        np.testing.assert_array_equal(got, want)
     for v in vs.views:
         np.testing.assert_array_equal(v, batch)
     with pytest.raises(ConfigError):

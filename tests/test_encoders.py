@@ -246,7 +246,7 @@ def _vicreg_cnn(batch, width=40):
                                    encoders.representation_dim(cfg), rng, dim=256)
     views = make_views(rng.normal(size=(batch, width)),
                        AugmentationSpec(kind="random_shuffle"), rng)
-    return model, views, lambda: ssl_models.train_step(model, views, nn.Adam(model), rng=rng)
+    return model, views, lambda: ssl_models.train_step(model, views, nn.Adam(model))
 
 
 def test_vicreg_cnn_step_peak_memory():
@@ -329,7 +329,7 @@ def _vicreg_step_grads(kind, composed):
     views = make_views(_tabular_batch(48, 12, 85), AugmentationSpec(kind="gaussian_noise"), rng)
     T.reset_tape()
     with composed_layers() if composed else nullcontext():
-        loss, _ = model.compute_loss(views, rng=rng)
+        loss, _ = model.compute_loss(views)
         T.backward(loss)
     T.reset_tape()
     return (float(loss.values), {n: p.grad for n, p in model.named_parameters()},
@@ -374,7 +374,7 @@ def test_train_step_moves_every_leaf_that_gets_a_gradient(kind, width, monkeypat
     monkeypatch.setattr(Tensor, "_accumulate", spy)
     views = make_views(_tabular_batch(48, width, 90), AugmentationSpec(kind="gaussian_noise"),
                        rng)
-    ssl_models.train_step(model, views, nn.Adam(model), rng=rng)
+    ssl_models.train_step(model, views, nn.Adam(model))
     assert graded
     assert not [t.shape for k, t in graded.items() if k not in before]     # not parameters
     assert not [t.shape for k, t in graded.items() if np.array_equal(t.values, before[k])]
@@ -424,7 +424,7 @@ def test_vicreg_ft_step_peak_memory():
     views = make_views(_tabular_batch(64, 40, 89), AugmentationSpec(kind="random_shuffle"), rng)
     tracemalloc.start()
     try:
-        ssl_models.train_step(model, views, nn.Adam(model), rng=rng)
+        ssl_models.train_step(model, views, nn.Adam(model))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

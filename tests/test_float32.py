@@ -116,7 +116,7 @@ def test_compute_loss_keeps_float32(kind, encoder, monkeypatch):
     batch[:, -4:] = np.eye(4, dtype=F32)[rng.integers(0, 4, size=64)]
     seen = _float32_gradients(monkeypatch)
     loss, _ = model.compute_loss(make_views(batch, AugmentationSpec(kind="gaussian_noise"),
-                                            rng), rng=rng)
+                                            rng))
     assert loss.dtype == F32
     T.backward(loss)
     assert seen and set(seen) == {np.dtype(F32)}

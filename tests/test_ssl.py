@@ -153,9 +153,9 @@ def test_barlow_twins_zero_at_identity_correlation():
     m = rng.normal(size=(b, d))
     q, _ = np.linalg.qr(m - m.mean(0))
     z = q * np.sqrt(b)  # column var exactly 1, mean 0
-    loss, br = S.barlow_twins_loss(Tensor(z), Tensor(z.copy()))
+    loss, terms = S.barlow_twins_loss(Tensor(z), Tensor(z.copy()))
     assert abs(float(loss.values)) < 1e-8
-    assert abs(br.terms["on_diag"]) < 1e-8
+    assert abs(terms["on_diag"]) < 1e-8
 
 
 def test_barlow_twins_antiparallel_diag():
@@ -164,21 +164,21 @@ def test_barlow_twins_antiparallel_diag():
     m = rng.normal(size=(b, d))
     q, _ = np.linalg.qr(m - m.mean(0))
     z = q * np.sqrt(b)
-    loss, br = S.barlow_twins_loss(Tensor(z), Tensor(-z))
-    assert abs(br.terms["on_diag"] - 4.0 * d) < 1e-7
+    loss, terms = S.barlow_twins_loss(Tensor(z), Tensor(-z))
+    assert abs(terms["on_diag"] - 4.0 * d) < 1e-7
 
 
 def test_barlow_twins_matches_oracle():
     rng = rng_(8)
     z = rng.normal(size=(8, 4))
     z2 = rng.normal(size=(8, 4))
-    loss, br = S.barlow_twins_loss(Tensor(z), Tensor(z2), lambda_bt=5e-3)
+    loss, terms = S.barlow_twins_loss(Tensor(z), Tensor(z2), lambda_bt=5e-3)
     total, on, off = bt_oracle(z, z2, 5e-3)
     assert abs(float(loss.values) - total) < 1e-10
-    assert abs(br.terms["on_diag"] - on) < 1e-10
-    assert abs(br.terms["off_diag"] - off) < 1e-10
+    assert abs(terms["on_diag"] - on) < 1e-10
+    assert abs(terms["off_diag"] - off) < 1e-10
     # breakdown recombines to the total
-    assert abs(br.terms["on_diag"] + 5e-3 * br.terms["off_diag"] - br.total) < 1e-10
+    assert abs(terms["on_diag"] + 5e-3 * terms["off_diag"] - float(loss.values)) < 1e-10
 
 
 def test_vicreg_zero_when_conditions_hold():
@@ -197,7 +197,7 @@ def test_vicreg_zero_when_conditions_hold():
 
 def test_vicreg_constant_batch_hinge():
     z = np.full((6, 4), 1.7)
-    loss, br = S.vicreg_loss(Tensor(z), Tensor(z.copy()),
+    loss, terms = S.vicreg_loss(Tensor(z), Tensor(z.copy()),
                              lam=25.0, mu=25.0, nu=1.0, gamma=1.0, eps=1e-4)
     expected = 2.0 * 25.0 * (1.0 - np.sqrt(1e-4))
     assert abs(float(loss.values) - expected) < 1e-10
@@ -207,22 +207,22 @@ def test_vicreg_matches_oracle():
     rng = rng_(9)
     z = rng.normal(size=(8, 4))
     z2 = rng.normal(size=(8, 4))
-    loss, br = S.vicreg_loss(Tensor(z), Tensor(z2))
+    loss, terms = S.vicreg_loss(Tensor(z), Tensor(z2))
     total, inv, var, cov = vicreg_oracle(z, z2)
     assert abs(float(loss.values) - total) < 1e-10
-    assert abs(br.terms["invariance"] - inv) < 1e-10
-    assert abs(br.terms["variance"] - var) < 1e-10
-    assert abs(br.terms["covariance"] - cov) < 1e-10
-    combo = 25.0 * br.terms["invariance"] + 25.0 * br.terms["variance"] + br.terms["covariance"]
-    assert abs(combo - br.total) < 1e-10
+    assert abs(terms["invariance"] - inv) < 1e-10
+    assert abs(terms["variance"] - var) < 1e-10
+    assert abs(terms["covariance"] - cov) < 1e-10
+    combo = 25.0 * terms["invariance"] + 25.0 * terms["variance"] + terms["covariance"]
+    assert abs(combo - float(loss.values)) < 1e-10
 
 
 def test_wmse_identity_and_oracle():
     rng = rng_(10)
     z = rng.normal(size=(8, 3))
-    assert abs(float(S.wmse_loss(Tensor(z), Tensor(z.copy()), slice_size=4).values)) < 1e-12
+    assert abs(float(S.wmse_loss(Tensor(z), Tensor(z.copy()), slice_size=4)[0].values)) < 1e-12
     z2 = rng.normal(size=(8, 3))
-    ours = float(S.wmse_loss(Tensor(z), Tensor(z2), slice_size=4).values)
+    ours = float(S.wmse_loss(Tensor(z), Tensor(z2), slice_size=4)[0].values)
     assert abs(ours - wmse_oracle(z, z2, 4)) < 1e-10
 
 
@@ -238,8 +238,8 @@ def test_wmse_remainder_rows_dropped():
     rng = rng_(12)
     z = rng.normal(size=(10, 3))
     z2 = rng.normal(size=(10, 3))
-    full = float(S.wmse_loss(Tensor(z), Tensor(z2), slice_size=4).values)
-    trimmed = float(S.wmse_loss(Tensor(z[:8]), Tensor(z2[:8]), slice_size=4).values)
+    full = float(S.wmse_loss(Tensor(z), Tensor(z2), slice_size=4)[0].values)
+    trimmed = float(S.wmse_loss(Tensor(z[:8]), Tensor(z2[:8]), slice_size=4)[0].values)
     assert full == trimmed
 
 
@@ -253,7 +253,7 @@ def test_whitening_runs_without_scipy_linalg():
         "from nidkit.ssl_models import wmse_loss\n"
         "rng = np.random.default_rng(0)\n"
         "z = T.Tensor(rng.normal(size=(64, 40)), requires_grad=True)\n"
-        "T.backward(wmse_loss(z, T.Tensor(rng.normal(size=(64, 40)))))\n"
+        "T.backward(wmse_loss(z, T.Tensor(rng.normal(size=(64, 40))))[0])\n"
         "assert np.isfinite(z.grad).all() and z.grad.any()\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
     src = str(Path(S.__file__).resolve().parents[1])
@@ -308,7 +308,7 @@ def test_vicreg_loss_grad():
 
 def test_wmse_loss_grad():
     rng = rng_(17)
-    check_tensor_grad(lambda ts: S.wmse_loss(ts[0], ts[1], slice_size=4),
+    check_tensor_grad(lambda ts: S.wmse_loss(ts[0], ts[1], slice_size=4)[0],
                       [rng.normal(size=(8, 3)), rng.normal(size=(8, 3))],
                       rtol=1e-4, label="wmse")
 
@@ -433,7 +433,7 @@ def test_byol_optimizer_excludes_targets_and_ema_contract():
     feats = _two_cluster_batches(n=64, seed=24)
     spec = AugmentationSpec(kind="gaussian_noise", p=0.3, sigma2=0.05)
     view_set = make_views(feats[:32], spec, rng_(25))
-    S.train_step(model, view_set, opt, rng=rng_(26))
+    S.train_step(model, view_set, opt)
 
     new_online = model.encoder.state_dict()
     new_target = model.target_encoder.state_dict()
@@ -465,13 +465,14 @@ def test_mixup_views_use_distinct_partners():
     model.eval()  # deterministic encoder: any branch difference is the mixing
     rng = rng_(30)
     batch = rng.normal(size=(16, 6))
-    vs = ViewSet(views=[batch.copy(), batch.copy()], representation_space=True)
     # alpha=1 mixes nothing: identical views stay identical
-    _, br_id = model.compute_loss(vs, alpha=1.0, rng=rng_(31))
+    vs = make_views(batch, AugmentationSpec(kind="mixup", alpha=1.0), rng_(31))
+    _, br_id = model.compute_loss(vs)
     assert br_id.terms["invariance"] < 1e-20
     # alpha=0 swaps in the partner rows; independent partner draws per view
     # make the two branches disagree
-    _, br_mix = model.compute_loss(vs, alpha=0.0, rng=rng_(31))
+    vs = make_views(batch, AugmentationSpec(kind="mixup", alpha=0.0), rng_(31))
+    _, br_mix = model.compute_loss(vs)
     assert br_mix.terms["invariance"] > 1e-4
 
 
