@@ -20,6 +20,7 @@ import yaml
 from .augment import KINDS as AUG_KINDS
 from .augment import AugmentationSpec
 from .baselines import BASELINES
+from .data import synth_generate
 from .encoders import (CNNEncoder, EncoderConfig, FTTransformerEncoder,
                        MLPEncoder)
 from .nn import ConfigError
@@ -32,6 +33,12 @@ CONVENTIONAL_LRS = (1e-2, 1e-3, 1e-4, 1e-5)
 MODEL_BUILDERS = {**{kind: cls.loss or cls for kind, cls in MODEL_CLASSES.items()},
                   **{name: cls for name, (cls, _) in BASELINES.items()}}
 ENCODER_BUILDERS = {"mlp": MLPEncoder, "cnn": CNNEncoder, "ft_transformer": FTTransformerEncoder}
+# the keys each fixed section reads; a dataset section reads its mode's keys
+TOP_KEYS = {"version", "dataset", "model", "encoder", "augmentation", "loss", "training",
+            "runs", "base_seed", "train_fraction", "output_dir"}
+TRAINING_KEYS = {"learning_rate", "epochs", "batch_size", "projection_dim"}
+DATASET_KEYS = {"synth": {"synth"}, "csv": {"csv", "schema", "max_reject_fraction"},
+                "cache": {"cache"}}
 
 
 @dataclass
@@ -76,12 +83,13 @@ def _require(doc, key, path):
     return doc[key]
 
 
-def _reject_unread(keys, builder, what: str, source: str) -> None:
-    """Raise naming the ``keys`` that are not keyword parameters of
-    ``builder``; ``dim`` comes from ``training.projection_dim``."""
-    params = inspect.signature(builder).parameters
-    unread = sorted(k for k in keys if k == "dim" or k not in params
-                    or params[k].default is inspect.Parameter.empty)
+def reject_unread(keys, read, what: str, source: str) -> None:
+    """Raise naming the ``keys`` that are not in ``read``. A builder reads
+    its keyword parameters but ``dim``, which ``training.projection_dim`` sets."""
+    if callable(read):
+        read = {k for k, p in inspect.signature(read).parameters.items()
+                if k != "dim" and p.default is not inspect.Parameter.empty}
+    unread = sorted(set(keys) - set(read))
     if unread:
         raise ConfigError(f"{source}: {what} does not read key(s) {unread}")
 
@@ -98,12 +106,17 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
     base_dir = Path(base_dir)
     if int(doc.get("version", -1)) != CONFIG_VERSION:
         raise ConfigError(f"{source}: unsupported config version {doc.get('version')!r}")
+    reject_unread(doc, TOP_KEYS, "the config", source)
 
     dataset = dict(_require(doc, "dataset", source))
-    modes = [k for k in ("synth", "csv", "cache") if k in dataset]
+    modes = [k for k in DATASET_KEYS if k in dataset]
     if len(modes) != 1:
         raise ConfigError(f"{source}: dataset needs exactly one of synth/csv/cache")
-    if modes[0] == "csv":
+    reject_unread(dataset, DATASET_KEYS[modes[0]], f"a {modes[0]} dataset", source)
+    if modes[0] == "synth":
+        reject_unread(dataset["synth"], inspect.signature(synth_generate).parameters,
+                      "dataset.synth", source)
+    elif modes[0] == "csv":
         for key in ("csv", "schema"):
             p = base_dir / _require(dataset, key, source)
             if not p.exists():
@@ -119,15 +132,15 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
     if model not in MODEL_BUILDERS:
         raise ConfigError(f"{source}: unknown model {model!r}")
     loss_params = dict(doc.get("loss", {}))
-    _reject_unread(loss_params, MODEL_BUILDERS[model], f"model {model!r}", source)
+    reject_unread(loss_params, MODEL_BUILDERS[model], f"model {model!r}", source)
 
     if model in MODEL_KINDS:
         encoder = dict(doc.get("encoder", {"kind": "mlp"}))
         kind = encoder.get("kind")
         if kind not in ENCODER_BUILDERS:
             raise ConfigError(f"{source}: unknown encoder kind {kind!r}")
-        _reject_unread(set(encoder) - {"kind"}, ENCODER_BUILDERS[kind],
-                       f"encoder {kind!r}", source)
+        reject_unread(set(encoder) - {"kind"}, ENCODER_BUILDERS[kind],
+                      f"encoder {kind!r}", source)
         aug = dict(_require(doc, "augmentation", source))
         if aug.get("kind") not in AUG_KINDS:
             raise ConfigError(f"{source}: unknown augmentation kind {aug.get('kind')!r}")
@@ -139,6 +152,7 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
         encoder, aug = {}, None      # baselines read neither section
 
     training = dict(doc.get("training", {}))
+    reject_unread(training, TRAINING_KEYS, "training", source)
     lr = float(training.get("learning_rate", 1e-3))
     if lr <= 0:
         raise ConfigError(f"{source}: learning_rate must be positive")

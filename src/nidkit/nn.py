@@ -120,17 +120,18 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load exactly this module's entries: one missing, unexpected or
+        mis-shaped entry loads nothing and raises ``CheckpointError``."""
         own = dict(self.named_parameters())
         own.update(dict(self.named_buffers()))
-        missing = set(own) - set(state)
-        if missing:
-            raise KeyError(f"checkpoint missing entries: {sorted(missing)}")
+        shaped = {k: f"{np.shape(state[k])} != {t.values.shape}" for k, t in own.items()
+                  if k in state and np.shape(state[k]) != t.values.shape}
+        missing, unexpected = sorted(set(own) - set(state)), sorted(set(state) - set(own))
+        if missing or unexpected or shaped:
+            raise CheckpointError(f"checkpoint does not fit the module: missing {missing}, "
+                                  f"unexpected {unexpected}, mis-shaped {shaped}")
         for name, tensor in own.items():
-            arr = np.asarray(state[name])
-            if arr.shape != tensor.values.shape:
-                raise ValueError(
-                    f"{name}: checkpoint shape {arr.shape} != model shape {tensor.values.shape}")
-            tensor.values = arr.astype(tensor.values.dtype)
+            tensor.values = np.asarray(state[name]).astype(tensor.values.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from . import nn, threads
 from .augment import AugmentationSpec, subset_columns
 from .baselines import BASELINES, train_baseline
 from .config import (CONFIG_VERSION, ExperimentConfig, encoder_config_for,
-                     validate_config)
+                     reject_unread, validate_config)
 from .data import (atomic_write, load_csv, load_dataset, load_schema,
                    preprocess, protocol_split, synth_generate)
 from .detector import dump_scores, fit_center
@@ -210,6 +210,8 @@ def expand_grid(doc: dict) -> list:
     if "base" not in doc or "grid" not in doc:
         raise ConfigError("grid config needs 'base' and 'grid' sections")
     base, grid = doc["base"], doc["grid"]
+    reject_unread(doc, {"version", "base", "grid"}, "a grid", "grid")
+    reject_unread(grid, {"model", "encoder", "augmentation"}, "the grid section", "grid")
     models = grid.get("model") or [base.get("model")]
     encoders = grid.get("encoder") or [base.get("encoder", {"kind": "mlp"})]
     augs = grid.get("augmentation") or [base.get("augmentation")]

@@ -379,6 +379,18 @@ def test_checkpoint_shape_mismatch(tmp_path):
         nn.load_checkpoint(path, other)
 
 
+def test_load_state_dict_names_every_entry_that_does_not_fit():
+    lin = nn.Linear(3, 2, rng_(36))
+    before = lin.state_dict()
+    state = {"weight": np.zeros((4, 2)), "scale": np.ones(2)}     # no bias
+    with pytest.raises(nn.CheckpointError) as err:
+        lin.load_state_dict(state)
+    assert ("missing ['bias'], unexpected ['scale'], "
+            "mis-shaped {'weight': '(4, 2) != (3, 2)'}") in str(err.value)
+    for name, arr in lin.state_dict().items():      # nothing was loaded
+        np.testing.assert_array_equal(arr, before[name])
+
+
 def test_parameter_names_unique_and_complete():
     mha = nn.MultiHeadAttention(8, 2, rng_(38))
     names = [n for n, _ in mha.named_parameters()]

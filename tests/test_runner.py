@@ -51,6 +51,15 @@ UNREAD_KEYS = [
     ({"encoder": {"kind": "mlp", "hiden_dim": 8}}, "hiden_dim"),
     ({"loss": {"lamda": 5}}, "lamda"),
     ({"encoder": {"kind": "cnn", "hidden_dim": 8}}, "hidden_dim"),
+    ({"trainig": {"epochs": 1}}, "trainig"),
+    ({"run": 3}, "run"),
+    ({"training": {"learning_rte": 1e-3}}, "learning_rte"),
+    ({"dataset": {"synth": {"n_normal": 300, "n_attack": 80, "d": 12,
+                            "separaton": 6.0}}}, "separaton"),
+    ({"dataset": {"synth": {"n_normal": 300, "n_attack": 80, "d": 12,
+                            "separation": 6.0}, "sed": 3}}, "sed"),
+    ({"dataset": {"csv": "a.csv", "schema": "s.yaml", "max_reject_fracton": 0.2}},
+     "max_reject_fracton"),
 ]
 
 
@@ -511,6 +520,26 @@ def test_expand_grid_accepts_encoder_shorthand():
     doc["grid"]["encoder"] = ["mlp"]
     cells = expand_grid(doc)
     assert all(c["encoder"] == {"kind": "mlp"} for c in cells)
+
+
+@pytest.mark.parametrize("mangle, key", [
+    (lambda d: d["grid"].__setitem__("models", d["grid"].pop("model")), "models"),
+    (lambda d: d.__setitem__("runs", 3), "runs"),
+])
+def test_expand_grid_rejects_keys_nothing_reads(mangle, key):
+    doc = grid_doc()
+    mangle(doc)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        expand_grid(doc)
+
+
+def test_a_grid_base_may_hold_what_its_kinds_share():
+    # a baseline cell reads no encoder, augmentation or projection_dim
+    doc = grid_doc()
+    doc["base"]["augmentation"] = {"kind": "zero_out"}
+    doc["grid"] = {"model": ["vicreg", "autoencoder"]}
+    cells = [validate_config(cell) for cell in expand_grid(doc)]
+    assert [c.model for c in cells] == ["vicreg", "autoencoder"]
 
 
 def test_expand_grid_rejects_malformed_documents():

@@ -397,6 +397,16 @@ def test_ema_shape_mismatch():
 # ---------------------------------------------------------------------------
 # model-level contracts
 
+def test_a_model_refuses_another_kinds_checkpoint(tmp_path):
+    byol, vicreg = _tiny_model("byol"), _tiny_model("vicreg")
+    nn.save_checkpoint(tmp_path / "byol.npz", byol)
+    with pytest.raises(nn.CheckpointError, match=r"missing \[\], unexpected \['predictor"):
+        nn.load_checkpoint(tmp_path / "byol.npz", vicreg)
+    nn.save_checkpoint(tmp_path / "vicreg.npz", vicreg)
+    with pytest.raises(nn.CheckpointError, match=r"missing \['predictor"):
+        nn.load_checkpoint(tmp_path / "vicreg.npz", byol)
+
+
 def _tiny_model(kind, seed=20, d=10, dim=16):
     rng = rng_(seed)
     factory = lambda: MLPEncoder(d, rng, hidden_dim=32)
