@@ -114,8 +114,10 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
         raise ConfigError(f"{source}: dataset needs exactly one of synth/csv/cache")
     reject_unread(dataset, DATASET_KEYS[modes[0]], f"a {modes[0]} dataset", source)
     if modes[0] == "synth":
-        reject_unread(dataset["synth"], inspect.signature(synth_generate).parameters,
-                      "dataset.synth", source)
+        params = inspect.signature(synth_generate).parameters
+        reject_unread(dataset["synth"], params, "dataset.synth", source)
+        for key in (k for k, p in params.items() if p.default is inspect.Parameter.empty):
+            _require(dataset["synth"], key, source)
     elif modes[0] == "csv":
         for key in ("csv", "schema"):
             p = base_dir / _require(dataset, key, source)

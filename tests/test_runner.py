@@ -87,6 +87,7 @@ def test_hash_changes_with_content():
     lambda d: d.__setitem__("version", 99),
     lambda d: d.pop("dataset"),
     lambda d: d["dataset"].__setitem__("cache", "also.npz"),  # two modes
+    lambda d: d["dataset"]["synth"].pop("separation"),
     lambda d: d.__setitem__("model", "contrastive"),
     lambda d: d["encoder"].__setitem__("kind", "rnn"),
     lambda d: d.__setitem__("augmentation", {"kind": "cutout"}),
@@ -531,15 +532,6 @@ def test_expand_grid_rejects_keys_nothing_reads(mangle, key):
     mangle(doc)
     with pytest.raises(ConfigError, match=f"'{key}'"):
         expand_grid(doc)
-
-
-def test_a_grid_base_may_hold_what_its_kinds_share():
-    # a baseline cell reads no encoder, augmentation or projection_dim
-    doc = grid_doc()
-    doc["base"]["augmentation"] = {"kind": "zero_out"}
-    doc["grid"] = {"model": ["vicreg", "autoencoder"]}
-    cells = [validate_config(cell) for cell in expand_grid(doc)]
-    assert [c.model for c in cells] == ["vicreg", "autoencoder"]
 
 
 def test_expand_grid_rejects_malformed_documents():
