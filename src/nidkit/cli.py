@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import load_config, validate_config
+from .config import DATASET, load_config, validate_config
 from .data import load_csv, load_schema, preprocess, save_dataset
 from .runner import read_report, run_experiment, run_grid
 
@@ -33,7 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=Path, required=True)
     p.add_argument("--schema", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--max-reject-fraction", type=float, default=0.1)
+    p.add_argument("--max-reject-fraction", type=float,
+                   default=DATASET["csv"]["max_reject_fraction"])
 
     p = sub.add_parser("run", help="run one experiment")
     p.add_argument("config", type=Path)

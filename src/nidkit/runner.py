@@ -24,8 +24,8 @@ import yaml
 from . import nn, threads
 from .augment import AugmentationSpec, subset_columns
 from .baselines import BASELINES, train_baseline
-from .config import (CONFIG_VERSION, ExperimentConfig, encoder_config_for,
-                     reject_unread, validate_config)
+from .config import (AXES, CONFIG_VERSION, GRID, TOP, ExperimentConfig,
+                     encoder_config_for, section, validate_config)
 from .data import (atomic_write, load_csv, load_dataset, load_schema,
                    preprocess, protocol_split, synth_generate)
 from .detector import dump_scores, fit_center
@@ -46,7 +46,7 @@ def load_experiment_dataset(cfg: ExperimentConfig):
         return load_dataset(ds_cfg["cache"])
     schema = load_schema(ds_cfg["schema"])
     raw, rejects = load_csv(ds_cfg["csv"], schema,
-                            max_reject_fraction=float(ds_cfg.get("max_reject_fraction", 0.1)))
+                            max_reject_fraction=ds_cfg["max_reject_fraction"])
     if rejects:
         log.warning("%d malformed rows rejected from %s", len(rejects), ds_cfg["csv"])
     return preprocess(raw)
@@ -204,17 +204,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def expand_grid(doc: dict) -> list:
-    """Cell documents for every model x encoder x augmentation combination."""
-    if int(doc.get("version", -1)) != CONFIG_VERSION:
-        raise ConfigError(f"grid: unsupported config version {doc.get('version')!r}")
-    if "base" not in doc or "grid" not in doc:
-        raise ConfigError("grid config needs 'base' and 'grid' sections")
-    base, grid = doc["base"], doc["grid"]
-    reject_unread(doc, {"version", "base", "grid"}, "a grid", "grid")
-    reject_unread(grid, {"model", "encoder", "augmentation"}, "the grid section", "grid")
-    models = grid.get("model") or [base.get("model")]
-    encoders = grid.get("encoder") or [base.get("encoder", {"kind": "mlp"})]
-    augs = grid.get("augmentation") or [base.get("augmentation")]
+    """Cell documents for every model x encoder x augmentation combination.
+    The base holds experiment keys; ``validate_config`` checks each cell."""
+    doc = section(doc, GRID, "a grid", "grid")
+    if doc["version"] != CONFIG_VERSION:
+        raise ConfigError(f"grid: unsupported config version {doc['version']!r}")
+    base = doc["base"]
+    section(base, dict.fromkeys(TOP), "the base", "grid")
+    grid = section(doc["grid"], AXES, "the grid section", "grid")
+    models = grid["model"] or [base.get("model")]
+    encoders = grid["encoder"] or [base.get("encoder", TOP["encoder"])]
+    augs = grid["augmentation"] or [base.get("augmentation")]
     cells = []
     for m in models:
         # a baseline reads neither setting, so it gets one cell without them
@@ -223,16 +223,16 @@ def expand_grid(doc: dict) -> list:
             cell = deepcopy({k: v for k, v in base.items() if k not in ("encoder", "augmentation")})
             cell.update(version=CONFIG_VERSION, model=m)
             if e is not None:
-                cell["encoder"] = {"kind": e} if isinstance(e, str) else dict(e)
+                cell["encoder"] = {"kind": e} if isinstance(e, str) else deepcopy(e)
             if a is not None:
-                cell["augmentation"] = dict(a)
+                cell["augmentation"] = deepcopy(a)
             cells.append(cell)
     return cells
 
 
 def _cell_label(cell: dict) -> str:
-    enc = cell.get("encoder", {}).get("kind", "-")
-    aug = (cell.get("augmentation") or {}).get("kind", "-")
+    enc, aug = (s.get("kind", "-") if isinstance(s, dict) else "-"
+                for s in (cell.get("encoder"), cell.get("augmentation")))
     return f"{cell['model']}/{enc}/{aug}"
 
 
@@ -302,7 +302,7 @@ def run_grid(doc: dict, base_dir=".", workers: int = 1) -> dict:
     for row in ranking:
         best_per_model.setdefault(row["model"], row)
 
-    out_dir = Path(base_dir) / str(doc["base"].get("output_dir", "runs"))
+    out_dir = args[0][1].output_dir   # the base's, so every cell's
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_grid_report(out_dir, rows, ranking, best_per_model)
     return {"rows": rows, "ranking": ranking, "best_per_model": best_per_model,

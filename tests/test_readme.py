@@ -6,7 +6,7 @@ from pathlib import Path
 
 import yaml
 
-from nidkit.config import validate_config
+from nidkit.config import DATASET, TOP, TRAINING, validate_config
 from nidkit.runner import expand_grid
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -23,6 +23,12 @@ def test_every_readme_config_validates(tmp_path):
     for doc in docs:
         for cell in expand_grid(doc) if "grid" in doc else [doc]:
             validate_config(cell, base_dir=tmp_path)
+
+
+def test_the_key_rule_names_every_declared_key():
+    rule = README[README.index("`validate-config` checks"):].split("\n\n")[0]
+    declared = [*TOP, *TRAINING, *(key for mode in DATASET.values() for key in mode)]
+    assert [key for key in declared if f"`{key}`" not in rule] == []
 
 
 def test_the_library_use_example_runs(capsys):

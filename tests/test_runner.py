@@ -1,5 +1,6 @@
 """Experiment runner: config hashing, artifacts, failure capture, grids."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import yaml
 from nidkit import cli, nn, runner, threads
 from nidkit.augment import KINDS as AUG_KINDS
 from nidkit.config import config_hash, validate_config
-from nidkit.data import protocol_split, save_dataset, synth_generate
+from nidkit.data import load_csv, protocol_split, save_dataset, synth_generate
 from nidkit.detector import Detector, dump_scores
 from nidkit.nn import ConfigError
 from nidkit.runner import expand_grid, read_report, run_experiment, run_grid
@@ -42,6 +43,30 @@ def make_doc(**over):
     }
     doc.update(over)
     return doc
+
+
+def put(doc, path: str, value):
+    """``doc`` with the value at the dotted ``path`` replaced; the empty path
+    replaces the whole document."""
+    if not path:
+        return value
+    *outer, last = path.split(".")
+    inner = doc
+    for key in outer:
+        inner = inner[key]
+    inner[last] = value
+    return doc
+
+
+def cli_error(tmp_path, capsys, verb: str, doc) -> str:
+    """The one-line error ``nidkit <verb>`` prints for ``doc``, which must end
+    it with exit 2 and no traceback."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main([verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
 
 
 # config sections that name a key nothing reads: (overrides, the key)
@@ -187,6 +212,50 @@ def test_baseline_config_needs_no_augmentation():
     del doc["augmentation"]
     cfg = validate_config(doc)
     assert cfg.augmentation is None
+
+
+@pytest.mark.parametrize("path", ["training", "loss", "encoder", "augmentation", "dataset",
+                                  "dataset.synth"])
+def test_validate_rejects_a_section_that_is_not_a_mapping(tmp_path, capsys, path):
+    doc = put(make_doc(), path, 3)
+    with pytest.raises(ConfigError, match="must be a mapping, got 3"):
+        validate_config(doc)
+    assert "must be a mapping" in cli_error(tmp_path, capsys, "validate-config", doc)
+
+
+@pytest.mark.parametrize("over, key", [({"training": {"epochs": "ten"}}, "epochs"),
+                                       ({"loss": {"lam": "x"}}, "lam")], ids=["epochs", "lam"])
+def test_validate_reads_a_number_as_a_number(tmp_path, capsys, over, key):
+    doc = make_doc(**over)
+    with pytest.raises(ConfigError, match=f"'{key}' must be a number"):
+        validate_config(doc)
+    assert f"'{key}' must be a number" in cli_error(tmp_path, capsys, "validate-config", doc)
+
+
+@pytest.mark.parametrize("over", [{"model": ["vicreg"]}, {"encoder": {"kind": ["mlp"]}}],
+                         ids=["model", "encoder-kind"])
+def test_validate_rejects_a_kind_that_is_not_a_name(over):
+    with pytest.raises(ConfigError, match=r"unknown (model|encoder kind) \['"):
+        validate_config(make_doc(**over))
+
+
+def test_an_augmentation_error_names_its_source():
+    doc = make_doc(augmentation={"kind": "zero_out", "p": 2})
+    with pytest.raises(ConfigError, match=r"^vicreg/mlp/zero_out: zero_out: p=2.0 outside"):
+        validate_config(doc, source="vicreg/mlp/zero_out")
+
+
+def test_csv_reject_fraction_has_load_csvs_default(tmp_path):
+    """The config and the preprocess verb take load_csv's default."""
+    default = inspect.signature(load_csv).parameters["max_reject_fraction"].default
+    for name in ("a.csv", "s.yaml"):
+        (tmp_path / name).touch()
+    cfg = validate_config(make_doc(dataset={"csv": "a.csv", "schema": "s.yaml"}),
+                          base_dir=tmp_path)
+    assert cfg.dataset["max_reject_fraction"] == default
+    args = cli._build_parser().parse_args(["preprocess", "--csv", "a", "--schema", "s",
+                                           "--out", "o"])
+    assert args.max_reject_fraction == default
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +608,23 @@ def test_expand_grid_rejects_malformed_documents():
         expand_grid({"version": 1, "grid": {}})
     with pytest.raises(ConfigError):
         expand_grid({"base": {}, "grid": {}})
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("", 3, "a grid must be a mapping"),
+    ("base", 3, "the base must be a mapping"),
+    ("grid", 3, "the grid section must be a mapping"),
+    ("grid.model", "vicreg", "'model' must be a list"),
+    ("grid.encoder", "mlp", "'encoder' must be a list"),
+    ("grid.augmentation", {"kind": "zero_out"}, "'augmentation' must be a list"),
+], ids=["document", "base", "grid", "model-axis", "encoder-axis", "augmentation-axis"])
+def test_grid_rejects_a_section_or_axis_of_the_wrong_kind(tmp_path, capsys, path, value,
+                                                          message):
+    doc = put(grid_doc(), path, value)
+    with pytest.raises(ConfigError, match=message):
+        expand_grid(doc)
+    cli_error(tmp_path, capsys, "grid", doc)
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_grid_ranks_by_mean_f1_and_resumes_from_cache(tmp_path):
