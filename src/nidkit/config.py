@@ -30,15 +30,22 @@ CONVENTIONAL_LRS = (1e-2, 1e-3, 1e-4, 1e-5)
 REQUIRED = inspect.Parameter.empty   # the default of a key that has none
 
 
+def required(default) -> bool:
+    """Whether ``default`` marks a required key: ``REQUIRED``, ``int`` or ``float``."""
+    return isinstance(default, type)
+
+
 def parameters(fn) -> dict:
-    """Each parameter of ``fn`` with its default, ``REQUIRED`` where it has none."""
-    return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+    """Each parameter of ``fn`` with its default; where it has none, its type
+    if that is int or float (a required number), else ``REQUIRED``."""
+    return {k: p.annotation if p.default is REQUIRED and p.annotation in (int, float) else p.default
+            for k, p in inspect.signature(fn, eval_str=True).parameters.items()}
 
 
 def keywords(builder) -> dict:
     """The keys a builder's section sets: its parameters that have a default,
     but ``dim``, which ``training.projection_dim`` sets."""
-    return {k: d for k, d in parameters(builder).items() if d is not REQUIRED and k != "dim"}
+    return {k: d for k, d in parameters(builder).items() if not required(d) and k != "dim"}
 
 
 # Each section is declared once, as key -> default. ``loss:`` takes its
@@ -102,19 +109,20 @@ def load_config(path) -> dict:
 def section(value, keys: dict, what: str, source: str) -> dict:
     """Check one config section against its declaration ``keys`` and return
     it with the defaults filled in. It must be a mapping of declared keys
-    holding every ``REQUIRED`` one; a value whose default is an int or float
-    is read as one, and one whose default is a mapping or list must be one."""
+    holding every required one; a value whose default is an int or float (or
+    that is required as one) is read as one, and one whose default is a
+    mapping or list must be one."""
     if not isinstance(value, dict):
         raise ConfigError(f"{source}: {what} must be a mapping, got {value!r}")
     unread = sorted(set(value) - set(keys), key=str)
     if unread:
         raise ConfigError(f"{source}: {what} does not read key(s) {unread}")
-    missing = [k for k, d in keys.items() if d is REQUIRED and k not in value]
+    missing = [k for k, d in keys.items() if required(d) and k not in value]
     if missing:
         raise ConfigError(f"{source}: {what} is missing required key(s) {missing}")
-    out = {k: d for k, d in keys.items() if d is not REQUIRED}
+    out = {k: d for k, d in keys.items() if not required(d)}
     for k, v in value.items():
-        kind = type(keys[k])
+        kind = keys[k] if required(keys[k]) else type(keys[k])
         if kind in (int, float):
             try:
                 v = kind(v)

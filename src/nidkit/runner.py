@@ -132,7 +132,7 @@ _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 def _static_env() -> dict:
     """Library versions, numpy's BLAS, the BLAS thread variables and the CPU
     count: fixed for the life of the process."""
-    import scipy    # nidkit itself loads scipy only for the FT-transformer's GELU
+    import scipy    # read only for its version: no nidkit op runs scipy
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):   # numpy < 1.26 has no dict form

@@ -19,9 +19,8 @@ order one tape would have, so a step gives the same bits on any number of
 threads.
 
 All linear algebra runs on numpy, so every BLAS and LAPACK call goes through
-numpy's one OpenBLAS thread pool. scipy serves only ``special.erf``, which
-the first GELU imports: only the FT-transformer runs one, so a process that
-never builds one never loads scipy.special.
+numpy's one OpenBLAS thread pool. GELU takes its erf from numpy ufuncs
+too (Abramowitz & Stegun 7.1.26, in the input's dtype), so no op needs scipy.
 """
 
 from __future__ import annotations
@@ -404,18 +403,39 @@ def relu(a: Tensor) -> Tensor:
 # Python floats, which keep a float32 input float32
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Abramowitz & Stegun 7.1.26: p and a5 ... a1, for Horner's rule
+_ERF_P = 0.3275911
+_ERF_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
+
+
+def _erf(z: np.ndarray) -> np.ndarray:
+    """erf(z) written over ``z``, in its dtype, by Abramowitz & Stegun 7.1.26:
+    ``1 - t (a1 + a2 t + ... + a5 t^4) exp(-z^2)`` with ``t = 1 / (1 + p |z|)``,
+    signed as ``z``; its absolute error is at most 1.5e-7."""
+    a = np.abs(z)
+    t = a * _ERF_P
+    t += 1.0
+    np.reciprocal(t, out=t)
+    poly = t * _ERF_A[0]
+    for c in _ERF_A[1:]:
+        poly += c
+        poly *= t
+    with np.errstate(over="ignore"):    # a huge |z| squares to inf: exp(-inf) is 0
+        np.square(a, out=a)
+    np.negative(a, out=a)
+    poly *= np.exp(a, out=a)
+    np.subtract(1.0, poly, out=poly)
+    return np.copysign(poly, z, out=z)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit, ``a * cdf(a)``; off the
-    tape the product is taken in place in ``cdf``'s buffer."""
-    # imported here: scipy.special takes longer to import than all of
-    # nidkit, and only the FT-transformer runs a GELU
-    from scipy.special import erf
-
+    """The erf-based (not the tanh) Gaussian error linear unit, ``a * cdf(a)``,
+    with erf by Abramowitz & Stegun 7.1.26 (:func:`_erf`). On [-10, 10] it is
+    within 2.1e-7 of the float64 scipy GELU for a float64 input and 4.6e-7
+    for a float32 one. Off the tape the product is taken in place in
+    ``cdf``'s buffer."""
     av = a.values
-    cdf = av * _INV_SQRT2
-    erf(cdf, out=cdf)
+    cdf = _erf(av * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
     if not _needs_grad((a,)):

@@ -113,6 +113,7 @@ def test_hash_changes_with_content():
     lambda d: d.pop("dataset"),
     lambda d: d["dataset"].__setitem__("cache", "also.npz"),  # two modes
     lambda d: d["dataset"]["synth"].pop("separation"),
+    lambda d: d["dataset"]["synth"].__setitem__("n_normal", "x"),
     lambda d: d.__setitem__("model", "contrastive"),
     lambda d: d["encoder"].__setitem__("kind", "rnn"),
     lambda d: d.__setitem__("augmentation", {"kind": "cutout"}),
@@ -223,8 +224,12 @@ def test_validate_rejects_a_section_that_is_not_a_mapping(tmp_path, capsys, path
     assert "must be a mapping" in cli_error(tmp_path, capsys, "validate-config", doc)
 
 
-@pytest.mark.parametrize("over, key", [({"training": {"epochs": "ten"}}, "epochs"),
-                                       ({"loss": {"lam": "x"}}, "lam")], ids=["epochs", "lam"])
+@pytest.mark.parametrize("over, key", [
+    ({"training": {"epochs": "ten"}}, "epochs"),
+    ({"loss": {"lam": "x"}}, "lam"),
+    ({"dataset": {"synth": {"n_normal": "x", "n_attack": 50, "d": 20, "separation": 3.0}}},
+     "n_normal"),
+], ids=["epochs", "lam", "synth-n_normal"])
 def test_validate_reads_a_number_as_a_number(tmp_path, capsys, over, key):
     doc = make_doc(**over)
     with pytest.raises(ConfigError, match=f"'{key}' must be a number"):
@@ -786,11 +791,11 @@ def test_cli_round_trip(tmp_path, capsys):
     assert "auroc" in capsys.readouterr().out
 
 
-def test_cli_and_an_mlp_run_load_no_scipy_special_and_no_process_pool(tmp_path):
-    # scipy.special takes longer to import than the rest of nidkit together;
-    # only the FT-transformer's GELU needs it, only a grid's workers a pool
+def cli_run_modules(tmp_path, doc) -> str:
+    """``nidkit run`` on ``doc`` in a fresh process: the sorted list of the
+    ``scipy.special`` and process-pool modules it loaded, as printed."""
     path = tmp_path / "exp.yaml"
-    path.write_text(yaml.safe_dump(make_doc()))
+    path.write_text(yaml.safe_dump(doc))
     script = (
         "import sys\n"
         "from nidkit import cli\n"
@@ -802,7 +807,19 @@ def test_cli_and_an_mlp_run_load_no_scipy_special_and_no_process_pool(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert "auroc" in out.stdout
-    assert out.stdout.splitlines()[-1] == "[]"
+    return out.stdout.splitlines()[-1]
+
+
+def test_cli_and_an_mlp_run_load_no_scipy_special_and_no_process_pool(tmp_path):
+    # scipy.special takes longer to import than the rest of nidkit together;
+    # only a grid's workers need a pool
+    assert cli_run_modules(tmp_path, make_doc()) == "[]"
+
+
+def test_an_ft_transformer_run_loads_no_scipy_special(tmp_path):
+    # GELU's erf is numpy's, so the FT-transformer's forward needs no scipy
+    ft = {"kind": "ft_transformer", "token_dim": 8, "heads": 2, "layers": 1}
+    assert cli_run_modules(tmp_path, make_doc(encoder=ft)) == "[]"
 
 
 def test_cli_rejects_invalid_config(tmp_path, capsys):

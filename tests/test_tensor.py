@@ -726,12 +726,22 @@ def test_skipped_input_gradient_leaves_the_other_gradients_bit_equal(op):
 
 
 def test_gelu_in_place_off_the_tape_is_bit_equal():
-    from scipy.special import erf
     x = T.Tensor(np.random.default_rng(96).normal(size=(4, 7)), requires_grad=True)
     keep = x.values.copy()
     taped = T.gelu(x)
     with T.no_grad():
         free = T.gelu(x)
-    np.testing.assert_array_equal(taped.values, keep * (0.5 * (1.0 + erf(keep * (1.0 / np.sqrt(2.0))))))
+    np.testing.assert_array_equal(taped.values, keep * (0.5 * (1.0 + T._erf(keep * (1.0 / np.sqrt(2.0))))))
     np.testing.assert_array_equal(free.values, taped.values)
     np.testing.assert_array_equal(x.values, keep)
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.float64, 3e-7), (np.float32, 6e-7)])
+def test_gelu_is_within_its_bound_of_the_float64_scipy_gelu(dtype, bound):
+    from scipy.special import erf
+    # float32-exact points, so both dtypes see the same inputs
+    x = np.linspace(-10.0, 10.0, 400_001).astype(np.float32).astype(np.float64)
+    ref = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    out = T.gelu(T.Tensor(x.astype(dtype))).values
+    assert out.dtype == dtype
+    assert np.abs(out.astype(np.float64) - ref).max() <= bound
