@@ -221,7 +221,7 @@ class FTTransformerEncoder(nn.Module):
         """Per block, the attention-weight mask, then the FFN mask."""
         t, draws = self.n_features, []
         for block in self.blocks:
-            draws.append(block.attn.drop.keep_mask((rows, block.attn.heads, t, t)))
+            draws.append(block.attn.keep_mask(rows, t))
             draws.append(block.ffn_drop.keep_mask((rows, t, block.ffn_in.out_features)))
         return [m for m in draws if m is not None]
 

@@ -308,8 +308,12 @@ class MultiHeadAttention(Module):
             raise T.ShapeError(f"attention: expected (b, t, {self.dim}), got {x.shape}")
         b, t, _ = x.shape
         q, k, v = self.wq(x), self.wk(x), self.wv(x)
-        mask = self.drop.keep_mask((b, self.heads, t, t))
+        mask = self.keep_mask(b, t)
         return self.wo(T.attention(q, k, v, self.heads, mask=mask, keep=1.0 - self.drop.p))
+
+    def keep_mask(self, rows: int, t: int) -> Optional[np.ndarray]:
+        """The dropout mask of ``rows`` rows of ``t`` tokens, key-major: (t, rows, heads, t)."""
+        return self.drop.keep_mask((t, rows, self.heads, t))
 
 
 # ---------------------------------------------------------------------------

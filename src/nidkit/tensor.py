@@ -425,7 +425,12 @@ def _erf(z: np.ndarray) -> np.ndarray:
     np.negative(a, out=a)
     poly *= np.exp(a, out=a)
     np.subtract(1.0, poly, out=poly)
-    return np.copysign(poly, z, out=z)
+    # z's sign bit onto |poly| (its sign bit cleared), in place: faster than np.copysign
+    sign = z.dtype.type(-0.0).view(f"u{z.itemsize}")
+    zb, pb = z.view(sign.dtype), poly.view(sign.dtype)
+    zb &= sign
+    zb |= np.bitwise_and(pb, ~sign, out=pb)
+    return z
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -564,7 +569,7 @@ def maxpool1xk(x: Tensor, k: int) -> Tensor:
     return _result(out_v, (x,), bwd)
 
 
-# batch rows per block of the attention forward: a block's (rows, heads, t, t)
+# batch rows per block of the attention forward: a block's (t, rows, heads, t)
 # weights stay in cache between the softmax passes
 _ATTENTION_ROWS = 64
 
@@ -574,13 +579,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     """Multi-head scaled dot-product attention over (b, t, d) projections.
 
     The last axis splits into ``heads`` heads of hd = d / heads; per head
-    the weights are P = softmax(q k^T / sqrt(hd)) over the keys. ``mask``,
-    a boolean (b, heads, t, t) array, is inverted dropout on P: it keeps a
-    weight, scaled by 1 / ``keep``, or drops it. The context P v of every
-    head is merged back to (b, t, d).
+    the weights are P = softmax(q k^T / sqrt(hd)) over the keys, held
+    key-major as (t_keys, b, heads, t_queries): the softmax reduces over the
+    outer axis. ``mask``, a boolean array in that layout, is inverted
+    dropout on P: it keeps a weight, scaled by 1 / ``keep``, or drops it.
+    The context P v of every head is merged back to (b, t, d).
 
     The forward walks the batch in blocks of ``_ATTENTION_ROWS`` rows and
-    works in place; each row meets the same float operations in the same
+    works in place, in the kept P on the tape and else in one scratch buffer
+    for every block; each row meets the same float operations in the same
     order whatever the block, so the output does not depend on the block
     size. On the tape the op keeps q, k, v, P and the mask, and its backward
     has the closed form of softmax and matmul.
@@ -592,8 +599,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     b, t, d = qv.shape
     if d % heads:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
-    if mask is not None and mask.shape != (b, heads, t, t):
-        raise ShapeError(f"attention: mask {mask.shape} for weights {(b, heads, t, t)}")
+    if mask is not None and mask.shape != (t, b, heads, t):
+        raise ShapeError(f"attention: mask {mask.shape} for weights {(t, b, heads, t)}")
     hd = d // heads
     scale = np.asarray(1.0 / np.sqrt(hd), dtype=qv.dtype)
     inv_keep = 1.0 / keep
@@ -604,46 +611,46 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     qh, kh, vh = split(qv), split(kv), split(vv)
     inputs = (q, k, v)
     taped = _needs_grad(inputs)
-    weights = np.empty((b, heads, t, t), dtype=qv.dtype) if taped else None
+    weights = np.empty((t, b, heads, t), dtype=qv.dtype) if taped else None
+    scratch = np.empty((t, min(b, _ATTENTION_ROWS), heads, t), dtype=qv.dtype)
     ctx = np.empty((b, t, heads, hd), dtype=qv.dtype)
     for start in range(0, b, _ATTENTION_ROWS):
         rows = slice(start, start + _ATTENTION_ROWS)
-        p = qh[rows] @ kh[rows].transpose(0, 1, 3, 2)
+        free = scratch[:, :b - start]
+        p = weights[:, rows] if taped else free
+        np.matmul(kh[rows], qh[rows].transpose(0, 1, 3, 2), out=p.transpose(1, 2, 0, 3))
         p *= scale
-        p -= p.max(axis=-1, keepdims=True)
+        p -= np.maximum.reduce(p, axis=0)
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        if taped:
-            weights[rows] = p
+        p /= np.add.reduce(p, axis=0)
         if mask is not None:
-            np.multiply(p, mask[rows], out=p)
+            p = np.multiply(p, mask[:, rows], out=free)
             p *= inv_keep
-        ctx[rows] = (p @ vh[rows]).transpose(0, 2, 1, 3)
+        np.matmul(p.transpose(1, 2, 3, 0), vh[rows], out=ctx[rows].transpose(0, 2, 1, 3))
     ctx = ctx.reshape(b, t, d)
     if not taped:
         return _result(ctx, inputs, None)
 
     def bwd(g):
         gh = split(g)
-        gv = None
-        if v.requires_grad:
-            dropped = weights
-            if mask is not None:
-                dropped = weights * mask
-                dropped *= inv_keep
-            gv = dropped.transpose(0, 1, 3, 2) @ gh
-        gp = gh @ vh.transpose(0, 1, 3, 2)
+        dropped = weights
         if mask is not None:
-            gp *= mask
-            gp *= inv_keep
-        # softmax: dS = P * (dP - rowsum(dP * P)), then the 1/sqrt(hd) scale
-        gp -= (gp * weights).sum(axis=-1, keepdims=True)
-        gp *= weights
+            dropped = weights * mask
+            dropped *= inv_keep
+        gp = np.empty(weights.shape, dtype=np.result_type(g, qv))
+        np.matmul(vh, gh.transpose(0, 1, 3, 2), out=gp.transpose(1, 2, 0, 3))
+        # softmax through dropout D: dS = D dP - P (sum over keys of D dP), then the scale
+        gp *= dropped
+        gp -= weights * np.add.reduce(gp, axis=0)
         gp *= scale
-        gq = gp @ kh if q.requires_grad else None
-        gk = gp.transpose(0, 1, 3, 2) @ qh if k.requires_grad else None
-        return tuple(None if gr is None else gr.transpose(0, 2, 1, 3).reshape(b, t, d)
-                     for gr in (gq, gk, gv))
+        grads = np.empty((3, b, t, heads, hd), dtype=gp.dtype)
+        factors = ((gp.transpose(1, 2, 3, 0), kh), (gp.transpose(1, 2, 0, 3), qh),
+                   (dropped.transpose(1, 2, 0, 3), gh))
+        for gr, x, (a, c) in zip(grads, inputs, factors):
+            if x.requires_grad:
+                np.matmul(a, c, out=gr.transpose(0, 2, 1, 3))
+        return tuple(gr.reshape(b, t, d) if x.requires_grad else None
+                     for gr, x in zip(grads, inputs))
 
     return _result(ctx, inputs, bwd)
 

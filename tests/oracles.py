@@ -123,7 +123,9 @@ def layer_norm_composed(ln, x):
 def attention_composed(mha, x):
     """``nn.MultiHeadAttention.forward`` composed of reshape, transpose,
     :func:`batched_matmul`, mul, :func:`softmax` and the ``Dropout`` layer's
-    float mask, drawn from the layer's generator at the same point."""
+    float mask, drawn from the layer's generator at the same point. The
+    weights are key-major, (t_keys, b, heads, t_queries), as in the fused
+    op: the scores are k q^T and the softmax runs over axis 0."""
     if x.ndim != 3 or x.shape[-1] != mha.dim:
         raise T.ShapeError(f"attention: expected (b, t, {mha.dim}), got {x.shape}")
     b, t, _ = x.shape
@@ -132,9 +134,10 @@ def attention_composed(mha, x):
         return T.transpose(T.reshape(h, (b, t, mha.heads, mha.head_dim)), (0, 2, 1, 3))
 
     q, k, v = split(mha.wq(x)), split(mha.wk(x)), split(mha.wv(x))
-    scores = batched_matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    scores = T.transpose(batched_matmul(k, T.transpose(q, (0, 1, 3, 2))), (2, 0, 1, 3))
     scores = T.mul(scores, Tensor(np.asarray(1.0 / np.sqrt(mha.head_dim), dtype=x.dtype)))
-    ctx = batched_matmul(mha.drop(softmax(scores, axis=-1)), v)     # (b, h, t, hd)
+    weights = mha.drop(softmax(scores, axis=0))                     # (t, b, h, t)
+    ctx = batched_matmul(T.transpose(weights, (1, 2, 3, 0)), v)     # (b, h, t, hd)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, mha.dim))
     return mha.wo(ctx)
 

@@ -191,7 +191,7 @@ def _fused_cases(rng):
     for heads in (1, 4):
         for masked in (False, True):
             q, k, v = (_leaf(rng, (2, 3, 8)) for _ in range(3))
-            mask = rng.random((2, heads, 3, 3)) < 0.8 if masked else None
+            mask = rng.random((3, 2, heads, 3)) < 0.8 if masked else None
             cases.append((f"attention_h{heads}{'_mask' if masked else ''}", [q, k, v],
                           lambda q=q, k=k, v=v, heads=heads, mask=mask:
                           _sq_mean(T.attention(q, k, v, heads, mask=mask, keep=0.8))))

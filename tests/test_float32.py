@@ -52,7 +52,7 @@ OPS = {
     "maxpool1xk": lambda: T.maxpool1xk(_leaf(2, 6, 3), 2),
     "attention": lambda: T.attention(
         _leaf(2, 3, 4), _leaf(2, 3, 4, seed=1), _leaf(2, 3, 4, seed=2), 2,
-        mask=np.random.default_rng(3).random((2, 2, 3, 3)) < 0.8, keep=0.8),
+        mask=np.random.default_rng(3).random((3, 2, 2, 3)) < 0.8, keep=0.8),
     "tsum": lambda: T.tsum(_leaf(3, 4), axis=0),
     "tmean": lambda: T.tmean(_leaf(3, 4), axis=1),
     "tvar": lambda: T.tvar(_leaf(3, 4), axis=0),

@@ -238,6 +238,24 @@ def test_attention_head_divisibility():
         nn.MultiHeadAttention(10, 3, rng_(31))
 
 
+def test_attention_mask_is_key_major():
+    # the layer draws its mask as (t_keys, b, heads, t_queries), the layout
+    # tensor.attention takes: mask[j, r, h, i] gates key j of query i
+    b, t, heads, d = 3, 5, 4, 8
+    mha = nn.MultiHeadAttention(d, heads, rng_(34), dropout=0.5)
+    assert mha.keep_mask(b, t).shape == (t, b, heads, t)
+    q, k, v = (Tensor(rng_(35 + i).normal(size=(b, t, d))) for i in range(3))
+    plain = T.attention(q, k, v, heads).values
+    mask = np.ones((t, b, heads, t), dtype=bool)
+    np.testing.assert_array_equal(T.attention(q, k, v, heads, mask=mask).values, plain)
+    j, r, h, i = 1, 2, 3, 0
+    mask[j, r, h, i] = False
+    moved = T.attention(q, k, v, heads, mask=mask).values != plain
+    expected = np.zeros_like(moved)
+    expected[r, i, h * (d // heads):(h + 1) * (d // heads)] = True
+    np.testing.assert_array_equal(moved, expected)
+
+
 def test_attention_grad():
     mha = as_dtype(nn.MultiHeadAttention(8, 2, rng_(32)))
     check_module_grad(mha, [rng_(33).normal(size=(2, 3, 8))],

@@ -627,7 +627,8 @@ def test_normalize_errors():
 
 
 def _attention_reference(q, k, v, heads, mask=None, keep=1.0):
-    """Per-head softmax(q k^T / sqrt(hd)) v with plain numpy loops."""
+    """Per-head softmax(q k^T / sqrt(hd)) v with plain numpy loops; ``mask``
+    is key-major, (t, b, heads, t)."""
     b, t, d = q.shape
     hd = d // heads
     out = np.empty_like(q)
@@ -638,7 +639,7 @@ def _attention_reference(q, k, v, heads, mask=None, keep=1.0):
             p = np.exp(s - s.max(axis=-1, keepdims=True))
             p /= p.sum(axis=-1, keepdims=True)
             if mask is not None:
-                p = p * mask[i, h] / keep
+                p = p * mask[:, i, h].T / keep
             out[i, :, cols] = p @ v[i, :, cols]
     return out
 
@@ -651,7 +652,7 @@ def test_attention_values_and_grads_fd(heads, masked, block_rows, monkeypatch):
     rng = np.random.default_rng(80 + heads + 10 * masked)
     b, t, d = 5, 3, 8
     q, k, v = (rng.normal(size=(b, t, d)) for _ in range(3))
-    mask = rng.random((b, heads, t, t)) < 0.7 if masked else None
+    mask = rng.random((t, b, heads, t)) < 0.7 if masked else None
     out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, mask=mask, keep=0.7)
     np.testing.assert_allclose(out.values, _attention_reference(q, k, v, heads, mask, 0.7),
                                rtol=1e-12, atol=1e-12)
@@ -734,6 +735,19 @@ def test_gelu_in_place_off_the_tape_is_bit_equal():
     np.testing.assert_array_equal(taped.values, keep * (0.5 * (1.0 + T._erf(keep * (1.0 / np.sqrt(2.0))))))
     np.testing.assert_array_equal(free.values, taped.values)
     np.testing.assert_array_equal(x.values, keep)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_erf_is_odd_and_signed_as_its_input_bit_for_bit(dtype):
+    z = np.concatenate([np.linspace(-10.0, 10.0, 20_001), [0.0, 1e-30, np.inf]]).astype(dtype)
+    z = np.concatenate([z, -z])
+    bits = f"u{z.itemsize}"
+    out = T._erf(z.copy())
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(T._erf(-z).view(bits), (-out).view(bits))
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(z))
+    assert (np.abs(out) <= 1.0).all()
+    assert np.isnan(T._erf(np.array([np.nan, -np.nan], dtype=dtype))).all()
 
 
 @pytest.mark.parametrize("dtype, bound", [(np.float64, 3e-7), (np.float32, 6e-7)])
