@@ -22,18 +22,15 @@ import numpy as np
 from .data import SchemaError
 from .nn import BatchSizeError, ConfigError
 
-KINDS = ("swap_noise", "zero_out", "gaussian_noise", "random_shuffle",
-         "subsets", "mixup")
+# each kind -> the ``AugmentationSpec`` fields it reads
+KINDS = {"swap_noise": ("p",), "zero_out": ("p",), "gaussian_noise": ("p", "mu", "sigma2"),
+         "random_shuffle": (), "subsets": ("k", "overlap_fraction"), "mixup": ("alpha",)}
 
 
 @dataclass
 class AugmentationSpec:
-    """Validated bundle of augmentation hyperparameters.
-
-    Only the fields relevant to ``kind`` are consulted: p for the three
-    masked corruptions, (mu, sigma2) for gaussian_noise, (k, overlap_fraction)
-    for subsets, alpha for mixup.
-    """
+    """Validated bundle of augmentation hyperparameters; only the fields
+    ``KINDS`` names for ``kind`` are consulted."""
 
     kind: str
     p: float = 0.15

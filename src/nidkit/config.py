@@ -17,7 +17,7 @@ from typing import Optional
 
 import yaml
 
-from .augment import AugmentationSpec
+from .augment import KINDS as AUGMENTATION_KINDS, AugmentationSpec
 from .baselines import BASELINES
 from .data import load_csv, synth_generate
 from .encoders import (CNNEncoder, EncoderConfig, FTTransformerEncoder,
@@ -50,14 +50,16 @@ def keywords(builder) -> dict:
 
 # Each section is declared once, as key -> default. ``loss:`` takes its
 # model's builder's keywords (a symmetric SSL kind's builder is its loss
-# function), ``encoder:`` its kind's; ``dataset.synth`` and ``augmentation``
-# take the parameters of ``synth_generate`` and ``AugmentationSpec``.
+# function), ``encoder:`` its kind's, ``augmentation:`` the fields of
+# ``AugmentationSpec`` its kind reads; ``dataset.synth`` takes the parameters
+# of ``synth_generate``.
 LOSS = {**{kind: keywords(cls.loss or cls) for kind, cls in MODEL_CLASSES.items()},
         **{name: keywords(cls) for name, (cls, _) in BASELINES.items()}}
 ENCODER = {kind: {"kind": REQUIRED, **keywords(cls)} for kind, cls in
            (("mlp", MLPEncoder), ("cnn", CNNEncoder), ("ft_transformer", FTTransformerEncoder))}
 SYNTH = parameters(synth_generate)
-AUGMENTATION = parameters(AugmentationSpec)
+AUGMENTATION = {kind: {"kind": REQUIRED, **{f: getattr(AugmentationSpec, f) for f in fields}}
+                for kind, fields in AUGMENTATION_KINDS.items()}
 TOP = {"version": REQUIRED, "dataset": {}, "model": REQUIRED, "encoder": {"kind": "mlp"},
        "augmentation": {}, "loss": {}, "training": {}, "runs": 1, "base_seed": 0,
        "train_fraction": 0.5, "output_dir": "runs"}
@@ -110,8 +112,9 @@ def section(value, keys: dict, what: str, source: str) -> dict:
     """Check one config section against its declaration ``keys`` and return
     it with the defaults filled in. It must be a mapping of declared keys
     holding every required one; a value whose default is an int or float (or
-    that is required as one) is read as one, and one whose default is a
-    mapping or list must be one."""
+    that is required as one) is read as one, but neither a boolean nor, for
+    an int, a float with a fraction; one whose default is a mapping or list
+    must be one."""
     if not isinstance(value, dict):
         raise ConfigError(f"{source}: {what} must be a mapping, got {value!r}")
     unread = sorted(set(value) - set(keys), key=str)
@@ -124,7 +127,11 @@ def section(value, keys: dict, what: str, source: str) -> dict:
     for k, v in value.items():
         kind = keys[k] if required(keys[k]) else type(keys[k])
         if kind in (int, float):
+            if kind is int and isinstance(v, float) and not v.is_integer():
+                raise ConfigError(f"{source}: {what}: {k!r} must be an integer, got {v!r}")
             try:
+                if isinstance(v, bool):   # int(True) would read it as 1
+                    raise TypeError
                 v = kind(v)
             except (TypeError, ValueError):
                 raise ConfigError(f"{source}: {what}: {k!r} must be a number, got {v!r}") from None
@@ -138,6 +145,15 @@ def section(value, keys: dict, what: str, source: str) -> dict:
 def _known(name, names, what: str, source: str) -> None:
     if not isinstance(name, str) or name not in names:
         raise ConfigError(f"{source}: unknown {what} {name!r}")
+
+
+def _by_kind(value: dict, tables: dict, what: str, source: str) -> dict:
+    """A section checked against the declaration of the ``kind`` it names."""
+    if "kind" not in value:
+        raise ConfigError(f"{source}: {what} is missing required key(s) ['kind']")
+    kind = value["kind"]
+    _known(kind, tables, f"{what} kind", source)
+    return section(value, tables[kind], f"{what} {kind!r}", source)
 
 
 def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfig:
@@ -168,10 +184,8 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
     _known(model, LOSS, "model", source)
     loss = section(top["loss"], LOSS[model], f"model {model!r}", source)
     if model in MODEL_KINDS:
-        kind = top["encoder"].get("kind")
-        _known(kind, ENCODER, "encoder kind", source)
-        encoder = section(top["encoder"], ENCODER[kind], f"encoder {kind!r}", source)
-        aug = section(top["augmentation"], AUGMENTATION, "augmentation", source)
+        encoder = _by_kind(top["encoder"], ENCODER, "encoder", source)
+        aug = _by_kind(top["augmentation"], AUGMENTATION, "augmentation", source)
         try:
             AugmentationSpec(**aug)  # reuse the kind and hyperparameter validation
         except ConfigError as exc:

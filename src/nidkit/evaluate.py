@@ -8,25 +8,12 @@ trivial all-normal predictor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 
 class MetricError(ValueError):
     """Metric preconditions violated (single-class input, non-finite scores,
-    empty report list)."""
-
-
-@dataclass
-class MetricsReport:
-    precision: float
-    recall: float
-    f1: float
-    auroc: float
-    threshold: float
-    seed: Optional[int] = None
+    no runs to aggregate)."""
 
 
 def _check_two_class(scores, labels):
@@ -58,8 +45,9 @@ def auroc(scores, labels) -> float:
     return u / (n_pos * n_neg)
 
 
-def optimal_threshold_metrics(scores, labels, seed: Optional[int] = None) -> MetricsReport:
-    """Metrics at the F1-maximizing threshold.
+def optimal_threshold_metrics(scores, labels) -> dict:
+    """Metrics at the F1-maximizing threshold, as the ``metrics`` mapping of a
+    run's ``record.yaml``: precision, recall, f1, auroc and threshold.
 
     Every distinct observed score is a candidate threshold t with decision
     rule score >= t => attack. Ties in F1 resolve toward the smaller
@@ -86,38 +74,32 @@ def optimal_threshold_metrics(scores, labels, seed: Optional[int] = None) -> Met
     predicted = tp[k] + fp[k]
     precision = tp[k] / predicted if predicted > 0 else 0.0
     recall = tp[k] / n_pos
-    return MetricsReport(
-        precision=float(precision),
-        recall=float(recall),
-        f1=float(f1[k]),
-        auroc=auroc(scores, labels),
-        threshold=float(s[last][k]),
-        seed=seed,
-    )
+    return {"precision": float(precision), "recall": float(recall), "f1": float(f1[k]),
+            "auroc": auroc(scores, labels), "threshold": float(s[last][k])}
 
 
 METRIC_FIELDS = ("precision", "recall", "f1", "auroc")
 
 
-def aggregate_runs(reports) -> dict:
-    """Per-metric (mean, sample std) over runs; std is 0 for a single run."""
-    if not reports:
-        raise MetricError("no reports to aggregate")
+def aggregate_runs(metrics) -> dict:
+    """Each metric's [mean, sample std] over runs' metrics mappings, as
+    ``aggregate.yaml`` stores them; std is 0 for a single run."""
+    if not metrics:
+        raise MetricError("no runs to aggregate")
     out = {}
     for field in METRIC_FIELDS:
-        vals = np.array([getattr(r, field) for r in reports], dtype=np.float64)
+        vals = np.array([m[field] for m in metrics], dtype=np.float64)
         if len(vals) > 1 and vals.min() != vals.max():
             std = float(vals.std(ddof=1))
         else:
             std = 0.0  # single run, or identical values: exactly zero
-        out[field] = (float(vals.mean()), std)
+        out[field] = [float(vals.mean()), std]
     return out
 
 
-def format_report(report: MetricsReport) -> str:
-    head = f"run seed={report.seed}" if report.seed is not None else "run"
-    body = "  ".join(f"{f}={getattr(report, f):.4f}" for f in METRIC_FIELDS)
-    return f"{head}: {body}  threshold={report.threshold:.6g}"
+def format_report(seed: int, metrics: dict) -> str:
+    body = "  ".join(f"{f}={metrics[f]:.4f}" for f in METRIC_FIELDS)
+    return f"run seed={seed}: {body}  threshold={metrics['threshold']:.6g}"
 
 
 def format_aggregate(agg: dict, n_runs: int) -> str:

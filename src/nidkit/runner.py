@@ -30,8 +30,8 @@ from .data import (atomic_write, load_csv, load_dataset, load_schema,
                    preprocess, protocol_split, synth_generate)
 from .detector import dump_scores, fit_center
 from .encoders import build_encoder, representation_dim
-from .evaluate import (METRIC_FIELDS, MetricsReport, aggregate_runs,
-                       format_aggregate, format_report, optimal_threshold_metrics)
+from .evaluate import (aggregate_runs, format_aggregate, format_report,
+                       optimal_threshold_metrics)
 from .nn import ConfigError
 from .ssl_models import MODEL_KINDS, build_model, pretrain
 
@@ -108,7 +108,7 @@ def run_single(cfg: ExperimentConfig, ds, seed: int, run_dir: Path) -> dict:
         stage = "score"
         scores = scorer.score(test.features)
         stage = "metrics"
-        report = optimal_threshold_metrics(scores, test.labels, seed=seed)
+        metrics = optimal_threshold_metrics(scores, test.labels)
         dump_scores(run_dir / "scores.csv", test.ids, scores, test.labels)
         stage = "checkpoint"
         ckpt = run_dir / "checkpoint.npz"
@@ -118,7 +118,7 @@ def run_single(cfg: ExperimentConfig, ds, seed: int, run_dir: Path) -> dict:
         nn.save_checkpoint(ckpt, model, extra={"config_hash": cfg.hash, "seed": seed,
                                                **meta, **norm})
         doc.update(checkpoint=str(ckpt), loss_first=totals[0], loss_last=totals[-1],
-                   metrics={f: getattr(report, f) for f in (*METRIC_FIELDS, "threshold")})
+                   metrics=metrics)
     except Exception as exc:  # recorded, remaining seeds continue
         doc.update(status="failed", stage=stage, error=f"{type(exc).__name__}: {exc}")
     doc.update(duration_s=time.perf_counter() - t0, env=_run_env(cfg))
@@ -176,15 +176,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         records.append(run_single(cfg, ds, seed, run_dir))
         _write_text(run_dir / "record.yaml", yaml.safe_dump(records[-1]))
 
-    reports = {r["seed"]: MetricsReport(**r["metrics"], seed=r["seed"])
-               for r in records if r["status"] == "ok"}
-    aggregate = aggregate_runs(list(reports.values())) if reports else None
+    ok = [r for r in records if r["status"] == "ok"]
+    aggregate = aggregate_runs([r["metrics"] for r in ok]) if ok else None
 
-    lines = [format_report(reports[r["seed"]]) if r["seed"] in reports
+    lines = [format_report(r["seed"], r["metrics"]) if r["status"] == "ok"
              else f"run seed={r['seed']}: FAILED at {r['stage']} ({r['error']})"
              for r in records]
     if aggregate is not None:
-        lines.append(format_aggregate(aggregate, len(reports)))
+        lines.append(format_aggregate(aggregate, len(ok)))
     _write_text(exp_dir / "report.txt", "\n".join(lines) + "\n")
     if aggregate is None:
         # an earlier run's aggregate would mark this cell complete
@@ -193,9 +192,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         # the grid treats a cell as complete once n_runs_ok equals its runs
         _write_text(exp_dir / "aggregate.yaml", yaml.safe_dump({
             "config_hash": cfg.hash, "model": cfg.model,
-            "n_runs_ok": len(reports),
-            "metrics": {k: [float(m), float(s)] for k, (m, s) in aggregate.items()},
-        }))
+            "n_runs_ok": len(ok), "metrics": aggregate}))
     return {"dir": exp_dir, "records": records, "aggregate": aggregate}
 
 
@@ -263,9 +260,7 @@ def _run_cell(args):
     if result["aggregate"] is None:
         row["status"] = "failed"
     else:
-        row.update(status="partial" if failed else "ok",
-                   metrics={k: [float(m), float(s)]
-                            for k, (m, s) in result["aggregate"].items()})
+        row.update(status="partial" if failed else "ok", metrics=result["aggregate"])
     return row
 
 
@@ -296,7 +291,7 @@ def run_grid(doc: dict, base_dir=".", workers: int = 1) -> dict:
     else:
         rows = [_run_cell(a) for a in args]
 
-    scored = [r for r in rows if r.get("metrics")]
+    scored = [r for r in rows if r["metrics"]]
     ranking = sorted(scored, key=lambda r: -r["metrics"]["f1"][0])
     best_per_model = {}
     for row in ranking:
@@ -310,20 +305,16 @@ def run_grid(doc: dict, base_dir=".", workers: int = 1) -> dict:
 
 
 def _write_grid_report(out_dir: Path, rows, ranking, best_per_model) -> None:
-    """Ranked cells, then unscored ones, each with its n_runs_ok / runs."""
+    """Ranked cells, then unscored ones with empty rank and metric fields,
+    each with its n_runs_ok / runs."""
+    keys = ("model", "encoder", "augmentation", "hash", "status", "n_runs_ok", "runs")
+    unscored = [("", r) for r in rows if not r["metrics"]]
     with atomic_write(out_dir / "grid_report.csv") as fh:
-        fh.write("rank,model,encoder,augmentation,hash,status,n_runs_ok,runs,"
-                 "f1_mean,f1_std,auroc_mean,auroc_std\n")
-        for rank, row in enumerate(ranking, start=1):
-            f1m, f1s = row["metrics"]["f1"]
-            aum, aus = row["metrics"]["auroc"]
-            fh.write(f"{rank},{row['model']},{row['encoder']},{row['augmentation']},"
-                     f"{row['hash']},{row['status']},{row['n_runs_ok']},{row['runs']},"
-                     f"{f1m!r},{f1s!r},{aum!r},{aus!r}\n")
-        failed = [r for r in rows if not r.get("metrics")]
-        for row in failed:
-            fh.write(f",{row['model']},{row['encoder']},{row['augmentation']},"
-                     f"{row['hash']},{row['status']},{row['n_runs_ok']},{row['runs']},,,,\n")
+        fh.write(",".join(("rank", *keys, "f1_mean", "f1_std", "auroc_mean", "auroc_std")) + "\n")
+        for rank, row in [*enumerate(ranking, start=1), *unscored]:
+            metrics = row["metrics"]
+            stats = [*metrics["f1"], *metrics["auroc"]] if metrics else [""] * 4
+            fh.write(",".join(map(str, [rank, *(row[k] for k in keys), *stats])) + "\n")
 
     def tag(row):
         return f"[{row['status']} {row['n_runs_ok']}/{row['runs']}]"

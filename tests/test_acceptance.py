@@ -469,12 +469,12 @@ def test_criterion_06_metric_oracles():
         worst_auroc = max(worst_auroc,
                           abs(auroc(scores, labels) - _auroc_pairwise(scores, labels)))
         report = optimal_threshold_metrics(scores, labels)
-        worst_f1 = max(worst_f1, abs(report.f1 - _f1_exhaustive(scores, labels)))
+        worst_f1 = max(worst_f1, abs(report["f1"] - _f1_exhaustive(scores, labels)))
         # the reported threshold must actually achieve the reported numbers
-        pred = scores >= report.threshold
+        pred = scores >= report["threshold"]
         tp = float(np.sum(pred & (labels == 1)))
         denom = 2.0 * tp + float(np.sum(pred & (labels == 0))) + float(np.sum(~pred & (labels == 1)))
-        assert abs(report.f1 - (2.0 * tp / denom if denom else 0.0)) < 1e-12
+        assert abs(report["f1"] - (2.0 * tp / denom if denom else 0.0)) < 1e-12
     ok = worst_auroc < 1e-12 and worst_f1 < 1e-12
     _verdict(6, ok, f"50 sets x 200 points: auroc dev {worst_auroc:.1e}, "
                     f"f1 dev {worst_f1:.1e} (< 1e-12)")
@@ -577,7 +577,7 @@ def test_criterion_09_full_data_optional():
     _, _, scores = _smoke_run("vicreg", {"kind": "subsets", "k": 2,
                                          "overlap_fraction": 0.0},
                               1e-3, 20, 256, train, test)
-    f1 = optimal_threshold_metrics(scores, test.labels).f1
+    f1 = optimal_threshold_metrics(scores, test.labels)["f1"]
     ok = (ds.n_features == 196 and abs(ratio - 0.4437) <= 0.001
           and abs(f1 - 0.798) <= 0.10)
     _verdict(9, ok, f"{ds.n_features} features, attack ratio {ratio:.4f}, "

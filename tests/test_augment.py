@@ -7,6 +7,7 @@ uniformity test over all permutations of a small row. Seeds are fixed, so
 these are deterministic.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -226,6 +227,11 @@ def test_spec_rejects_bad_hyperparameters():
         AugmentationSpec(kind="mixup", alpha=-0.1)
     for kind in KINDS:
         AugmentationSpec(kind=kind)  # defaults are valid for every kind
+
+
+def test_every_spec_field_is_read_by_some_kind():
+    fields = {f.name for f in dataclasses.fields(AugmentationSpec)} - {"kind"}
+    assert set().union(*KINDS.values()) == fields
 
 
 def test_make_views_input_space_kinds():

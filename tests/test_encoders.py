@@ -1,6 +1,7 @@
 """Encoder shape conformance, determinism, and gradient checks."""
 
 import cProfile
+import dataclasses
 import pstats
 import tracemalloc
 from contextlib import nullcontext
@@ -8,7 +9,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from nidkit import encoders, nn, ssl_models, tensor as T
+from nidkit import config, encoders, nn, ssl_models, tensor as T
 from nidkit.augment import AugmentationSpec, make_views
 from nidkit.data import SchemaError
 from nidkit.tensor import Tensor
@@ -177,6 +178,21 @@ def test_representation_dim_matches_encoders():
     assert encoders.representation_dim(cfg_cnn) == 3584
     with pytest.raises(nn.ConfigError):
         encoders.representation_dim(encoders.EncoderConfig(kind="vae", input_width=5))
+
+
+def test_encoder_config_defaults_are_the_constructors():
+    """A run takes an encoder's defaults from its constructor (``config.ENCODER``);
+    ``encoder_config_for`` with only a kind takes ``EncoderConfig``'s, which
+    must be the same numbers."""
+    defaults = {f.name: f.default for f in dataclasses.fields(encoders.EncoderConfig)
+                if f.default is not dataclasses.MISSING}
+    declared = {}
+    for kind, keys in config.ENCODER.items():
+        for key, default in keys.items():
+            if key != "kind":
+                assert defaults.get(key) == default, (kind, key)
+                declared[key] = default
+    assert declared == defaults
 
 
 def test_build_encoder_dispatch_and_reproducibility():

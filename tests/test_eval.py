@@ -3,10 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nidkit.evaluate import (MetricError, MetricsReport, aggregate_runs,
-                             auroc, format_aggregate, format_report,
+from nidkit.evaluate import (MetricError, aggregate_runs, auroc,
+                             format_aggregate, format_report,
                              optimal_threshold_metrics)
 from oracles import auroc_bruteforce, best_threshold_bruteforce, f1_at_threshold
+
+
+def metrics(*values):
+    """A run's metrics mapping, as ``record.yaml`` stores it."""
+    return dict(zip(("precision", "recall", "f1", "auroc", "threshold"), values))
 
 
 def test_auroc_perfect_separation():
@@ -78,9 +83,9 @@ def test_threshold_separable_case():
     scores = np.array([0.1, 0.2, 0.8, 0.9])
     labels = np.array([0, 0, 1, 1])
     rep = optimal_threshold_metrics(scores, labels)
-    assert rep.precision == rep.recall == rep.f1 == 1.0
-    assert 0.2 < rep.threshold <= 0.8
-    assert rep.auroc == 1.0
+    assert rep["precision"] == rep["recall"] == rep["f1"] == 1.0
+    assert 0.2 < rep["threshold"] <= 0.8
+    assert rep["auroc"] == 1.0
 
 
 def test_threshold_inverted_scores_degenerate_all_positive():
@@ -91,9 +96,9 @@ def test_threshold_inverted_scores_degenerate_all_positive():
                              np.linspace(0.5, 0.9, n)])  # normals
     labels = np.array([1] * a + [0] * n)
     rep = optimal_threshold_metrics(scores, labels)
-    assert rep.threshold == scores.min()
-    assert rep.recall == 1.0
-    assert rep.f1 == pytest.approx(2 * a / (2 * a + n), abs=1e-12)
+    assert rep["threshold"] == scores.min()
+    assert rep["recall"] == 1.0
+    assert rep["f1"] == pytest.approx(2 * a / (2 * a + n), abs=1e-12)
 
 
 def test_threshold_matches_exhaustive_enumeration():
@@ -106,8 +111,8 @@ def test_threshold_matches_exhaustive_enumeration():
             labels[0] = 1 - labels[0]
         rep = optimal_threshold_metrics(scores, labels)
         thr, f1 = best_threshold_bruteforce(scores, labels)
-        assert rep.f1 == pytest.approx(f1, abs=1e-12), trial
-        assert rep.threshold == pytest.approx(thr, abs=0.0), trial
+        assert rep["f1"] == pytest.approx(f1, abs=1e-12), trial
+        assert rep["threshold"] == pytest.approx(thr, abs=0.0), trial
 
 
 @settings(max_examples=25, deadline=None)
@@ -120,7 +125,7 @@ def test_threshold_f1_dominates_all_other_thresholds(seed):
         labels[0] = 1 - labels[0]
     rep = optimal_threshold_metrics(scores, labels)
     for t in np.unique(scores):
-        assert rep.f1 >= f1_at_threshold(scores, labels, t) - 1e-12
+        assert rep["f1"] >= f1_at_threshold(scores, labels, t) - 1e-12
 
 
 def test_report_f1_consistency():
@@ -128,16 +133,14 @@ def test_report_f1_consistency():
     scores = rng.normal(size=60)
     labels = rng.integers(0, 2, size=60)
     labels[:2] = [0, 1]
-    rep = optimal_threshold_metrics(scores, labels, seed=5)
-    p, r = rep.precision, rep.recall
+    rep = optimal_threshold_metrics(scores, labels)
+    p, r = rep["precision"], rep["recall"]
     expected = 2 * p * r / (p + r) if p + r > 0 else 0.0
-    assert rep.f1 == pytest.approx(expected, abs=1e-12)
-    assert rep.seed == 5
+    assert rep["f1"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_aggregate_two_point_formula():
-    reports = [MetricsReport(0.7, 0.7, 0.7, 0.7, 0.5),
-               MetricsReport(0.9, 0.9, 0.9, 0.9, 0.5)]
+    reports = [metrics(0.7, 0.7, 0.7, 0.7, 0.5), metrics(0.9, 0.9, 0.9, 0.9, 0.5)]
     agg = aggregate_runs(reports)
     for field in ("precision", "recall", "f1", "auroc"):
         mean, std = agg[field]
@@ -146,16 +149,16 @@ def test_aggregate_two_point_formula():
 
 
 def test_aggregate_identical_and_single():
-    rep = MetricsReport(0.5, 0.6, 0.55, 0.8, 1.0)
+    rep = metrics(0.5, 0.6, 0.55, 0.8, 1.0)
     agg = aggregate_runs([rep, rep, rep])
     assert all(s == 0.0 for _, s in agg.values())
     single = aggregate_runs([rep])
-    assert single["f1"] == (0.55, 0.0)
+    assert single["f1"] == [0.55, 0.0]
 
 
 def test_aggregate_matches_welford_oracle():
     rng = np.random.default_rng(3)
-    reports = [MetricsReport(*rng.random(4), 0.5) for _ in range(10)]
+    reports = [metrics(*rng.random(4), 0.5) for _ in range(10)]
     agg = aggregate_runs(reports)
 
     def welford(xs):
@@ -167,7 +170,7 @@ def test_aggregate_matches_welford_oracle():
         return mean, np.sqrt(m2 / (len(xs) - 1))
 
     for field in ("precision", "recall", "f1", "auroc"):
-        w_mean, w_std = welford([getattr(r, field) for r in reports])
+        w_mean, w_std = welford([r[field] for r in reports])
         assert agg[field][0] == pytest.approx(w_mean, abs=1e-12)
         assert agg[field][1] == pytest.approx(w_std, abs=1e-12)
 
@@ -178,8 +181,8 @@ def test_aggregate_empty_raises():
 
 
 def test_report_formatting_lines():
-    rep = MetricsReport(1.0, 0.5, 2 / 3, 0.75, 0.125, seed=3)
-    line = format_report(rep)
+    rep = metrics(1.0, 0.5, 2 / 3, 0.75, 0.125)
+    line = format_report(3, rep)
     assert "seed=3" in line and "f1=0.6667" in line and "threshold=0.125" in line
     agg_line = format_aggregate(aggregate_runs([rep, rep]), 2)
     assert "2 run(s)" in agg_line and "auroc=0.7500±0.0000" in agg_line

@@ -1,7 +1,8 @@
 """Same bits across commits: sha256 fingerprints of eleven seed-1 runs.
 
 ``fingerprints.yaml`` holds, for each run below, the sha256 of its
-``scores.csv``, its ``loss.csv`` and every array of its ``checkpoint.npz``.
+``scores.csv``, its ``loss.csv`` and every array of its ``checkpoint.npz``,
+and of its experiment's ``report.txt`` and ``aggregate.yaml``.
 The bits depend on the numpy version and on the OpenBLAS build and core it
 runs on, so the file is keyed on both; on any other environment the test
 skips and names the two keys. A change that moves bits on purpose
@@ -94,6 +95,8 @@ def fingerprint(name, out_dir):
     run_dir = result["dir"] / "run1"
     assert result["records"][0]["status"] == "ok", result["records"][0]
     prints = {f: _sha((run_dir / f).read_bytes()) for f in ("scores.csv", "loss.csv")}
+    prints.update({f: _sha((result["dir"] / f).read_bytes())
+                   for f in ("report.txt", "aggregate.yaml")})
     with np.load(run_dir / "checkpoint.npz", allow_pickle=False) as archive:
         for key in sorted(archive.files):
             arr = np.ascontiguousarray(archive[key])

@@ -85,6 +85,12 @@ UNREAD_KEYS = [
                             "separation": 6.0}, "sed": 3}}, "sed"),
     ({"dataset": {"csv": "a.csv", "schema": "s.yaml", "max_reject_fracton": 0.2}},
      "max_reject_fracton"),
+    # an augmentation key that its kind does not read
+    ({"augmentation": {"kind": "random_shuffle", "p": 0.9}}, "p"),
+    ({"augmentation": {"kind": "zero_out", "sigma2": 5.0}}, "sigma2"),
+    ({"augmentation": {"kind": "mixup", "k": 7}}, "k"),
+    ({"augmentation": {"kind": "subsets", "alpha": 0.1}}, "alpha"),
+    ({"augmentation": {"kind": "gaussian_noise", "overlap_fraction": 0.5}}, "overlap_fraction"),
 ]
 
 
@@ -237,11 +243,46 @@ def test_validate_reads_a_number_as_a_number(tmp_path, capsys, over, key):
     assert f"'{key}' must be a number" in cli_error(tmp_path, capsys, "validate-config", doc)
 
 
+SYNTH = {"n_normal": 300, "n_attack": 80, "d": 12, "separation": 6.0}
+
+
+@pytest.mark.parametrize("over, key, message", [
+    ({"training": {"epochs": 2.5}}, "epochs", "an integer, got 2.5"),
+    ({"training": {"batch_size": 64.9}}, "batch_size", "an integer, got 64.9"),
+    ({"runs": True}, "runs", "a number, got True"),
+    ({"training": {"learning_rate": True}}, "learning_rate", "a number, got True"),
+    ({"augmentation": {"kind": "subsets", "k": 2.6}}, "k", "an integer, got 2.6"),
+    ({"dataset": {"synth": {**SYNTH, "n_normal": 200.7}}}, "n_normal", "an integer, got 200.7"),
+    ({"dataset": {"synth": {**SYNTH, "d": 20.9}}}, "d", "an integer, got 20.9"),
+    ({"training": {"epochs": float("inf")}}, "epochs", "an integer, got inf"),
+], ids=["epochs", "batch_size", "runs", "learning_rate", "subsets-k", "synth-n_normal",
+        "synth-d", "epochs-inf"])
+def test_validate_reads_an_integer_as_an_integer(tmp_path, capsys, over, key, message):
+    """A fraction is no integer and a boolean is no number: neither truncates."""
+    doc = make_doc(**over)
+    with pytest.raises(ConfigError, match=f"'{key}' must be {message}"):
+        validate_config(doc)
+    assert f"'{key}' must be {message}" in cli_error(tmp_path, capsys, "validate-config", doc)
+
+
+def test_validate_reads_a_whole_float_or_a_numeric_string_as_an_integer():
+    doc = make_doc(training={"epochs": 3.0, "batch_size": "64"}, runs="2")
+    cfg = validate_config(doc)
+    assert (cfg.epochs, cfg.batch_size, cfg.n_runs) == (3, 64, 2)
+    assert cfg.hash == config_hash(doc)
+
+
 @pytest.mark.parametrize("over", [{"model": ["vicreg"]}, {"encoder": {"kind": ["mlp"]}}],
                          ids=["model", "encoder-kind"])
 def test_validate_rejects_a_kind_that_is_not_a_name(over):
     with pytest.raises(ConfigError, match=r"unknown (model|encoder kind) \['"):
         validate_config(make_doc(**over))
+
+
+@pytest.mark.parametrize("section", ["encoder", "augmentation"])
+def test_validate_names_a_missing_kind(section):
+    with pytest.raises(ConfigError, match=rf"{section} is missing required key\(s\) \['kind'\]"):
+        validate_config(make_doc(**{section: {}}))
 
 
 def test_an_augmentation_error_names_its_source():
