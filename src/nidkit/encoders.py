@@ -217,14 +217,6 @@ class FTTransformerEncoder(nn.Module):
             parts.append(self.embedding[codes + self.offsets])    # (b, G, token_dim)
         return parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
 
-    def keep_masks(self, rows: int) -> list:
-        """Per block, the attention-weight mask, then the FFN mask."""
-        t, draws = self.n_features, []
-        for block in self.blocks:
-            draws.append(block.attn.keep_mask(rows, t))
-            draws.append(block.ffn_drop.keep_mask((rows, t, block.ffn_in.out_features)))
-        return [m for m in draws if m is not None]
-
     def forward(self, x: Tensor) -> Tensor:
         return nn.rowwise(self._forward, self, x)
 

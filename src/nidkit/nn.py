@@ -27,6 +27,7 @@ from .tensor import Tensor
 CHECKPOINT_VERSION = 1
 BN_MOMENTUM = 0.1       # weight of a batch's statistics in BatchNorm1d's running ones
 NORM_EPS = 1e-5         # variance jitter of BatchNorm1d and LayerNorm
+KEEP_LEVELS = 1 << 16   # Dropout compares 16-bit draws, half the cost of float ones
 ADAM_BETAS, ADAM_EPS = (0.9, 0.999), 1e-8
 
 
@@ -95,9 +96,8 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
     def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for _, child in self._children():
-            child.train(mode)
+        for module in self.modules():
+            module.training = mode
         return self
 
     def eval(self) -> "Module":
@@ -107,11 +107,11 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def keep_masks(self, rows: int) -> list:
-        """Draw now the dropout masks a training forward over ``rows`` rows
-        would draw, in its order (see :func:`masks_drawn`); none here. A
-        module whose forward drops out overrides this."""
-        return []
+    def modules(self) -> Iterator["Module"]:
+        """This module and every module under it, depth first."""
+        yield self
+        for _, child in self._children():
+            yield from child.modules()
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: p.values.copy() for name, p in self.named_parameters()}
@@ -211,49 +211,51 @@ class LayerNorm(Module):
         return T.normalize(x, -1, NORM_EPS, self.gamma, self.beta)[0]
 
 
-# the keep masks drawn ahead for this thread's dropout layers (masks_drawn)
-_ahead = threading.local()
+_stream = threading.local()     # the generator of this thread's masks_from
 
 
 @contextmanager
-def masks_drawn(masks: list):
-    """Have every ``Dropout`` on this thread take its keep masks from
-    ``masks``, in order, rather than draw them: masks a ``keep_masks`` call
-    drew ahead, on another thread, in the order the forward draws them."""
-    prev, _ahead.masks = getattr(_ahead, "masks", None), iter(masks)
+def masks_from(rng: Optional[np.random.Generator]):
+    """Have every ``Dropout`` on this thread draw its keep masks from ``rng``
+    (None: from its own generator), in forward order: an SSL view's stream."""
+    prev, _stream.rng = getattr(_stream, "rng", None), rng
     try:
         yield
     finally:
-        _ahead.masks = prev
+        _stream.rng = prev
 
 
 class Dropout(Module):
-    """Inverted dropout: scales surviving activations by 1/(1-p) in training,
-    exact identity in eval mode."""
+    """Inverted dropout: keeps an entry with probability ``keep`` = threshold
+    / 65,536, threshold = round((1 - p) * 65,536), and scales it by 1/keep in
+    training (p = 0.1 keeps 58,982 of the 65,536 levels); identity in eval."""
 
     def __init__(self, p: float, rng: np.random.Generator):
         super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ConfigError(f"dropout probability {p} outside [0, 1)")
-        self.p = p
+        self.threshold = round((1.0 - p) * KEEP_LEVELS) if 0.0 <= p < 1.0 else 0
+        if self.threshold == 0:
+            raise ConfigError(f"dropout probability {p} outside [0, 1 - 2**-17)")
+        self.keep = self.threshold / KEEP_LEVELS
         self.rng = rng
 
+    @property
+    def active(self) -> bool:
+        """Whether a forward draws a mask: training mode and something dropped."""
+        return self.training and self.threshold < KEEP_LEVELS
+
     def keep_mask(self, shape) -> Optional[np.ndarray]:
-        """One draw of the boolean mask of kept entries, or the next mask
-        drawn ahead inside ``masks_drawn``; None when nothing is dropped
-        (eval mode or p = 0), so no random number is drawn."""
-        if not self.training or self.p == 0.0:
+        """One draw of the boolean mask of kept entries, from this thread's
+        ``masks_from`` stream or else ``rng``; None, drawing nothing, if inactive."""
+        if not self.active:
             return None
-        ahead = getattr(_ahead, "masks", None)
-        if ahead is not None:
-            return next(ahead)
-        return self.rng.random(shape) < 1.0 - self.p
+        rng = getattr(_stream, "rng", None) or self.rng
+        return rng.integers(0, KEEP_LEVELS, shape, dtype=np.uint16) < self.threshold
 
     def forward(self, x: Tensor) -> Tensor:
         mask = self.keep_mask(x.shape)
         if mask is None:
             return x
-        return T.mul(x, Tensor(mask.astype(x.dtype) / (1.0 - self.p)))
+        return T.mul(x, Tensor(mask.astype(x.dtype) / self.keep))
 
 
 class Conv2d1xW(Module):
@@ -309,7 +311,7 @@ class MultiHeadAttention(Module):
         b, t, _ = x.shape
         q, k, v = self.wq(x), self.wk(x), self.wv(x)
         mask = self.keep_mask(b, t)
-        return self.wo(T.attention(q, k, v, self.heads, mask=mask, keep=1.0 - self.drop.p))
+        return self.wo(T.attention(q, k, v, self.heads, mask=mask, keep=self.drop.keep))
 
     def keep_mask(self, rows: int, t: int) -> Optional[np.ndarray]:
         """The dropout mask of ``rows`` rows of ``t`` tokens, key-major: (t, rows, heads, t)."""

@@ -132,12 +132,12 @@ _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 def _static_env() -> dict:
     """Library versions, numpy's BLAS, the BLAS thread variables and the CPU
     count: fixed for the life of the process."""
-    import scipy    # read only for its version: no nidkit op runs scipy
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):   # numpy < 1.26 has no dict form
         blas = {}
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
+    scipy = sys.modules.get("scipy")    # recorded once imported: no nidkit op runs it
+    return {"numpy": np.__version__, **({"scipy": scipy.__version__} if scipy else {}),
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "threads": {v: os.environ.get(v) for v in _THREAD_VARIABLES},
             "cpu_count": os.cpu_count()}

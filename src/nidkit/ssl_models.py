@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Optional
 
 import numpy as np
@@ -147,8 +147,9 @@ def whiten_slice(x: Tensor, eps: float = 1e-4) -> Tensor:
 
 def wmse_loss(z: Tensor, z2: Tensor, slice_size: int = 32, eps: float = 1e-4):
     """Whitening MSE: l2-normalize rows, slice the batch, whiten each branch's
-    sub-batch independently, and compare elementwise. Remainder rows beyond
-    the last full sub-batch are dropped. Returns (tensor, no terms)."""
+    sub-batch independently, and compare elementwise; each slice runs as one
+    branch (:func:`T.branches`). Remainder rows beyond the last full
+    sub-batch are dropped. Returns (tensor, no terms)."""
     if slice_size < 2:
         raise ConfigError(f"wmse: slice_size {slice_size} must be >= 2")
     b = z.shape[0]
@@ -157,15 +158,17 @@ def wmse_loss(z: Tensor, z2: Tensor, slice_size: int = 32, eps: float = 1e-4):
         raise BatchSizeError(f"wmse: batch {b} smaller than slice_size {slice_size}")
     zn = _row_normalize(z)
     zn2 = _row_normalize(z2)
-    acc = None
-    for i in range(n_slices):
+
+    def term(i):
         sl = slice(i * slice_size, (i + 1) * slice_size)
-        w1 = whiten_slice(zn[sl], eps=eps)
-        w2 = whiten_slice(zn2[sl], eps=eps)
-        diff = T.sub(w1, w2)
-        term = T.tmean(T.mul(diff, diff))
-        acc = term if acc is None else T.add(acc, term)
-    return T.mul(acc, 1.0 / n_slices), {}
+        diff = T.sub(whiten_slice(zn[sl], eps=eps), whiten_slice(zn2[sl], eps=eps))
+        return T.tmean(T.mul(diff, diff))
+
+    # one branch per slice. BLAS is held here, on the calling thread, so no
+    # branch's Cholesky sets the process-wide thread count from its own
+    with threads.blas_held(1):
+        terms = T.branches([partial(term, i) for i in range(n_slices)])
+    return T.mul(reduce(T.add, terms), 1.0 / n_slices), {}     # in slice order
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +239,6 @@ class SSLModel(nn.Module):
 
     # -- per-kind hooks ------------------------------------------------------
 
-    def keep_masks(self, rows: int) -> list:
-        """The dropout masks of one view's pass, drawn now."""
-        return self.encoder.keep_masks(rows)
-
     @staticmethod
     def _embed(encoder, projector, view: Tensor, partners: Optional[np.ndarray],
                alpha: Optional[float]) -> Tensor:
@@ -259,26 +258,32 @@ class SSLModel(nn.Module):
 
     # -- shared loss ----------------------------------------------------------
 
-    def _branch(self, view, partners, masks, alpha) -> dict:
-        with nn.masks_drawn(masks):
+    def _branch(self, view, partners, stream, alpha) -> dict:
+        with nn.masks_from(stream):
             return self._view_state(view, partners, alpha)
+
+    def _streams(self, n: int) -> list:
+        """One dropout-mask generator per view, seeded in view order from the
+        first active ``Dropout``'s; all None, drawing nothing, if none is active."""
+        rngs = [m.rng for m in self.modules() if isinstance(m, nn.Dropout) and m.active]
+        if not rngs:
+            return [None] * n
+        return [np.random.default_rng(seed) for seed in rngs[0].integers(1 << 63, size=n)]
 
     def compute_loss(self, view_set: ViewSet):
         """Mean pairwise loss over all C(k, 2) view pairs.
 
         A mixup view set carries each view's partner rows, used by every
         branch pass of that view. Each view's pass (``_view_state``) runs as
-        a branch (:func:`T.branches`), its dropout masks drawn here first,
-        view by view, in the order one thread draws them; only the pair
-        losses join the views.
+        a branch (:func:`T.branches`) that draws its dropout masks from a
+        stream of its own (``_streams``); only the pair losses join the views.
         """
         views = [Tensor(v) for v in view_set.views]
         if len(views) < 2:
             raise ConfigError("need at least two views")
         partners = view_set.partners or [None] * len(views)
-        masks = [self.keep_masks(v.shape[0]) for v in views]
-        states = T.branches([partial(self._branch, v, p, m, view_set.alpha)
-                             for v, p, m in zip(views, partners, masks)])
+        states = T.branches([partial(self._branch, v, p, s, view_set.alpha)
+                             for v, p, s in zip(views, partners, self._streams(len(views)))])
         total, terms, n_pairs = None, {}, 0
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
@@ -309,9 +314,6 @@ class BYOL(SSLModel):
         self.target_projector = ProjectionHead(rep_dim, rng, dim=dim)
         self.target_projector.load_state_dict(self.projector.state_dict())
         _freeze(self.target_projector)
-
-    def keep_masks(self, rows):
-        return self.encoder.keep_masks(rows) + self.target_encoder.keep_masks(rows)
 
     def _view_state(self, view, partners, alpha):
         state = super()._view_state(view, partners, alpha)

@@ -93,13 +93,16 @@ def set_blas_threads(n: int) -> None:
 
 @contextmanager
 def blas_held(n: int):
-    """Hold numpy's BLAS at ``n`` threads for the block, then restore it."""
+    """Hold numpy's BLAS at ``n`` threads for the block, then restore it. A
+    count already at ``n`` is not written, so a branch's hold inside the
+    caller's sets nothing and cannot race another thread's."""
     before = blas_threads()
-    set_blas_threads(n)
+    if before not in (None, n):
+        set_blas_threads(n)
     try:
         yield
     finally:
-        if before is not None:
+        if before not in (None, n):
             set_blas_threads(before)
 
 

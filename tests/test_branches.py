@@ -229,3 +229,92 @@ def test_a_branch_error_reaches_the_caller_and_leaves_its_tape():
     with pytest.raises(ValueError, match="branch failed"):
         T.branches([lambda: None, fail])
     assert T.tape_length() == 0 and T.grad_enabled()
+
+
+def _wmse_step(z_values, z2_values):
+    """One W-MSE forward and backward over float32 embeddings: the loss and
+    both gradients."""
+    z, z2 = (Tensor(v.astype(np.float32), requires_grad=True) for v in (z_values, z2_values))
+    T.reset_tape()
+    loss, _ = ssl_models.wmse_loss(z, z2)
+    T.backward(loss)
+    T.reset_tape()
+    return loss.values, z.grad, z2.grad
+
+
+def _embeddings(seed=11, rows=128, width=64):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, width)), rng.normal(size=(rows, width))
+
+
+def test_wmse_slices_as_branches_give_the_bits_of_one_tape(monkeypatch):
+    z, z2 = _embeddings()
+    results = {}
+    for budget in (2, 1):
+        threads._planned = budget
+        results[budget] = _wmse_step(z, z2)
+    with monkeypatch.context() as patch:
+        _one_tape(patch)
+        ref = _wmse_step(z, z2)
+    for got in (results[2], results[1]):
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_wmse_branches_under_frequent_thread_switches(monkeypatch):
+    # more threads than this machine has cores, switching every 10 us
+    z, z2 = _embeddings(seed=12)
+    with monkeypatch.context() as patch:
+        _one_tape(patch)
+        ref = _wmse_step(z, z2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads._planned = 2 * threads.usable_cpus() + 1
+        got = [_wmse_step(z, z2) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in got:
+        for a, b in zip(result, ref):
+            np.testing.assert_array_equal(a, b)
+
+
+@threaded
+def test_wmse_branches_leave_the_blas_count_to_the_calling_thread(monkeypatch):
+    # outside pretrain no hold covers the loss: a branch's Cholesky that set
+    # the count itself would race the other branch's and could leave it at 1
+    threads._planned = 2
+    threads.set_blas_threads(2)
+    setters, real_set = [], threads.set_blas_threads
+    monkeypatch.setattr(threads, "set_blas_threads",
+                        lambda n: setters.append(threading.get_ident()) or real_set(n))
+    z, z2 = _embeddings()
+    for _ in range(20):
+        _wmse_step(z, z2)
+        assert threads.blas_threads() == 2
+    assert set(setters) == {threading.get_ident()}
+
+
+def test_dropout_streams_are_drawn_only_for_an_active_dropout():
+    # one generator per view, seeded from the dropout layers' generator in
+    # view order; a model without an active dropout draws nothing
+    def model(kind, rng):
+        cfg = encoders.EncoderConfig(kind=kind, input_width=WIDTH, hidden_dim=16,
+                                     token_dim=8, heads=2, layers=1, dropout=0.1)
+        return ssl_models.build_model("vicreg", lambda: encoders.build_encoder(cfg, rng),
+                                      encoders.representation_dim(cfg), rng, dim=16)
+
+    rng = np.random.default_rng(4)
+    mlp = model("mlp", rng)
+    state = rng.bit_generator.state
+    assert mlp._streams(2) == [None, None]
+    assert rng.bit_generator.state == state
+    ft = model("ft_transformer", rng)
+    state = rng.bit_generator.state
+    assert ft.eval()._streams(2) == [None, None]
+    assert rng.bit_generator.state == state
+    streams = ft.train()._streams(3)
+    seeds = np.random.default_rng(0)
+    seeds.bit_generator.state = state
+    for stream, seed in zip(streams, seeds.integers(1 << 63, size=3)):
+        assert stream.bit_generator.state == np.random.default_rng(seed).bit_generator.state

@@ -129,7 +129,34 @@ def test_dropout_eval_identity_and_train_scaling():
     out = drop(Tensor(x)).values
     kept = out > 0
     assert abs(kept.mean() - 0.6) < 0.02
-    np.testing.assert_allclose(out[kept], 1.0 / 0.6)
+    np.testing.assert_allclose(out[kept], 65536 / 39322)    # 1 / keep, 39,322 = round(0.6 * 2**16)
+
+
+def test_dropout_keeps_a_16_bit_share_and_stays_unbiased():
+    # p = 0.1 keeps 58,982 of 65,536 levels; the kept entries scale by the
+    # exact inverse of that share, so the mean output stays near 1
+    drop = nn.Dropout(0.1, rng_(18))
+    assert drop.threshold == round(0.9 * 65536) == 58982
+    assert drop.keep == drop.threshold / 65536
+    out = drop(Tensor(np.ones((2000, 10)))).values
+    kept = out > 0
+    np.testing.assert_array_equal(out[kept], 1.0 / drop.keep)
+    assert abs(out.mean() - 1.0) < 0.02
+    with pytest.raises(nn.ConfigError):
+        nn.Dropout(1.0 - 2.0 ** -20, rng_(18))  # keeps no level
+
+
+def test_dropout_draws_from_the_thread_stream_in_forward_order():
+    drops = [nn.Dropout(0.5, rng_(19)) for _ in range(2)]
+    with nn.masks_from(np.random.default_rng(7)):
+        masks = [d.keep_mask((4, 6)) for d in drops]
+    stream = np.random.default_rng(7)
+    for mask in masks:
+        np.testing.assert_array_equal(
+            mask, stream.integers(0, 65536, (4, 6), dtype=np.uint16) < 32768)
+    # outside the context each layer draws from its own generator again
+    np.testing.assert_array_equal(drops[0].keep_mask((4, 6)),
+                                  rng_(19).integers(0, 65536, (4, 6), dtype=np.uint16) < 32768)
 
 
 def test_dropout_p_zero_is_identity_in_train():

@@ -863,6 +863,23 @@ def test_an_ft_transformer_run_loads_no_scipy_special(tmp_path):
     assert cli_run_modules(tmp_path, make_doc(encoder=ft)) == "[]"
 
 
+def test_a_run_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only: with its import blocked a run still
+    # completes, and its record leaves the scipy version out
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(make_doc(output_dir=str(tmp_path / "runs"))))
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from nidkit import cli\n"
+              f"sys.exit(cli.main(['run', {str(path)!r}]))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    record = yaml.safe_load(next((tmp_path / "runs").glob("*/run0/record.yaml")).read_text())
+    assert "scipy" not in record["env"] and record["env"]["numpy"] == np.__version__
+
+
 def test_cli_rejects_invalid_config(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(make_doc(model="contrastive")))
