@@ -60,6 +60,8 @@ class DeepSVDD(nn.Module):
 
     def __init__(self, input_dim: int, rng, widths=(256, 64, 32)):
         super().__init__()
+        if not widths or min(widths) < 1:   # no layer would score the raw features
+            raise nn.ConfigError(f"deep_svdd: widths must be positive layer widths, got {widths!r}")
         dims = [input_dim, *widths]
         self.layers = [nn.Linear(dims[i], dims[i + 1], rng, bias=False)
                        for i in range(len(dims) - 1)]

@@ -20,8 +20,7 @@ import yaml
 from .augment import KINDS as AUGMENTATION_KINDS, AugmentationSpec
 from .baselines import BASELINES
 from .data import load_csv, synth_generate
-from .encoders import (CNNEncoder, EncoderConfig, FTTransformerEncoder,
-                       MLPEncoder)
+from .encoders import ENCODERS
 from .nn import ConfigError
 from .ssl_models import MODEL_CLASSES, MODEL_KINDS
 
@@ -55,8 +54,7 @@ def keywords(builder) -> dict:
 # of ``synth_generate``.
 LOSS = {**{kind: keywords(cls.loss or cls) for kind, cls in MODEL_CLASSES.items()},
         **{name: keywords(cls) for name, (cls, _) in BASELINES.items()}}
-ENCODER = {kind: {"kind": REQUIRED, **keywords(cls)} for kind, cls in
-           (("mlp", MLPEncoder), ("cnn", CNNEncoder), ("ft_transformer", FTTransformerEncoder))}
+ENCODER = {kind: {"kind": REQUIRED, **keywords(cls)} for kind, cls in ENCODERS.items()}
 SYNTH = parameters(synth_generate)
 AUGMENTATION = {kind: {"kind": REQUIRED, **{f: getattr(AugmentationSpec, f) for f in fields}}
                 for kind, fields in AUGMENTATION_KINDS.items()}
@@ -113,8 +111,8 @@ def section(value, keys: dict, what: str, source: str) -> dict:
     it with the defaults filled in. It must be a mapping of declared keys
     holding every required one; a value whose default is an int or float (or
     that is required as one) is read as one, but neither a boolean nor, for
-    an int, a float with a fraction; one whose default is a mapping or list
-    must be one."""
+    an int, a float with a fraction; one whose default is a mapping, list or
+    tuple must be a mapping or list, a tuple's entries read like its first."""
     if not isinstance(value, dict):
         raise ConfigError(f"{source}: {what} must be a mapping, got {value!r}")
     unread = sorted(set(value) - set(keys), key=str)
@@ -135,9 +133,11 @@ def section(value, keys: dict, what: str, source: str) -> dict:
                 v = kind(v)
             except (TypeError, ValueError):
                 raise ConfigError(f"{source}: {what}: {k!r} must be a number, got {v!r}") from None
-        elif kind in (dict, list) and not isinstance(v, kind):
+        elif kind in (dict, list, tuple) and not isinstance(v, dict if kind is dict else list):
             raise ConfigError(f"{source}: {what}: {k!r} must be a "
                               f"{'mapping' if kind is dict else 'list'}, got {v!r}")
+        if kind is tuple:   # each entry read as the default's first entry is
+            v = [section({k: x}, {k: keys[k][0]}, what, source)[k] for x in v]
         out[k] = v
     return out
 
@@ -223,7 +223,8 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
 
 
 def encoder_config_for(encoder: dict, input_width: int,
-                       numeric_cols=(), cat_groups=None) -> EncoderConfig:
-    """Materialize an encoder section, ``kind`` included, for a concrete input width."""
-    return EncoderConfig(input_width=input_width, numeric_cols=list(numeric_cols),
-                         cat_groups=dict(cat_groups or {}), **encoder)
+                       numeric_cols=(), cat_groups=None) -> dict:
+    """An encoder section checked against its kind and filled in, plus its input layout."""
+    return {**_by_kind(encoder, ENCODER, "encoder", "encoder_config_for"),
+            "input_width": input_width, "numeric_cols": list(numeric_cols),
+            "cat_groups": dict(cat_groups or {})}

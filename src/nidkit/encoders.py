@@ -1,15 +1,16 @@
 """The three representation backbones, interchangeable behind one interface.
 
 Every encoder maps a (batch, width) feature matrix to a (batch, r)
-representation; ``representation_dim`` reports r ahead of construction so the
-projector can be sized. The MLP and CNN consume the one-hot expanded matrix
-directly; the feature-tokenizer transformer splits it back into numerical
-values and categorical indices.
+representation. ``ENCODERS`` maps each kind to its class, the kind's one
+declaration: its constructor's signature holds the settings and defaults, its
+``output_width`` states r without building anything. The MLP and CNN consume
+the one-hot matrix directly; the feature-tokenizer transformer splits it back
+into numerical values and categorical indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
 from functools import partial
 
 import numpy as np
@@ -33,57 +34,18 @@ CNN_STACK = (
 )
 
 
-@dataclass
-class EncoderConfig:
-    """Architecture selector plus the input metadata the build needs.
-
-    cat_cardinalities/cat_groups describe the one-hot blocks of the input
-    matrix (used by the feature-tokenizer transformer; the other encoders
-    ignore them and read the full width).
-    """
-
-    kind: str
-    input_width: int
-    numeric_cols: list = field(default_factory=list)
-    cat_groups: dict = field(default_factory=dict)  # name -> column index list
-    hidden_dim: int = 256
-    token_dim: int = 32
-    heads: int = 4
-    layers: int = 4
-    dropout: float = 0.1
-
-
 def cnn_width_trace(input_width: int) -> list:
     """Width after each stage of the conv stack; raises naming the first
     stage the input is too narrow for."""
     w = input_width
     trace = []
     for i, (kind, size, _) in enumerate(CNN_STACK):
-        if kind == "conv":
-            if w < size:
-                raise T.ShapeError(
-                    f"cnn: width {w} too narrow for conv layer {i} (kernel {size})")
-            w = w - size + 1
-        else:
-            if w < size:
-                raise T.ShapeError(
-                    f"cnn: width {w} too narrow for pool layer {i} (window {size})")
-            w = w // size
+        if w < size:
+            raise T.ShapeError(f"cnn: width {w} too narrow for {kind} layer {i} "
+                               f"({'kernel' if kind == 'conv' else 'window'} {size})")
+        w = w - size + 1 if kind == "conv" else w // size
         trace.append(w)
     return trace
-
-
-def representation_dim(config: EncoderConfig) -> int:
-    if config.kind == "mlp":
-        return config.hidden_dim
-    if config.kind == "cnn":
-        return cnn_width_trace(config.input_width)[-1] * CNN_STACK[-2][2]
-    if config.kind == "ft_transformer":
-        n_features = len(config.numeric_cols) + len(config.cat_groups)
-        if n_features == 0:
-            n_features = config.input_width  # treat every column as numeric
-        return n_features * config.token_dim
-    raise ConfigError(f"unknown encoder kind {config.kind!r}")
 
 
 class MLPEncoder(nn.Module):
@@ -96,6 +58,10 @@ class MLPEncoder(nn.Module):
         widths = [input_width, hidden_dim, hidden_dim, hidden_dim, hidden_dim]
         self.linears = [nn.Linear(widths[i], widths[i + 1], rng) for i in range(4)]
         self.norms = [nn.BatchNorm1d(hidden_dim) for _ in range(3)]
+
+    @staticmethod
+    def output_width(hidden_dim: int, **_) -> int:
+        return hidden_dim
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.input_width:
@@ -128,6 +94,10 @@ class CNNEncoder(nn.Module):
                 c_in = c_out
             else:
                 self.stages.append(partial(T.maxpool1xk, k=size))
+
+    @staticmethod
+    def output_width(input_width: int, **_) -> int:
+        return cnn_width_trace(input_width)[-1] * CNN_STACK[-2][2]
 
     def forward(self, x: Tensor) -> Tensor:
         return nn.rowwise(self._forward, self, x)
@@ -180,14 +150,9 @@ class FTTransformerEncoder(nn.Module):
                  layers: int = 4, dropout: float = 0.1):
         super().__init__()
         self.input_width = input_width
-        if not numeric_cols and not cat_groups:
-            numeric_cols = list(range(input_width))
-        self.numeric_cols = np.asarray(numeric_cols, dtype=np.int64)
-        self.group_names = sorted(cat_groups)
-        self.group_cols = [np.asarray(cat_groups[g], dtype=np.int64)
-                           for g in self.group_names]
-        self.token_dim = token_dim
-        self.n_features = len(self.numeric_cols) + len(self.group_names)
+        self.numeric_cols = np.asarray(self.numeric_columns(input_width, numeric_cols, cat_groups),
+                                       dtype=np.int64)
+        self.group_cols = [np.asarray(cat_groups[g], dtype=np.int64) for g in sorted(cat_groups)]
 
         std = 1.0 / np.sqrt(token_dim)
         n_num = len(self.numeric_cols)
@@ -201,6 +166,17 @@ class FTTransformerEncoder(nn.Module):
         self.embedding = Tensor(draw(sum(sizes)), requires_grad=True) if sizes else None
         self.blocks = [_TransformerBlock(token_dim, heads, dropout, rng)
                        for _ in range(layers)]
+
+    @staticmethod
+    def numeric_columns(input_width: int, numeric_cols, cat_groups: dict):
+        """The numeric columns; with no layout, every column is numeric."""
+        return numeric_cols if len(numeric_cols) or cat_groups else range(input_width)
+
+    @staticmethod
+    def output_width(input_width: int, numeric_cols, cat_groups: dict, token_dim: int,
+                     **_) -> int:
+        numeric = FTTransformerEncoder.numeric_columns(input_width, numeric_cols, cat_groups)
+        return (len(numeric) + len(cat_groups)) * token_dim
 
     def tokenize(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.input_width:
@@ -224,18 +200,27 @@ class FTTransformerEncoder(nn.Module):
         tokens = self.tokenize(x)
         for block in self.blocks:
             tokens = block(tokens)
-        b = tokens.shape[0]
-        return T.reshape(tokens, (b, self.n_features * self.token_dim))
+        return T.reshape(tokens, (tokens.shape[0], tokens.shape[1] * tokens.shape[2]))
 
 
-def build_encoder(config: EncoderConfig, rng: np.random.Generator) -> nn.Module:
-    if config.kind == "mlp":
-        return MLPEncoder(config.input_width, rng, hidden_dim=config.hidden_dim)
-    if config.kind == "cnn":
-        return CNNEncoder(config.input_width, rng)
-    if config.kind == "ft_transformer":
-        return FTTransformerEncoder(
-            config.input_width, list(config.numeric_cols), dict(config.cat_groups),
-            rng, token_dim=config.token_dim, heads=config.heads,
-            layers=config.layers, dropout=config.dropout)
-    raise ConfigError(f"unknown encoder kind {config.kind!r}")
+ENCODERS = {"mlp": MLPEncoder, "cnn": CNNEncoder, "ft_transformer": FTTransformerEncoder}
+
+
+def _encoder_class(config: dict) -> type:
+    """The class of a mapping's ``kind``; an unknown kind is a ``ConfigError``."""
+    try:
+        return ENCODERS[config["kind"]]
+    except (KeyError, TypeError):   # no kind, or one that is not a name
+        raise ConfigError(f"unknown encoder kind {config.get('kind')!r}") from None
+
+
+def representation_dim(config: dict) -> int:
+    """The width of the encoder an ``encoder_config_for`` mapping builds."""
+    return _encoder_class(config).output_width(**config)
+
+
+def build_encoder(config: dict, rng: np.random.Generator) -> nn.Module:
+    """An ``encoder_config_for`` mapping's encoder, from the keys its class takes."""
+    cls = _encoder_class(config)
+    takes = inspect.signature(cls).parameters
+    return cls(rng=rng, **{k: v for k, v in config.items() if k in takes})

@@ -58,15 +58,11 @@ def build_run(cfg: ExperimentConfig, train, rng):
     permutation first, then the encoder(s), then the heads."""
     if cfg.model in BASELINES:
         return BASELINES[cfg.model][0](train.n_features, rng, **cfg.loss_params), None
-    d = train.n_features
-    aug = AugmentationSpec(**cfg.augmentation)
-    cols, width = None, d
-    numeric_cols, cat_groups = list(train.numeric_idx), train.onehot_groups
-    if aug.kind == "subsets":
+    d, aug, cols = train.n_features, AugmentationSpec(**cfg.augmentation), None
+    enc_cfg = encoder_config_for(cfg.encoder, d, train.numeric_idx, train.onehot_groups)
+    if aug.kind == "subsets":   # a window of no layout: slices break the one-hot blocks
         cols = subset_columns(d, aug.k, aug.overlap_fraction, rng.permutation(d))
-        width = len(cols[0])
-        numeric_cols, cat_groups = [], {}  # slices break the one-hot blocks
-    enc_cfg = encoder_config_for(cfg.encoder, width, numeric_cols, cat_groups)
+        enc_cfg = encoder_config_for(cfg.encoder, len(cols[0]))
     model = build_model(cfg.model, lambda: build_encoder(enc_cfg, rng),
                         representation_dim(enc_cfg), rng,
                         dim=cfg.projection_dim, **cfg.loss_params)

@@ -27,8 +27,7 @@ from nidkit.augment import (AugmentationSpec, ViewSet, gaussian_noise,
 from nidkit.config import encoder_config_for, validate_config
 from nidkit.data import Dataset, protocol_split, synth_generate
 from nidkit.detector import fit_center
-from nidkit.encoders import (CNNEncoder, EncoderConfig, build_encoder,
-                             representation_dim)
+from nidkit.encoders import CNNEncoder, build_encoder, representation_dim
 from nidkit.evaluate import auroc, optimal_threshold_metrics
 from nidkit.runner import run_experiment
 from nidkit.ssl_models import (MODEL_KINDS, barlow_twins_loss, build_model,
@@ -205,20 +204,19 @@ def _trainable(module):
 def _encoder_cases(rng):
     cases = []
 
-    mlp_cfg = EncoderConfig(kind="mlp", input_width=12, hidden_dim=16)
+    mlp_cfg = encoder_config_for({"kind": "mlp", "hidden_dim": 16}, 12)
     mlp = as_dtype(build_encoder(mlp_cfg, rng))
     x_mlp = Tensor(rng.normal(size=(5, 12)))
     cases.append(("encoder_mlp", _trainable(mlp), lambda: _sq_mean(mlp(x_mlp))))
 
-    cnn_cfg = EncoderConfig(kind="cnn", input_width=40)
+    cnn_cfg = encoder_config_for({"kind": "cnn"}, 40)
     cnn = as_dtype(build_encoder(cnn_cfg, rng))
     x_cnn = Tensor(rng.normal(size=(3, 40)))
     cases.append(("encoder_cnn", _trainable(cnn), lambda: _sq_mean(cnn(x_cnn))))
 
-    ft_cfg = EncoderConfig(kind="ft_transformer", input_width=10,
-                           numeric_cols=list(range(7)),
-                           cat_groups={"proto": [7, 8, 9]},
-                           token_dim=8, heads=2, layers=1, dropout=0.0)
+    ft_cfg = encoder_config_for({"kind": "ft_transformer", "token_dim": 8, "heads": 2,
+                                 "layers": 1, "dropout": 0.0},
+                                10, range(7), {"proto": [7, 8, 9]})
     ft = as_dtype(build_encoder(ft_cfg, rng))
     x_ft = rng.normal(size=(4, 10))
     x_ft[:, 7:10] = 0.0
@@ -261,7 +259,7 @@ def _model_cases(rng):
     views = ViewSet(views=[base + 0.05 * rng.normal(size=base.shape),
                            base + 0.05 * rng.normal(size=base.shape)])
     for kind in MODEL_KINDS:
-        cfg = EncoderConfig(kind="mlp", input_width=10, hidden_dim=8)
+        cfg = encoder_config_for({"kind": "mlp", "hidden_dim": 8}, 10)
         hyper = {"slice_size": 6} if kind == "wmse" else {}
         model = as_dtype(build_model(kind, lambda: build_encoder(cfg, rng), 8, rng,
                                      dim=8, **hyper))

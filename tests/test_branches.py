@@ -17,6 +17,7 @@ import pytest
 
 from nidkit import encoders, nn, ssl_models, threads, tensor as T
 from nidkit.augment import AugmentationSpec, subset_columns
+from nidkit.config import encoder_config_for
 from nidkit.tensor import Tensor
 
 WIDTH, ROWS = 40, 64
@@ -51,9 +52,9 @@ def _train(model_kind, encoder_kind, aug):
     if spec.kind == "subsets":
         cols = subset_columns(WIDTH, spec.k, 0.0, rng.permutation(WIDTH))
         width, numeric, groups = len(cols[0]), [], {}
-    cfg = encoders.EncoderConfig(kind=encoder_kind, input_width=width, numeric_cols=numeric,
-                                 cat_groups=groups, hidden_dim=32, token_dim=8, heads=2,
-                                 layers=2)
+    section = {"mlp": {"hidden_dim": 32}, "cnn": {},
+               "ft_transformer": {"token_dim": 8, "heads": 2, "layers": 2}}[encoder_kind]
+    cfg = encoder_config_for({"kind": encoder_kind, **section}, width, numeric, groups)
     model = ssl_models.build_model(model_kind, lambda: encoders.build_encoder(cfg, rng),
                                    encoders.representation_dim(cfg), rng, dim=32)
     history = ssl_models.pretrain(model, _features(), spec, nn.Adam(model, lr=1e-3),
@@ -299,8 +300,9 @@ def test_dropout_streams_are_drawn_only_for_an_active_dropout():
     # one generator per view, seeded from the dropout layers' generator in
     # view order; a model without an active dropout draws nothing
     def model(kind, rng):
-        cfg = encoders.EncoderConfig(kind=kind, input_width=WIDTH, hidden_dim=16,
-                                     token_dim=8, heads=2, layers=1, dropout=0.1)
+        section = ({"hidden_dim": 16} if kind == "mlp"
+                   else {"token_dim": 8, "heads": 2, "layers": 1, "dropout": 0.1})
+        cfg = encoder_config_for({"kind": kind, **section}, WIDTH)
         return ssl_models.build_model("vicreg", lambda: encoders.build_encoder(cfg, rng),
                                       encoders.representation_dim(cfg), rng, dim=16)
 

@@ -1,7 +1,6 @@
 """Encoder shape conformance, determinism, and gradient checks."""
 
 import cProfile
-import dataclasses
 import pstats
 import tracemalloc
 from contextlib import nullcontext
@@ -11,6 +10,7 @@ import pytest
 
 from nidkit import config, encoders, nn, ssl_models, tensor as T
 from nidkit.augment import AugmentationSpec, make_views
+from nidkit.config import encoder_config_for
 from nidkit.data import SchemaError
 from nidkit.tensor import Tensor
 from oracles import (as_dtype, both_operand_gradients, check_module_grad,
@@ -120,8 +120,7 @@ def test_ft_representation_width():
     enc = _toy_ft()
     out = enc(Tensor(_toy_batch()))
     assert out.shape == (4, 3 * 8)
-    cfg = encoders.EncoderConfig(kind="ft_transformer", input_width=58,
-                                 numeric_cols=list(range(58)))
+    cfg = encoder_config_for({"kind": "ft_transformer"}, 58, numeric_cols=range(58))
     assert encoders.representation_dim(cfg) == 1856
 
 
@@ -172,34 +171,61 @@ def test_ft_all_numeric_fallback():
 # shared contracts
 
 def test_representation_dim_matches_encoders():
-    cfg_mlp = encoders.EncoderConfig(kind="mlp", input_width=196)
+    cfg_mlp = encoder_config_for({"kind": "mlp"}, 196)
     assert encoders.representation_dim(cfg_mlp) == 256
-    cfg_cnn = encoders.EncoderConfig(kind="cnn", input_width=196)
+    cfg_cnn = encoder_config_for({"kind": "cnn"}, 196)
     assert encoders.representation_dim(cfg_cnn) == 3584
-    with pytest.raises(nn.ConfigError):
-        encoders.representation_dim(encoders.EncoderConfig(kind="vae", input_width=5))
 
 
-def test_encoder_config_defaults_are_the_constructors():
-    """A run takes an encoder's defaults from its constructor (``config.ENCODER``);
-    ``encoder_config_for`` with only a kind takes ``EncoderConfig``'s, which
-    must be the same numbers."""
-    defaults = {f.name: f.default for f in dataclasses.fields(encoders.EncoderConfig)
-                if f.default is not dataclasses.MISSING}
-    declared = {}
-    for kind, keys in config.ENCODER.items():
-        for key, default in keys.items():
-            if key != "kind":
-                assert defaults.get(key) == default, (kind, key)
-                declared[key] = default
-    assert declared == defaults
+def test_encoder_kinds_and_defaults_are_declared_once():
+    # the constructors' defaults, which config hashes and unknown-key errors read
+    assert config.ENCODER == {
+        "mlp": {"kind": config.REQUIRED, "hidden_dim": 256},
+        "cnn": {"kind": config.REQUIRED},
+        "ft_transformer": {"kind": config.REQUIRED, "token_dim": 32, "heads": 4,
+                           "layers": 4, "dropout": 0.1}}
+    assert config.ENCODER.keys() == encoders.ENCODERS.keys()
+
+
+@pytest.mark.parametrize("cfg", [{"kind": "vae", "input_width": 5}, {"input_width": 5},
+                                 {"kind": ["mlp"], "input_width": 5}],
+                         ids=["unknown", "missing", "not-a-name"])
+def test_an_unknown_encoder_kind_is_a_config_error(cfg):
+    with pytest.raises(nn.ConfigError, match="unknown encoder kind"):
+        encoders.build_encoder(cfg, rng_(26))
+    with pytest.raises(nn.ConfigError, match="unknown encoder kind"):
+        encoders.representation_dim(cfg)
+
+
+def test_encoder_config_for_takes_only_its_kinds_keys():
+    with pytest.raises(nn.ConfigError, match=r"does not read key\(s\) \['hidden_dim'\]"):
+        encoder_config_for({"kind": "cnn", "hidden_dim": 32}, 40)
+    with pytest.raises(nn.ConfigError, match="unknown encoder kind 'vae'"):
+        encoder_config_for({"kind": "vae"}, 40)
+    assert encoder_config_for({"kind": "mlp"}, 7, numeric_cols=range(3)) == {
+        "kind": "mlp", "hidden_dim": 256, "input_width": 7, "numeric_cols": [0, 1, 2],
+        "cat_groups": {}}
+
+
+# the two layouts a run builds an encoder for: numeric columns plus one-hot
+# groups, and a subsets window's (none, so the FT treats every column as numeric)
+LAYOUTS = {"full": (range(36), {"proto": [36, 37], "svc": [38, 39]}), "subsets": ((), {})}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kind", sorted(encoders.ENCODERS))
+def test_representation_dim_is_the_built_encoders_width(kind, layout):
+    cfg = encoder_config_for({"kind": kind}, 40, *LAYOUTS[layout])
+    enc = encoders.build_encoder(cfg, rng_(27))
+    with T.no_grad():
+        out = enc(Tensor(rng_(28).normal(size=(3, 40))))
+    assert out.shape == (3, encoders.representation_dim(cfg))
 
 
 def test_build_encoder_dispatch_and_reproducibility():
     for kind in ("mlp", "cnn", "ft_transformer"):
         width = 36 if kind == "cnn" else 10
-        cfg = encoders.EncoderConfig(kind=kind, input_width=width,
-                                     numeric_cols=list(range(width)))
+        cfg = encoder_config_for({"kind": kind}, width, numeric_cols=range(width))
         e1 = encoders.build_encoder(cfg, rng_(23))
         e2 = encoders.build_encoder(cfg, rng_(23))
         s1, s2 = e1.state_dict(), e2.state_dict()
@@ -211,8 +237,7 @@ def test_build_encoder_dispatch_and_reproducibility():
 def test_encoders_finite_outputs():
     x = rng_(24).normal(size=(8, 36))
     for kind in ("mlp", "cnn", "ft_transformer"):
-        cfg = encoders.EncoderConfig(kind=kind, input_width=36,
-                                     numeric_cols=list(range(36)))
+        cfg = encoder_config_for({"kind": kind}, 36, numeric_cols=range(36))
         enc = encoders.build_encoder(cfg, rng_(25))
         out = enc(Tensor(x)).values
         assert np.isfinite(out).all(), kind
@@ -257,7 +282,7 @@ def test_cnn_matches_im2col_reference_at_d40():
 def _vicreg_cnn(batch, width=40):
     """A VICReg model on a CNN, one view set, and a one-step closure."""
     rng = rng_(62)
-    cfg = encoders.EncoderConfig(kind="cnn", input_width=width)
+    cfg = encoder_config_for({"kind": "cnn"}, width)
     model = ssl_models.build_model("vicreg", lambda: encoders.build_encoder(cfg, rng),
                                    encoders.representation_dim(cfg), rng, dim=256)
     views = make_views(rng.normal(size=(batch, width)),
@@ -296,10 +321,16 @@ def test_cnn_runs_no_scatter_add_and_no_forward_argmax():
 
 def _ft_config(width=12):
     """An FT-transformer config with one 4-way categorical group."""
-    return encoders.EncoderConfig(kind="ft_transformer", input_width=width,
-                                  numeric_cols=list(range(width - 4)),
-                                  cat_groups={"proto": list(range(width - 4, width))},
-                                  token_dim=16, heads=4, layers=2, dropout=0.1)
+    return encoder_config_for(
+        {"kind": "ft_transformer", "token_dim": 16, "heads": 4, "layers": 2, "dropout": 0.1},
+        width, numeric_cols=range(width - 4),
+        cat_groups={"proto": list(range(width - 4, width))})
+
+
+def _narrow(kind, width):
+    """A config of ``kind``, 32 wide for the MLP (the CNN takes no ``hidden_dim``)."""
+    return encoder_config_for({"kind": kind, **({"hidden_dim": 32} if kind == "mlp" else {})},
+                              width)
 
 
 def _tabular_batch(b, width, seed):
@@ -316,8 +347,8 @@ def _module_case(kind):
     if kind == "ft_transformer":
         cfg = _ft_config()
     else:       # the CNN stack needs 40 columns or more
-        cfg = encoders.EncoderConfig(kind=kind, input_width=40, hidden_dim=32)
-    return encoders.build_encoder(cfg, rng_(82)), _tabular_batch(130, cfg.input_width, 83)
+        cfg = _narrow(kind, 40)
+    return encoders.build_encoder(cfg, rng_(82)), _tabular_batch(130, cfg["input_width"], 83)
 
 
 @pytest.mark.parametrize("kind", ["mlp", "cnn", "ft_transformer", "projection_head"])
@@ -338,8 +369,7 @@ def _vicreg_step_grads(kind, composed):
     """Loss, parameter gradients and buffers of one VICReg forward and
     backward on fresh, identically seeded models."""
     rng = rng_(84)
-    cfg = (_ft_config() if kind == "ft_transformer"
-           else encoders.EncoderConfig(kind=kind, input_width=12, hidden_dim=32))
+    cfg = _ft_config() if kind == "ft_transformer" else _narrow(kind, 12)
     model = ssl_models.build_model("vicreg", lambda: encoders.build_encoder(cfg, rng),
                                    encoders.representation_dim(cfg), rng, dim=32)
     views = make_views(_tabular_batch(48, 12, 85), AugmentationSpec(kind="gaussian_noise"), rng)
@@ -375,8 +405,7 @@ def test_train_step_moves_every_leaf_that_gets_a_gradient(kind, width, monkeypat
     # a trainable leaf outside model.parameters() gets gradients that Adam
     # never applies, zero_grad never clears and checkpoints never store
     rng = rng_(89)
-    cfg = (_ft_config(width) if kind == "ft_transformer"
-           else encoders.EncoderConfig(kind=kind, input_width=width, hidden_dim=32))
+    cfg = _ft_config(width) if kind == "ft_transformer" else _narrow(kind, width)
     model = ssl_models.build_model("vicreg", lambda: encoders.build_encoder(cfg, rng),
                                    encoders.representation_dim(cfg), rng, dim=32)
     before = {id(p): p.values.copy() for p in model.parameters()}
@@ -432,9 +461,8 @@ def test_vicreg_ft_step_peak_memory():
     # per layer and view the tape keeps one float (b, heads, t, t) array of
     # attention weights and a boolean mask; five float arrays came to 257 MB
     rng = rng_(88)
-    cfg = encoders.EncoderConfig(kind="ft_transformer", input_width=40,
-                                 numeric_cols=list(range(35)),
-                                 cat_groups={"proto": list(range(35, 40))})
+    cfg = encoder_config_for({"kind": "ft_transformer"}, 40, numeric_cols=range(35),
+                             cat_groups={"proto": list(range(35, 40))})
     model = ssl_models.build_model("vicreg", lambda: encoders.build_encoder(cfg, rng),
                                    encoders.representation_dim(cfg), rng, dim=256)
     views = make_views(_tabular_batch(64, 40, 89), AugmentationSpec(kind="random_shuffle"), rng)

@@ -9,7 +9,7 @@ import pytest
 
 from nidkit import encoders, nn, runner, ssl_models, tensor as T
 from nidkit.augment import KINDS, AugmentationSpec, make_views, subset_columns
-from nidkit.config import validate_config
+from nidkit.config import encoder_config_for, validate_config
 from nidkit.tensor import Tensor
 
 F32 = np.float32
@@ -105,10 +105,9 @@ def _dtypes(module):
 def test_compute_loss_keeps_float32(kind, encoder, monkeypatch):
     width = 40
     rng = np.random.default_rng(5)
-    cfg = encoders.EncoderConfig(kind=encoder, input_width=width, hidden_dim=32,
-                                 numeric_cols=list(range(width - 4)),
-                                 cat_groups={"proto": list(range(width - 4, width))},
-                                 layers=1)
+    section = {"mlp": {"hidden_dim": 32}, "cnn": {}, "ft_transformer": {"layers": 1}}[encoder]
+    cfg = encoder_config_for({"kind": encoder, **section}, width, range(width - 4),
+                             {"proto": list(range(width - 4, width))})
     model = ssl_models.build_model(kind, lambda: encoders.build_encoder(cfg, rng),
                                    encoders.representation_dim(cfg), rng, dim=16)
     assert _dtypes(model) == {np.dtype(F32)}

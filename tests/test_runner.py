@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import pytest
 import scipy
 import yaml
 
-from nidkit import cli, nn, runner, threads
+from nidkit import cli, nn, runner, tensor as T, threads
 from nidkit.augment import KINDS as AUG_KINDS
 from nidkit.config import config_hash, validate_config
 from nidkit.data import load_csv, protocol_split, save_dataset, synth_generate
@@ -22,6 +23,7 @@ from nidkit.detector import Detector, dump_scores
 from nidkit.nn import ConfigError
 from nidkit.runner import expand_grid, read_report, run_experiment, run_grid
 from nidkit.ssl_models import MODEL_KINDS
+from nidkit.tensor import Tensor
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -241,6 +243,55 @@ def test_validate_reads_a_number_as_a_number(tmp_path, capsys, over, key):
     with pytest.raises(ConfigError, match=f"'{key}' must be a number"):
         validate_config(doc)
     assert f"'{key}' must be a number" in cli_error(tmp_path, capsys, "validate-config", doc)
+
+
+@pytest.mark.parametrize("widths, message", [
+    (5, "'widths' must be a list, got 5"),
+    ("abc", "'widths' must be a list, got 'abc'"),
+    ([64, "x"], "'widths' must be a number, got 'x'"),
+    ([64, 8.5], "'widths' must be an integer, got 8.5"),
+    ([64, True], "'widths' must be a number, got True"),
+], ids=["int", "string", "string-entry", "fraction-entry", "bool-entry"])
+def test_validate_reads_svdd_widths_as_a_list_of_integers(tmp_path, capsys, widths, message):
+    doc = make_doc(model="deep_svdd", loss={"widths": widths})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        validate_config(doc)
+    assert message in cli_error(tmp_path, capsys, "validate-config", doc)
+
+
+def test_svdd_widths_entries_are_read_as_integers():
+    cfg = validate_config(make_doc(model="deep_svdd", loss={"widths": [16.0, "8"]}))
+    assert cfg.loss_params == {"widths": [16, 8]}
+
+
+@pytest.mark.parametrize("widths", [[], [0], [16, -1]], ids=["empty", "zero", "negative"])
+def test_svdd_without_positive_widths_fails_its_run(tmp_path, widths):
+    # no layer would score the raw features' distance to their mean as `ok`
+    cfg = validate_config(make_doc(model="deep_svdd", loss={"widths": widths}),
+                          base_dir=tmp_path)
+    rec = run_experiment(cfg)["records"][0]
+    assert (rec["status"], rec["stage"]) == ("failed", "train")
+    assert rec["error"].startswith("ConfigError: deep_svdd: widths must be")
+
+
+@pytest.mark.parametrize("aug", [{"kind": "gaussian_noise"}, {"kind": "subsets"}],
+                         ids=["full", "subsets"])
+@pytest.mark.parametrize("encoder", [{"kind": "mlp", "hidden_dim": 16}, {"kind": "cnn"},
+                                     {"kind": "ft_transformer", "token_dim": 8, "heads": 2,
+                                      "layers": 1}], ids=lambda e: e["kind"])
+@pytest.mark.parametrize("model", MODEL_KINDS)
+def test_build_run_sizes_the_projector_to_the_encoder(model, encoder, aug):
+    # 72 columns: a subsets window of 36 is the CNN's narrowest input
+    doc = make_doc(model=model, encoder=encoder, augmentation=aug,
+                   dataset={"synth": {"n_normal": 40, "n_attack": 4, "d": 72,
+                                      "separation": 3.0}})
+    cfg = validate_config(doc)
+    train, _ = protocol_split(runner.load_experiment_dataset(cfg), 0.5, seed=0)
+    built, cols = runner.build_run(cfg, train, np.random.default_rng(0))
+    x = train.features[:4] if cols is None else train.features[:4, cols[0]]
+    with T.no_grad():
+        width = built.encoder(Tensor(x)).shape[1]
+    assert built.projector.fc1.in_features == width
 
 
 SYNTH = {"n_normal": 300, "n_attack": 80, "d": 12, "separation": 6.0}

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from nidkit import encoders, threads, tensor as T
+from nidkit.config import encoder_config_for
 from nidkit.data import SchemaError
 from nidkit.tensor import Tensor
 from oracles import as_dtype
@@ -32,12 +33,8 @@ def restore_plan():
 
 
 def _encoder(kind, width=40, seed=0):
-    if kind == "ft_transformer":
-        cfg = encoders.EncoderConfig(kind=kind, input_width=width,
-                                     numeric_cols=list(range(width - 5)),
-                                     cat_groups={"proto": list(range(width - 5, width))})
-    else:
-        cfg = encoders.EncoderConfig(kind=kind, input_width=width)
+    cfg = encoder_config_for({"kind": kind}, width, range(width - 5),
+                             {"proto": list(range(width - 5, width))})
     return encoders.build_encoder(cfg, np.random.default_rng(seed))
 
 
@@ -116,9 +113,9 @@ def test_first_gelu_on_helper_threads_keeps_the_bits():
         "import threading\n"
         "import numpy as np\n"
         "from nidkit import encoders, threads, tensor as T\n"
-        "cfg = encoders.EncoderConfig(kind='ft_transformer', input_width=40,\n"
-        "                             numeric_cols=list(range(35)),\n"
-        "                             cat_groups={'proto': list(range(35, 40))})\n"
+        "from nidkit.config import encoder_config_for\n"
+        "cfg = encoder_config_for({'kind': 'ft_transformer'}, 40, range(35),\n"
+        "                         {'proto': list(range(35, 40))})\n"
         "enc = encoders.build_encoder(cfg, np.random.default_rng(0)).eval()\n"
         "x = np.random.default_rng(1).random((196, 40))\n"
         "x[:, -5:] = 0.0\n"
