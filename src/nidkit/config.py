@@ -65,6 +65,8 @@ TRAINING = {"learning_rate": 1e-3, "epochs": 10, "batch_size": 128, "projection_
 # a dataset section holds one mode's keys
 DATASET = {"synth": {"synth": REQUIRED}, "cache": {"cache": REQUIRED},
            "csv": {"csv": REQUIRED, "schema": REQUIRED, **keywords(load_csv)}}
+# layer widths and head counts: below 1 the layer initialisation divides by zero
+SIZES = ("hidden_dim", "heads", "hidden", "latent", "projection_dim")
 # a grid document; an empty axis takes the base's value
 GRID = {"version": REQUIRED, "base": REQUIRED, "grid": REQUIRED}
 AXES = {"model": [], "encoder": [], "augmentation": []}
@@ -194,6 +196,10 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
         encoder, aug = {}, None      # baselines read neither section
 
     training = section(top["training"], TRAINING, "training", source)
+    for name, values in (("encoder", encoder), ("loss", loss), ("training", training)):
+        for key in SIZES:
+            if values.get(key, 1) < 1:
+                raise ConfigError(f"{source}: {name}.{key} must be >= 1, got {values[key]}")
     lr = training["learning_rate"]
     if lr <= 0:
         raise ConfigError(f"{source}: learning_rate must be positive")

@@ -17,6 +17,7 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ import yaml
 from . import threads
 from .tensor import DTYPE
 
-DATASET_CACHE_VERSION = 1
+DATASET_CACHE_VERSION = 2
 SCHEMA_VERSION = 1
 
 
@@ -70,9 +71,16 @@ class RawTable:
         return 0 if not self.columns else len(self.cells[self.columns[0]])
 
 
-@dataclass
 class Dataset:
-    """Model-ready feature matrix with labels and feature metadata.
+    """Model-ready table with labels and feature metadata.
+
+    The table is held in two parts: ``numeric``, rows x numeric columns in
+    ``numeric_idx`` order, and ``codes``, rows x one-hot groups holding each
+    row's category index in each group, in ``onehot_groups`` order.
+    ``features``, the dense matrix in ``numeric``'s dtype, is built from them
+    on first access and kept, so edits to it stay (and do not reach the
+    parts). ``Dataset(features=...)`` derives the parts from a dense matrix
+    and keeps that matrix as ``features``.
 
     labels: 1 = attack (positive / anomalous class), 0 = normal.
     norm_stats maps each numeric feature name to the (min, max) pair the
@@ -80,21 +88,53 @@ class Dataset:
     split only.
     """
 
-    features: np.ndarray
-    labels: np.ndarray
-    feature_names: list
-    numeric_idx: np.ndarray
-    onehot_groups: dict
-    norm_stats: dict
-    ids: np.ndarray
+    def __init__(self, *, labels, feature_names, numeric_idx, onehot_groups, norm_stats,
+                 ids, numeric=None, codes=None, features=None):
+        if (features is None) == (numeric is None):
+            raise TypeError("Dataset takes features, or numeric and codes")
+        if features is not None:
+            numeric, codes = _parts(features, numeric_idx, onehot_groups)
+            self.features = features
+        self.numeric, self.codes, self.labels = numeric, codes, labels
+        self.feature_names, self.numeric_idx = feature_names, numeric_idx
+        self.onehot_groups, self.norm_stats, self.ids = onehot_groups, norm_stats, ids
 
     @property
     def n_rows(self) -> int:
-        return self.features.shape[0]
+        return len(self.labels)
 
     @property
     def n_features(self) -> int:
-        return self.features.shape[1]
+        return len(self.feature_names)
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        out = np.zeros((self.n_rows, self.n_features), self.numeric.dtype)
+        out[:, self.numeric_idx] = self.numeric
+        rows = np.arange(self.n_rows)
+        for cols, codes in zip(self.onehot_groups.values(), self.codes.T):
+            out[rows, np.asarray(cols)[codes]] = 1.0
+        return out
+
+
+def _parts(features, numeric_idx, onehot_groups):
+    """The numeric block and the category codes of a dense matrix. Raises
+    ``DataError`` when the layout does not name each column once, or naming
+    a one-hot group whose block does not hold exactly one 1.0, zeros
+    elsewhere, in every row."""
+    columns = np.concatenate([np.asarray(numeric_idx, np.int64)]
+                             + [np.asarray(cols, np.int64) for cols in onehot_groups.values()])
+    if not np.array_equal(np.sort(columns), np.arange(features.shape[1])):
+        raise DataError("the numeric and one-hot columns do not name each feature column once")
+    codes = np.empty((len(features), len(onehot_groups)), np.int64)
+    for g, (name, cols) in enumerate(onehot_groups.items()):
+        block = features[:, cols]
+        hot = block == 1.0
+        if not ((hot | (block == 0.0)).all() and (hot.sum(axis=1) == 1).all()):
+            raise DataError(f"one-hot group {name!r} does not hold exactly one 1.0, "
+                            f"zeros elsewhere, in every row")
+        codes[:, g] = hot.argmax(axis=1)
+    return features[:, numeric_idx], codes
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +481,10 @@ def preprocess(raw: RawTable) -> Dataset:
     labels = labels[row_keep]
     row_ids = row_ids[row_keep]
 
-    # 4. one-hot encode categoricals; 5. min-max normalize numerics. The
-    # column layout is settled first, then one matrix is filled
-    names, scaled, hot = [], [], []
+    # 4. one-hot encode categoricals, as each row's category code; 5. min-max
+    # normalize numerics. The column layout is settled first, then the two
+    # parts are filled
+    names, scaled, coded = [], [], []
     numeric_idx, onehot_groups, norm_stats = [], {}, {}
     for c in kept_cols:
         if c in numeric:
@@ -454,7 +495,7 @@ def preprocess(raw: RawTable) -> Dataset:
                 continue
             numeric_idx.append(len(names))
             norm_stats[c] = (lo, hi)
-            scaled.append((len(names), col, lo, hi))
+            scaled.append((col, lo, hi))
             names.append(c)
         else:
             cats, codes = categories[c]
@@ -462,19 +503,19 @@ def preprocess(raw: RawTable) -> Dataset:
                 warnings.warn(f"dropping single-category column {c!r}")
                 continue
             start = len(names)
-            hot.append(start + codes[row_keep])
+            coded.append(codes[row_keep])
             names.extend(f"{c}={v}" for v in cats)
             onehot_groups[c] = list(range(start, start + len(cats)))
 
     if not names:
         raise DataError("no usable feature columns after preprocessing")
-    features = np.zeros((len(labels), len(names)))
-    for j, col, lo, hi in scaled:
-        features[:, j] = (col - lo) / (hi - lo)
-    rows = np.arange(len(labels))
-    for columns in hot:
-        features[rows, columns] = 1.0
-    return Dataset(features=features, labels=labels, feature_names=names,
+    values = np.empty((len(labels), len(scaled)))
+    for j, (col, lo, hi) in enumerate(scaled):
+        values[:, j] = (col - lo) / (hi - lo)
+    codes = np.empty((len(labels), len(coded)), np.int64)
+    for g, column in enumerate(coded):
+        codes[:, g] = column
+    return Dataset(numeric=values, codes=codes, labels=labels, feature_names=names,
                    numeric_idx=np.asarray(numeric_idx, dtype=np.int64),
                    onehot_groups=onehot_groups, norm_stats=norm_stats,
                    ids=row_ids)
@@ -493,7 +534,7 @@ def _train_stats(ds: Dataset, train_idx):
     """The composed (raw min, raw max) statistics of the numeric columns over
     the training rows, and the ``lo`` and ``span`` that min-max those columns
     as ``(x - lo) / span``; a column constant over them is only shifted."""
-    values = ds.features[np.ix_(train_idx, ds.numeric_idx)]
+    values = ds.numeric[train_idx]
     lo, hi = values.min(axis=0), values.max(axis=0)
     stats = dict(ds.norm_stats)
     for j, name in enumerate(ds.feature_names[k] for k in ds.numeric_idx):
@@ -508,19 +549,16 @@ def _train_stats(ds: Dataset, train_idx):
 
 
 def _cast_rows(ds: Dataset, idx, lo, span):
-    """Rows ``idx`` in the compute dtype, numeric columns min-maxed in
+    """The numeric block of rows ``idx`` in the compute dtype, min-maxed in
     float64 first, a row block at a time. Raises ``DataError`` naming the
     columns that leave the dtype's finite range."""
-    out = np.empty((len(idx), ds.n_features), DTYPE)
-    finite = np.ones(ds.n_features, dtype=bool)
+    out = np.empty((len(idx), len(ds.numeric_idx)), DTYPE)
     with np.errstate(over="ignore"):
         for i in range(0, len(idx), _CAST_ROWS):
-            block = ds.features[idx[i:i + _CAST_ROWS]]
-            block[:, ds.numeric_idx] = (block[:, ds.numeric_idx] - lo) / span
-            out[i:i + _CAST_ROWS] = block
-            finite &= np.isfinite(out[i:i + _CAST_ROWS]).all(axis=0)
+            out[i:i + _CAST_ROWS] = (ds.numeric[idx[i:i + _CAST_ROWS]] - lo) / span
+    finite = np.isfinite(out).all(axis=0)
     if not finite.all():
-        names = [ds.feature_names[j] for j in np.flatnonzero(~finite)]
+        names = [ds.feature_names[ds.numeric_idx[j]] for j in np.flatnonzero(~finite)]
         raise DataError(f"protocol_split: feature column(s) {names} hold values beyond "
                         f"{np.dtype(DTYPE).name} range")
     return out
@@ -533,17 +571,18 @@ def protocol_split(ds: Dataset, train_fraction_of_normals: float = 0.5,
     Numeric columns are re-normalized with statistics of the training split
     only; because min-max composition is affine, this equals normalizing the
     raw values with train statistics (no test leakage). The statistics and
-    the re-normalization are float64; both splits' features are then cast to
-    the compute dtype, ``nidkit.tensor.DTYPE``.
+    the re-normalization are float64; both splits' numeric blocks are then
+    cast to the compute dtype, ``nidkit.tensor.DTYPE``, and so are their
+    ``features`` when built. The one-hot codes carry over unchanged.
     """
     normal = np.flatnonzero(ds.labels == 0)
     attack = np.flatnonzero(ds.labels == 1)
     if normal.size == 0:
         raise DataError("protocol_split: dataset has no normal samples")
     # NaN in min or max marks a NaN cell; +-inf shows in one of them
-    finite = np.isfinite(ds.features.min(axis=0)) & np.isfinite(ds.features.max(axis=0))
+    finite = np.isfinite(ds.numeric.min(axis=0)) & np.isfinite(ds.numeric.max(axis=0))
     if not finite.all():
-        names = [ds.feature_names[j] for j in np.flatnonzero(~finite)]
+        names = [ds.feature_names[ds.numeric_idx[j]] for j in np.flatnonzero(~finite)]
         raise DataError(f"protocol_split: non-finite values in feature column(s) {names}")
     n_train = int(round(train_fraction_of_normals * normal.size))
     if n_train == 0:
@@ -557,7 +596,7 @@ def protocol_split(ds: Dataset, train_fraction_of_normals: float = 0.5,
     stats, lo, span = _train_stats(ds, train_idx)
 
     mk = lambda idx: Dataset(
-        features=_cast_rows(ds, idx, lo, span), labels=ds.labels[idx],
+        numeric=_cast_rows(ds, idx, lo, span), codes=ds.codes[idx], labels=ds.labels[idx],
         feature_names=list(ds.feature_names),
         numeric_idx=ds.numeric_idx.copy(),
         onehot_groups={k: list(v) for k, v in ds.onehot_groups.items()},
@@ -631,7 +670,7 @@ def synth_generate(n_normal: int, n_attack: int, d: int, separation: float,
     # categorical part: attack category distribution drifts with separation
     w = min(1.0, 0.1 * separation)
     cat_sizes = (3, 4)
-    cat_blocks = []
+    codes = np.empty((n_normal + n_attack, len(cat_sizes)), np.int64)
     names, onehot_groups, numeric_idx, norm_stats = [], {}, [], {}
     for j in range(d_num):
         numeric_idx.append(j)
@@ -642,13 +681,10 @@ def synth_generate(n_normal: int, n_attack: int, d: int, separation: float,
         p_att = (1 - w) * base + w * skewed
         draws_n = rng.choice(size, size=n_normal, p=base)
         draws_a = rng.choice(size, size=n_attack, p=p_att)
-        draws = np.concatenate([draws_n, draws_a])
-        hot = np.zeros((n_normal + n_attack, size))
-        hot[np.arange(draws.size), draws] = 1.0
+        codes[:, g] = np.concatenate([draws_n, draws_a])
         start = d_num + sum(cat_sizes[:g])
         onehot_groups[f"cat{g}"] = list(range(start, start + size))
         names.extend(f"cat{g}={c}" for c in range(size))
-        cat_blocks.append(hot)
 
     lo = numeric.min(axis=0)
     hi = numeric.max(axis=0)
@@ -656,10 +692,9 @@ def synth_generate(n_normal: int, n_attack: int, d: int, separation: float,
         norm_stats[f"num{j}"] = (float(lo[j]), float(hi[j]))
     numeric = (numeric - lo) / (hi - lo)
 
-    features = np.hstack([numeric] + cat_blocks)
     labels = np.concatenate([np.zeros(n_normal, dtype=np.int64),
                              np.ones(n_attack, dtype=np.int64)])
-    return Dataset(features=features, labels=labels, feature_names=names,
+    return Dataset(numeric=numeric, codes=codes, labels=labels, feature_names=names,
                    numeric_idx=np.asarray(numeric_idx, dtype=np.int64),
                    onehot_groups=onehot_groups, norm_stats=norm_stats,
                    ids=np.arange(n_normal + n_attack, dtype=np.int64))
@@ -685,7 +720,8 @@ def atomic_write(path, mode: str = "w"):
 
 
 def save_dataset(path, ds: Dataset) -> None:
-    """Versioned npz cache with feature metadata alongside the matrix.
+    """Versioned npz cache of a table's two parts, the numeric block and
+    the category codes, with the feature metadata.
 
     Like ``np.savez``, appends ``.npz`` to a path without it. The archive is
     written through :func:`atomic_write`.
@@ -695,14 +731,16 @@ def save_dataset(path, ds: Dataset) -> None:
         path = path.with_name(path.name + ".npz")
     meta = {
         "feature_names": list(ds.feature_names),
-        "onehot_groups": {k: list(map(int, v)) for k, v in ds.onehot_groups.items()},
+        # pairs, in the order of the codes' columns: a mapping is dumped sorted
+        "onehot_groups": [[k, list(map(int, v))] for k, v in ds.onehot_groups.items()],
         "norm_stats": {k: [float(a), float(b)] for k, (a, b) in ds.norm_stats.items()},
     }
     with atomic_write(path, "wb") as fh:
         np.savez(
             fh,
             __version__=np.asarray(DATASET_CACHE_VERSION),
-            features=ds.features,
+            numeric=ds.numeric,
+            codes=ds.codes,
             labels=ds.labels,
             numeric_idx=ds.numeric_idx,
             ids=ds.ids,
@@ -714,14 +752,16 @@ def load_dataset(path) -> Dataset:
     with np.load(path, allow_pickle=False) as archive:
         version = int(archive["__version__"])
         if version != DATASET_CACHE_VERSION:
-            raise DataError(f"unsupported dataset cache version {version}")
+            raise DataError(f"unsupported dataset cache version {version}; "
+                            f"rebuild it with nidkit preprocess")
         meta = yaml.safe_load(bytes(archive["meta"]).decode())
         return Dataset(
-            features=archive["features"],
+            numeric=archive["numeric"],
+            codes=archive["codes"],
             labels=archive["labels"],
             feature_names=list(meta["feature_names"]),
             numeric_idx=archive["numeric_idx"],
-            onehot_groups={k: list(v) for k, v in meta["onehot_groups"].items()},
+            onehot_groups={k: list(v) for k, v in meta["onehot_groups"]},
             norm_stats={k: (v[0], v[1]) for k, v in meta["norm_stats"].items()},
             ids=archive["ids"],
         )

@@ -350,12 +350,12 @@ def test_split_ignores_test_rows_for_statistics():
     # the training features bit-identical
     ds = synth_generate(60, 10, d=10, separation=1.0, seed=9)
     train_before, _ = protocol_split(ds, seed=2)
-    tampered = Dataset(features=ds.features.copy(), labels=ds.labels,
+    tampered = Dataset(numeric=ds.numeric.copy(), codes=ds.codes, labels=ds.labels,
                        feature_names=ds.feature_names, numeric_idx=ds.numeric_idx,
                        onehot_groups=ds.onehot_groups, norm_stats=ds.norm_stats,
                        ids=ds.ids)
     attack_row = int(np.flatnonzero(ds.labels == 1)[0])
-    tampered.features[attack_row, ds.numeric_idx] = 1e6
+    tampered.numeric[attack_row] = 1e6
     train_after, test_after = protocol_split(tampered, seed=2)
     assert train_before.features.tobytes() == train_after.features.tobytes()
     assert test_after.features[:, ds.numeric_idx].max() > 1e5
@@ -363,24 +363,47 @@ def test_split_ignores_test_rows_for_statistics():
 
 def test_split_rejects_non_finite_features():
     ds = synth_generate(60, 10, d=10, separation=1.0, seed=9)
-    ds.features[5, 1] = np.inf
-    ds.features[7, 8] = np.nan
+    ds.numeric[5, 1] = np.inf
+    ds.numeric[7, 2] = np.nan
     with pytest.raises(DataError, match=r"non-finite values in feature column\(s\) "
-                                        r"\['num1', 'cat1=2'\]"):
+                                        r"\['num1', 'num2'\]"):
         protocol_split(ds)
 
 
 def test_split_rejects_values_beyond_float32_range():
-    # finite in float64, inf once cast: a huge one-hot cell (the split leaves
-    # it unscaled) and a numeric cell far outside the training range, both
-    # in attack rows, which the test split holds
+    # finite in float64, inf once cast: numeric cells far outside the
+    # training range, in attack rows, which the test split holds
     ds = synth_generate(60, 10, d=10, separation=1.0, seed=9)
     attacks = np.flatnonzero(ds.labels == 1)
-    ds.features[attacks[0], 4] = 1e200
-    ds.features[attacks[1], 1] = 1e300
-    with pytest.raises(DataError, match=r"feature column\(s\) \['num1', 'cat0=1'\] hold "
+    ds.numeric[attacks[0], 2] = -1e200
+    ds.numeric[attacks[1], 1] = 1e300
+    with pytest.raises(DataError, match=r"feature column\(s\) \['num1', 'num2'\] hold "
                                         r"values beyond float32 range"):
         protocol_split(ds)
+
+
+@pytest.mark.parametrize("row, col, value, group", [
+    (7, 8, np.nan, "cat1"),       # a NaN in cat1=2
+    (3, 4, 1e200, "cat0"),        # a huge cell in cat0=1
+    (0, None, 0.0, "cat0"),       # a row of cat0 with no 1.0
+])
+def test_dense_constructor_rejects_a_broken_one_hot_group(row, col, value, group):
+    ds = synth_generate(60, 10, d=10, separation=1.0, seed=9)
+    features = ds.features.copy()
+    features[row, ds.onehot_groups[group] if col is None else col] = value
+    with pytest.raises(DataError, match=f"one-hot group '{group}' does not hold exactly one"):
+        Dataset(features=features, labels=ds.labels, feature_names=ds.feature_names,
+                numeric_idx=ds.numeric_idx, onehot_groups=ds.onehot_groups,
+                norm_stats=ds.norm_stats, ids=ds.ids)
+
+
+def test_dense_constructor_needs_each_column_in_the_layout_once():
+    ds = synth_generate(20, 5, d=10, separation=1.0, seed=9)
+    for numeric_idx in (ds.numeric_idx[1:], np.append(ds.numeric_idx, 3)):
+        with pytest.raises(DataError, match="each feature column once"):
+            Dataset(features=ds.features, labels=ds.labels, feature_names=ds.feature_names,
+                    numeric_idx=numeric_idx, onehot_groups=ds.onehot_groups,
+                    norm_stats=ds.norm_stats, ids=ds.ids)
 
 
 @pytest.mark.parametrize("block_rows", [7, 4096])
@@ -388,7 +411,7 @@ def test_split_features_are_the_float64_renormalisation_cast_to_float32(monkeypa
                                                                          block_rows):
     monkeypatch.setattr(data, "_CAST_ROWS", block_rows)
     ds = synth_generate(100, 30, d=12, separation=3.0, seed=6)
-    ds.features[ds.labels == 0, 2] = 0.25      # constant on the train rows: only shifted
+    ds.numeric[ds.labels == 0, 2] = 0.25       # constant on the train rows: only shifted
     train, test = protocol_split(ds, seed=1)
     parts = [ds.features[np.searchsorted(ds.ids, p.ids)] for p in (train, test)]
     for j in ds.numeric_idx:
@@ -486,14 +509,55 @@ def test_dataset_cache_roundtrip(tmp_path):
 
 
 def test_dataset_cache_version_gate(tmp_path):
+    # every cache written before the two-part format is version 1
     ds = synth_generate(5, 5, d=10, separation=1.0, seed=15)
     path = tmp_path / "cache.npz"
     save_dataset(path, ds)
     data = dict(np.load(path, allow_pickle=False))
-    data["__version__"] = np.asarray(99)
-    np.savez(path, **data)
-    with pytest.raises(DataError):
-        load_dataset(path)
+    for version in (1, 99):
+        data["__version__"] = np.asarray(version)
+        np.savez(path, **data)
+        with pytest.raises(DataError, match=f"^unsupported dataset cache version {version}; "
+                                            f"rebuild it with nidkit preprocess$"):
+            load_dataset(path)
+
+
+def test_ingest_cache_and_split_never_build_the_dense_matrix(tmp_path):
+    pre = preprocess(_raw(["a", "proto", "label"],
+                          {"a": "numeric", "proto": "categorical", "label": "label"},
+                          {"a": [0.0, 5.0, 10.0], "proto": ["udp", "tcp", "udp"],
+                           "label": ["normal", "dos", "normal"]}))
+    ds = synth_generate(40, 10, d=12, separation=2.0, seed=16)
+    save_dataset(tmp_path / "cache.npz", ds)
+    back = load_dataset(tmp_path / "cache.npz")
+    parts = protocol_split(back, seed=1)
+    assert [p for p in (pre, ds, back, *parts) if "features" in vars(p)] == []
+    assert back.features.tobytes() == ds.features.tobytes()
+
+
+def test_dataset_cache_keeps_wide_groups_and_their_order(tmp_path):
+    # a 130-category group listed before a narrower one whose name sorts first
+    rng = np.random.default_rng(17)
+    n, widths = 300, {"proto": 130, "flag": 3}
+    codes = np.stack([rng.integers(w, size=n) for w in widths.values()], axis=1)
+    codes[:130, 0] = np.arange(130)
+    starts = np.cumsum([2, *widths.values()])
+    ds = Dataset(numeric=rng.uniform(size=(n, 2)), codes=codes,
+                 labels=rng.integers(2, size=n), ids=np.arange(n),
+                 feature_names=["a", "b"] + [f"{g}={c}" for g, w in widths.items()
+                                             for c in range(w)],
+                 numeric_idx=np.array([0, 1]), norm_stats={"a": (0.0, 1.0), "b": (0.0, 1.0)},
+                 onehot_groups={g: list(range(s, s + w))
+                                for (g, w), s in zip(widths.items(), starts)})
+    save_dataset(tmp_path / "cache.npz", ds)
+    back = load_dataset(tmp_path / "cache.npz")
+    assert list(back.onehot_groups.items()) == list(ds.onehot_groups.items())
+    for field in ("numeric", "codes", "labels", "ids"):
+        mine, theirs = getattr(back, field), getattr(ds, field)
+        assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape,
+                                                            theirs.tobytes())
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.features[np.arange(n), 2 + codes[:, 0]].all()
 
 
 def test_dataset_cache_write_is_atomic(tmp_path):
@@ -506,7 +570,7 @@ def test_dataset_cache_write_is_atomic(tmp_path):
             raise OSError("disk full")
 
     after = synth_generate(30, 10, d=12, separation=2.0, seed=15)
-    after.ids = WriteFails()   # written after the features and labels
+    after.ids = WriteFails()   # written after the numeric block, codes and labels
     with pytest.raises(OSError, match="disk full"):
         save_dataset(path, after)
     assert [p.name for p in tmp_path.iterdir()] == ["cache.npz"]

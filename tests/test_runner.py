@@ -316,6 +316,22 @@ def test_validate_reads_an_integer_as_an_integer(tmp_path, capsys, over, key, me
     assert f"'{key}' must be {message}" in cli_error(tmp_path, capsys, "validate-config", doc)
 
 
+@pytest.mark.parametrize("over, key, value", [
+    ({"encoder": {"kind": "mlp", "hidden_dim": 0}}, "encoder.hidden_dim", 0),
+    ({"encoder": {"kind": "ft_transformer", "heads": 0}}, "encoder.heads", 0),
+    ({"model": "autoencoder", "loss": {"latent": 0}}, "loss.latent", 0),
+    ({"model": "autoencoder", "loss": {"hidden": -1}}, "loss.hidden", -1),
+    ({"training": {"projection_dim": -4}}, "training.projection_dim", -4),
+], ids=["hidden_dim", "heads", "latent", "hidden", "projection_dim"])
+def test_validate_rejects_a_size_below_one(tmp_path, capsys, over, key, value):
+    # each would pass as a number and fail at train with a ZeroDivisionError
+    doc = make_doc(**over)
+    message = f"{key} must be >= 1, got {value}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        validate_config(doc)
+    assert message in cli_error(tmp_path, capsys, "validate-config", doc)
+
+
 def test_validate_reads_a_whole_float_or_a_numeric_string_as_an_integer():
     doc = make_doc(training={"epochs": 3.0, "batch_size": "64"}, runs="2")
     cfg = validate_config(doc)
@@ -560,14 +576,19 @@ def test_failed_runs_record_stage_and_do_not_abort_later_seeds(tmp_path):
     assert "FAILED at train" in read_report(result["dir"])
 
 
-def test_non_finite_loss_fails_the_run_at_train(tmp_path):
-    # huge one-hot cells (the split leaves them unscaled) fit in float32,
-    # but the first reconstruction loss overflows to inf
-    ds = synth_generate(300, 80, 12, 6.0, seed=3)
-    ds.features[:, ds.onehot_groups["cat0"][0]] *= 1e30
-    save_dataset(tmp_path / "huge.npz", ds)
-    cfg = validate_config(make_doc(dataset={"cache": "huge.npz"}, model="autoencoder"),
-                          base_dir=tmp_path)
+def test_non_finite_loss_fails_the_run_at_train(tmp_path, monkeypatch):
+    # huge one-hot cells fit in float32, but the first reconstruction loss
+    # overflows to inf. No table holds them (a one-hot cell is 0 or 1), so
+    # they are put into the training split's features
+    split = runner.protocol_split
+
+    def huge_split(ds, *args, **kwargs):
+        train, test = split(ds, *args, **kwargs)
+        train.features[:, ds.onehot_groups["cat0"][0]] *= 1e30
+        return train, test
+
+    monkeypatch.setattr(runner, "protocol_split", huge_split)
+    cfg = validate_config(make_doc(model="autoencoder"), base_dir=tmp_path)
     with np.errstate(over="ignore"):
         result = run_experiment(cfg)
     rec = yaml.safe_load((result["dir"] / "run0" / "record.yaml").read_text())
@@ -589,7 +610,7 @@ def test_fewer_training_rows_than_a_batch_fail_the_run_at_train(tmp_path, model)
 def test_non_finite_features_fail_the_run_at_split(tmp_path):
     # a NaN feature would pass relu as 0 and train on finite losses
     ds = synth_generate(300, 80, 12, 6.0, seed=3)
-    ds.features[:, 0] = np.nan
+    ds.numeric[:, 0] = np.nan
     save_dataset(tmp_path / "nan.npz", ds)
     cfg = validate_config(make_doc(dataset={"cache": "nan.npz"}), base_dir=tmp_path)
     result = run_experiment(cfg)
