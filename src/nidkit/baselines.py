@@ -109,7 +109,7 @@ def svdd_loss(model: DeepSVDD, batch: Tensor) -> Tensor:
 def train_baseline(model, features: np.ndarray, loss_fn, optimizer: nn.Adam,
                    epochs: int, batch_size: int, rng, log_path=None) -> list:
     """Train either baseline with :func:`nn.fit`, BLAS held at one thread;
-    returns the per-step losses and leaves the model in eval mode.
+    returns the per-step loss rows and leaves the model in eval mode.
 
     A DeepSVDD first fixes its center with :func:`svdd_init_center`; the
     center is stored outside the optimizer's parameter list, so its bits
@@ -125,7 +125,7 @@ def train_baseline(model, features: np.ndarray, loss_fn, optimizer: nn.Adam,
         T.backward(loss)
         optimizer.step()
         T.reset_tape()
-        return float(loss.values)
+        return {"total": float(loss.values)}
 
     model.train()
     with threads.blas_held(1):      # more BLAS threads bought CPU time, not wall time

@@ -27,6 +27,7 @@ from . import threads
 from .tensor import DTYPE
 
 DATASET_CACHE_VERSION = 2
+_CACHE_ENTRIES = ("__version__", "numeric", "codes", "labels", "numeric_idx", "ids", "meta")
 SCHEMA_VERSION = 1
 
 
@@ -148,15 +149,24 @@ def load_schema(path) -> Schema:
         raise SchemaError(f"{path}: schema needs 'label' and 'columns' sections")
     if int(doc.get("version", -1)) != SCHEMA_VERSION:
         raise SchemaError(f"{path}: unsupported schema version {doc.get('version')}")
-    label = doc["label"]
+    label, columns = doc["label"], doc["columns"]
+    if not isinstance(label, dict) or "column" not in label:
+        raise SchemaError(f"{path}: 'label' must be a mapping with a 'column' key")
+    normal = label.get("normal_values")
+    if not (isinstance(normal, list) and normal
+            and all(isinstance(v, (str, int, float)) for v in normal)):
+        raise SchemaError(f"{path}: 'label.normal_values' must be a non-empty list "
+                          f"of scalars, got {normal!r}")
+    if not isinstance(columns, dict):
+        raise SchemaError(f"{path}: 'columns' must be a mapping of column name to kind")
     kinds = {}
-    for name, kind in doc["columns"].items():
+    for name, kind in columns.items():
         if kind not in ("numeric", "categorical"):
             raise SchemaError(f"{path}: column {name!r} has unknown kind {kind!r}")
         kinds[str(name)] = kind
     return Schema(
         label_column=str(label["column"]),
-        normal_values={str(v) for v in label["normal_values"]},
+        normal_values={str(v) for v in normal},
         columns=kinds,
         drop=[str(c) for c in doc.get("drop", [])],
     )
@@ -750,10 +760,13 @@ def save_dataset(path, ds: Dataset) -> None:
 
 def load_dataset(path) -> Dataset:
     with np.load(path, allow_pickle=False) as archive:
-        version = int(archive["__version__"])
-        if version != DATASET_CACHE_VERSION:
+        missing = [k for k in _CACHE_ENTRIES if k not in archive.files]
+        version = None if "__version__" in missing else int(archive["__version__"])
+        if version not in (None, DATASET_CACHE_VERSION):
             raise DataError(f"unsupported dataset cache version {version}; "
                             f"rebuild it with nidkit preprocess")
+        if missing:
+            raise DataError(f"{path} is not a nidkit dataset cache: it has no {', '.join(missing)}")
         meta = yaml.safe_load(bytes(archive["meta"]).decode())
         return Dataset(
             numeric=archive["numeric"],

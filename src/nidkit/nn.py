@@ -78,19 +78,20 @@ class Module:
                     if isinstance(item, Module):
                         yield f"{name}.{i}", item
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
+        """Parameters and buffers by dotted name: own ones first, then each child's."""
         for name, attr in vars(self).items():
-            if isinstance(attr, Tensor) and attr.requires_grad:
-                yield prefix + name, attr
+            if isinstance(attr, Tensor):
+                yield name, attr
         for cname, child in self._children():
-            yield from child.named_parameters(prefix + cname + ".")
+            for name, t in child.named_tensors():
+                yield f"{cname}.{name}", t
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for name, attr in vars(self).items():
-            if isinstance(attr, Tensor) and not attr.requires_grad:
-                yield prefix + name, attr
-        for cname, child in self._children():
-            yield from child.named_buffers(prefix + cname + ".")
+    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
+        return ((n, t) for n, t in self.named_tensors() if t.requires_grad)
+
+    def named_buffers(self) -> Iterator[tuple[str, Tensor]]:
+        return ((n, t) for n, t in self.named_tensors() if not t.requires_grad)
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -114,16 +115,12 @@ class Module:
             yield from child.modules()
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        state = {name: p.values.copy() for name, p in self.named_parameters()}
-        for name, b in self.named_buffers():
-            state[name] = b.values.copy()
-        return state
+        return {name: t.values.copy() for name, t in self.named_tensors()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load exactly this module's entries: one missing, unexpected or
         mis-shaped entry loads nothing and raises ``CheckpointError``."""
-        own = dict(self.named_parameters())
-        own.update(dict(self.named_buffers()))
+        own = dict(self.named_tensors())
         shaped = {k: f"{np.shape(state[k])} != {t.values.shape}" for k, t in own.items()
                   if k in state and np.shape(state[k]) != t.values.shape}
         missing, unexpected = sorted(set(own) - set(state)), sorted(set(state) - set(own))
@@ -149,8 +146,6 @@ class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
                  bias: bool = True):
         super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
         self.weight = Tensor(
             _kaiming_uniform(rng, in_features, (in_features, out_features)),
             requires_grad=True)
@@ -270,8 +265,6 @@ class Conv2d1xW(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_width: int,
                  rng: np.random.Generator):
         super().__init__()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         self.kernel_width = kernel_width
         fan_in = in_channels * kernel_width
         self.weight = Tensor(
@@ -298,7 +291,6 @@ class MultiHeadAttention(Module):
             raise ConfigError(f"attention dim {dim} not divisible by {heads} heads")
         self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.wq = Linear(dim, dim, rng)
         self.wk = Linear(dim, dim, rng)
         self.wv = Linear(dim, dim, rng)
@@ -356,32 +348,32 @@ class Adam:
 
 
 def fit(step: Callable, features: np.ndarray, epochs: int, batch_size: int,
-        rng: np.random.Generator, log_path=None, term_names=()) -> list:
+        rng: np.random.Generator, log_path=None) -> list:
     """The minibatch loop of every trainer; returns the ``step`` results.
 
     Each epoch draws one ``rng.permutation`` and drops the trailing partial
-    batch. ``step(batch)`` takes one optimization step and returns its loss,
-    a float or a record with a ``total`` and a ``terms`` dict. ``log_path``
-    gets a ``step,total,<term_names>`` CSV row per step. A non-finite total
-    raises ``FloatingPointError`` naming the step; fewer rows than one
-    batch raise ``BatchSizeError``, as no step could run.
+    batch. ``step(batch)`` takes one optimization step and returns its loss
+    row: a dict of floats, ``total`` first. ``log_path`` gets a CSV whose
+    header is ``step`` and the first row's keys, and one line per step. A
+    non-finite total raises ``FloatingPointError`` naming the step; fewer
+    rows than one batch raise ``BatchSizeError``, as no step could run.
     """
     features = np.asarray(features)
     if features.shape[0] < batch_size:
         raise BatchSizeError(f"{features.shape[0]} training rows < batch size {batch_size}")
     history = []
     with open(log_path or os.devnull, "w") as log:
-        log.write(",".join(["step", "total", *term_names]) + "\n")
         for _ in range(epochs):
             order = rng.permutation(features.shape[0])
             for start in range(0, features.shape[0] - batch_size + 1, batch_size):
-                out = step(features[order[start:start + batch_size]])
-                total = float(getattr(out, "total", out))
-                log.write(",".join([str(len(history)), repr(total),
-                                    *(repr(out.terms[t]) for t in term_names)]) + "\n")
-                if not np.isfinite(total):
-                    raise FloatingPointError(f"non-finite loss {total!r} at step {len(history)}")
-                history.append(out)
+                row = step(features[order[start:start + batch_size]])
+                if not history:
+                    log.write(",".join(["step", *row]) + "\n")
+                log.write(",".join([str(len(history)), *map(repr, row.values())]) + "\n")
+                if not np.isfinite(row["total"]):
+                    raise FloatingPointError(
+                        f"non-finite loss {row['total']!r} at step {len(history)}")
+                history.append(row)
     return history
 
 

@@ -72,7 +72,7 @@ def build_run(cfg: ExperimentConfig, train, rng):
 def _train(cfg: ExperimentConfig, model, cols, features, rng, log_path: Path):
     """Train a built run. Returns its scorer (a baseline scores itself, an
     SSL run through the ``Detector`` on its frozen encoder), the per-step
-    loss totals and what rescoring needs beyond the weights."""
+    loss rows and what rescoring needs beyond the weights."""
     optimizer = nn.Adam(model, lr=cfg.learning_rate)
     if cfg.model in BASELINES:
         history = train_baseline(model, features, BASELINES[cfg.model][1], optimizer,
@@ -84,7 +84,7 @@ def _train(cfg: ExperimentConfig, model, cols, features, rng, log_path: Path):
     meta = {"center": detector.center}
     if cols is not None:
         meta["subset_columns"] = cols
-    return detector, [h.total for h in history], meta
+    return detector, history, meta
 
 
 def run_single(cfg: ExperimentConfig, ds, seed: int, run_dir: Path) -> dict:
@@ -100,7 +100,7 @@ def run_single(cfg: ExperimentConfig, ds, seed: int, run_dir: Path) -> dict:
         rng = np.random.default_rng(seed)
         stage = "train"
         model, cols = build_run(cfg, train, rng)
-        scorer, totals, meta = _train(cfg, model, cols, train.features, rng, run_dir / "loss.csv")
+        scorer, history, meta = _train(cfg, model, cols, train.features, rng, run_dir / "loss.csv")
         stage = "score"
         scores = scorer.score(test.features)
         stage = "metrics"
@@ -113,8 +113,8 @@ def run_single(cfg: ExperimentConfig, ds, seed: int, run_dir: Path) -> dict:
                 "norm_stats": np.array(list(train.norm_stats.values()), np.float64).reshape(-1, 2)}
         nn.save_checkpoint(ckpt, model, extra={"config_hash": cfg.hash, "seed": seed,
                                                **meta, **norm})
-        doc.update(checkpoint=str(ckpt), loss_first=totals[0], loss_last=totals[-1],
-                   metrics=metrics)
+        doc.update(checkpoint=str(ckpt), loss_first=history[0]["total"],
+                   loss_last=history[-1]["total"], metrics=metrics)
     except Exception as exc:  # recorded, remaining seeds continue
         doc.update(status="failed", stage=stage, error=f"{type(exc).__name__}: {exc}")
     doc.update(duration_s=time.perf_counter() - t0, env=_run_env(cfg))

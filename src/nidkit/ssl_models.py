@@ -17,7 +17,6 @@ inverse per 32-row sub-batch and branch.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from typing import Optional
 
@@ -35,15 +34,6 @@ _NORM_EPS = 1e-12
 
 class NormalizationError(ValueError):
     """A row with exactly zero norm cannot be direction-normalized."""
-
-
-@dataclass
-class LossBreakdown:
-    """Scalar loss with its per-term decomposition (empty for single-term
-    objectives)."""
-
-    total: float
-    terms: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +187,8 @@ def _freeze(module: nn.Module) -> nn.Module:
 def ema_update(online: nn.Module, target: nn.Module, tau: float) -> None:
     """target <- tau * target + (1 - tau) * online, for every parameter and
     buffer, matched by name."""
-    target_map = dict(target.named_parameters())
-    target_map.update(dict(target.named_buffers()))
-    for name, ov in [*online.named_parameters(), *online.named_buffers()]:
+    target_map = dict(target.named_tensors())
+    for name, ov in online.named_tensors():
         if name not in target_map:
             raise CheckpointError(f"ema_update: target missing {name!r}")
         tv, arr = target_map[name], ov.values
@@ -225,7 +214,6 @@ class SSLModel(nn.Module):
     given at build time are its ``objective``."""
 
     kind = "base"
-    term_names: tuple = ()
     loss = None
 
     def __init__(self, encoder: nn.Module, rep_dim: int,
@@ -277,6 +265,7 @@ class SSLModel(nn.Module):
         branch pass of that view. Each view's pass (``_view_state``) runs as
         a branch (:func:`T.branches`) that draws its dropout masks from a
         stream of its own (``_streams``); only the pair losses join the views.
+        Returns the loss and its row: ``total``, then each term's pair mean.
         """
         views = [Tensor(v) for v in view_set.views]
         if len(views) < 2:
@@ -295,7 +284,7 @@ class SSLModel(nn.Module):
         if n_pairs > 1:
             total = T.mul(total, 1.0 / n_pairs)
             terms = {k: v / n_pairs for k, v in terms.items()}
-        return total, LossBreakdown(total=float(total.values), terms=terms)
+        return total, {"total": float(total.values), **terms}
 
 
 class BYOL(SSLModel):
@@ -352,13 +341,11 @@ class SimSiam(SSLModel):
 
 class BarlowTwins(SSLModel):
     kind = "barlow_twins"
-    term_names = ("on_diag", "off_diag")
     loss = staticmethod(barlow_twins_loss)
 
 
 class VICReg(SSLModel):
     kind = "vicreg"
-    term_names = ("invariance", "variance", "covariance")
     loss = staticmethod(vicreg_loss)
 
 
@@ -384,16 +371,17 @@ def build_model(kind: str, encoder_factory, rep_dim: int,
 # Training loop
 
 
-def train_step(model: SSLModel, view_set: ViewSet, optimizer: nn.Adam) -> LossBreakdown:
-    """One optimization step: forward all views, backward, ADAM, EMA hook."""
+def train_step(model: SSLModel, view_set: ViewSet, optimizer: nn.Adam) -> dict:
+    """One optimization step: forward all views, backward, ADAM, EMA hook;
+    returns the step's loss row."""
     T.reset_tape()
     model.zero_grad()
-    loss, breakdown = model.compute_loss(view_set)
+    loss, row = model.compute_loss(view_set)
     T.backward(loss)
     optimizer.step()
     model.after_step()
     T.reset_tape()
-    return breakdown
+    return row
 
 
 def pretrain(model: SSLModel, features: np.ndarray, spec: AugmentationSpec,
@@ -401,7 +389,7 @@ def pretrain(model: SSLModel, features: np.ndarray, spec: AugmentationSpec,
              rng: np.random.Generator, columns: Optional[list] = None,
              log_path=None) -> list:
     """Self-supervised pretraining over a feature matrix of normal traffic;
-    returns the per-step LossBreakdown list. Batching, the loss log and the
+    returns the per-step loss rows. Batching, the loss log and the
     non-finite guard are :func:`nn.fit`'s; the feature matrix itself is the
     donor pool for swap noise, and ``columns`` are the subsets windows."""
     if batch_size < 2:
@@ -414,6 +402,5 @@ def pretrain(model: SSLModel, features: np.ndarray, spec: AugmentationSpec,
     # the views share the budget's threads. BLAS stays held for every step
     # (a worker it woke for the loss would spin against the view threads)
     with threads.blas_held(max(1, threads.budget() // spec.n_views)):
-        return nn.fit(step, features, epochs, batch_size, rng, log_path=log_path,
-                      term_names=model.term_names)
+        return nn.fit(step, features, epochs, batch_size, rng, log_path=log_path)
 

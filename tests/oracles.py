@@ -131,11 +131,11 @@ def attention_composed(mha, x):
     b, t, _ = x.shape
 
     def split(h):
-        return T.transpose(T.reshape(h, (b, t, mha.heads, mha.head_dim)), (0, 2, 1, 3))
+        return T.transpose(T.reshape(h, (b, t, mha.heads, mha.dim // mha.heads)), (0, 2, 1, 3))
 
     q, k, v = split(mha.wq(x)), split(mha.wk(x)), split(mha.wv(x))
     scores = T.transpose(batched_matmul(k, T.transpose(q, (0, 1, 3, 2))), (2, 0, 1, 3))
-    scores = T.mul(scores, Tensor(np.asarray(1.0 / np.sqrt(mha.head_dim), dtype=x.dtype)))
+    scores = T.mul(scores, Tensor(np.asarray(1.0 / np.sqrt(mha.dim // mha.heads), dtype=x.dtype)))
     weights = mha.drop(softmax(scores, axis=0))                     # (t, b, h, t)
     ctx = batched_matmul(T.transpose(weights, (1, 2, 3, 0)), v)     # (b, h, t, hd)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, mha.dim))
@@ -199,7 +199,7 @@ def as_dtype(module, dtype=np.float64):
     """``module`` with every parameter and buffer cast to ``dtype``. Layers
     build float32 (``nidkit.tensor.DTYPE``); the finite-difference checks and
     the tests that pin float64 precision build float64 modules through this."""
-    for _, t in [*module.named_parameters(), *module.named_buffers()]:
+    for _, t in module.named_tensors():
         t.values = t.values.astype(dtype)
     return module
 

@@ -48,7 +48,7 @@ def test_linear_ae_overfits_single_point():
     opt = nn.Adam(ae, lr=1e-2)
     hist = train_baseline(ae, x, reconstruction_loss, opt,
                           epochs=300, batch_size=1, rng=np.random.default_rng(4))
-    assert hist[-1] < hist[0] * 1e-3
+    assert hist[-1]["total"] < hist[0]["total"] * 1e-3
 
 
 def test_ae_training_reduces_loss():
@@ -56,8 +56,8 @@ def test_ae_training_reduces_loss():
     X = rng.normal(size=(64, 10))
     ae = Autoencoder(10, np.random.default_rng(6), hidden=32, latent=4)
     opt = nn.Adam(ae, lr=1e-3)
-    hist = train_baseline(ae, X, reconstruction_loss, opt,
-                          epochs=30, batch_size=16, rng=rng)
+    hist = [h["total"] for h in train_baseline(ae, X, reconstruction_loss, opt,
+                                               epochs=30, batch_size=16, rng=rng)]
     assert np.mean(hist[-10:]) < np.mean(hist[:10])
     assert not ae.training  # left in eval mode for scoring
     assert len(hist) == 30 * 4
@@ -131,8 +131,8 @@ def test_svdd_training_reduces_loss():
     X = rng.normal(size=(64, 8))
     model = DeepSVDD(8, np.random.default_rng(18), widths=(32, 16))
     opt = nn.Adam(model, lr=1e-3)
-    hist = train_baseline(model, X, svdd_loss, opt,
-                          epochs=30, batch_size=16, rng=rng)
+    hist = [h["total"] for h in train_baseline(model, X, svdd_loss, opt,
+                                               epochs=30, batch_size=16, rng=rng)]
     assert np.mean(hist[-10:]) < np.mean(hist[:10])
 
 

@@ -59,7 +59,7 @@ def _train(model_kind, encoder_kind, aug):
                                    encoders.representation_dim(cfg), rng, dim=32)
     history = ssl_models.pretrain(model, _features(), spec, nn.Adam(model, lr=1e-3),
                                   1, ROWS // 2, rng, columns=cols)
-    return {"loss": [(h.total, h.terms) for h in history],
+    return {"loss": history,
             "grads": {n: p.grad for n, p in model.named_parameters()},
             "state": model.state_dict(),
             "rng": rng.bit_generator.state}

@@ -2,6 +2,7 @@ import csv
 import io
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nidkit import data, threads
+from nidkit import cli, data, threads
 from nidkit.data import (DataError, Dataset, RawTable, SchemaError,
                          load_csv, load_dataset, load_schema, preprocess,
                          protocol_split, save_dataset, synth_generate)
@@ -59,6 +60,34 @@ def test_load_schema_rejects_bad_version_and_kind(tmp_path):
         _write_schema(tmp_path, SCHEMA_YAML.replace("version: 1", "version: 2"))
     with pytest.raises(SchemaError):
         _write_schema(tmp_path, SCHEMA_YAML.replace("numeric", "float"))
+
+
+MALFORMED_SCHEMAS = [
+    (SCHEMA_YAML.replace("[normal, benign]", "normal"), "label.normal_values"),
+    (SCHEMA_YAML.replace("  normal_values: [normal, benign]\n", ""), "label.normal_values"),
+    (SCHEMA_YAML.replace("label:\n  column: label\n  normal_values: [normal, benign]",
+                         "label: label"), "'label'"),
+    (SCHEMA_YAML.replace("columns:\n  dur: numeric\n  bytes: numeric\n  proto: categorical",
+                         "columns: [dur, bytes, proto]"), "'columns'"),
+]
+
+
+@pytest.mark.parametrize("text,key", MALFORMED_SCHEMAS,
+                         ids=["normal_values_string", "no_normal_values", "label_string",
+                              "columns_list"])
+def test_load_schema_names_the_malformed_key(tmp_path, text, key):
+    with pytest.raises(SchemaError, match=re.escape(key)):
+        _write_schema(tmp_path, text)
+
+
+def test_cli_preprocess_exits_2_on_a_malformed_schema(tmp_path, capsys):
+    (tmp_path / "schema.yaml").write_text(MALFORMED_SCHEMAS[0][0])
+    path = _write_csv(tmp_path, "id,dur,bytes,proto,label\n1,0.5,100,tcp,normal\n")
+    assert cli.main(["preprocess", "--csv", str(path), "--schema", str(tmp_path / "schema.yaml"),
+                     "--out", str(tmp_path / "flows.npz")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "label.normal_values" in err
+    assert not (tmp_path / "flows.npz").exists()
 
 
 def test_load_csv_parses_and_drops_columns(tmp_path):
@@ -520,6 +549,14 @@ def test_dataset_cache_version_gate(tmp_path):
         with pytest.raises(DataError, match=f"^unsupported dataset cache version {version}; "
                                             f"rebuild it with nidkit preprocess$"):
             load_dataset(path)
+
+
+def test_a_foreign_npz_is_not_a_dataset_cache(tmp_path):
+    path = tmp_path / "foreign.npz"
+    np.savez(path, features=np.zeros((3, 2)), labels=np.zeros(3))
+    with pytest.raises(DataError, match="is not a nidkit dataset cache: it has no __version__, "
+                                        "numeric, codes, numeric_idx, ids, meta$"):
+        load_dataset(path)
 
 
 def test_ingest_cache_and_split_never_build_the_dense_matrix(tmp_path):

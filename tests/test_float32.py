@@ -96,7 +96,7 @@ def test_op_keeps_float32(name, monkeypatch):
 
 
 def _dtypes(module):
-    return {t.dtype for _, t in [*module.named_parameters(), *module.named_buffers()]}
+    return {t.dtype for _, t in module.named_tensors()}
 
 
 @pytest.mark.parametrize("kind, encoder", [

@@ -230,13 +230,13 @@ def _heads(mha, proj, x):
     b, t, _ = x.shape
     with T.no_grad():
         h = proj(Tensor(x)).values
-    return h.reshape(b, t, mha.heads, mha.head_dim).transpose(0, 2, 1, 3)
+    return h.reshape(b, t, mha.heads, mha.dim // mha.heads).transpose(0, 2, 1, 3)
 
 
 def _attention_weights(mha, x):
     """softmax(q k^T / sqrt(head_dim)) per head, recomputed from wq and wk."""
     s = _heads(mha, mha.wq, x) @ _heads(mha, mha.wk, x).transpose(0, 1, 3, 2)
-    e = np.exp(s / np.sqrt(mha.head_dim))
+    e = np.exp(s / np.sqrt(mha.dim // mha.heads))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -363,14 +363,14 @@ def _counting_step(nan_at=None):
 
     def step(batch):
         batches.append(batch[:, 0].copy())
-        return float("nan") if len(batches) == nan_at else float(len(batches))
+        return {"total": float("nan") if len(batches) == nan_at else float(len(batches))}
     return step, batches
 
 
 def test_fit_draws_full_batches_without_replacement():
     step, batches = _counting_step()
     history = nn.fit(step, np.arange(10.0)[:, None], 1, 3, rng_(40))
-    assert history == [1.0, 2.0, 3.0]               # trailing row dropped
+    assert history == [{"total": 1.0}, {"total": 2.0}, {"total": 3.0}]  # trailing row dropped
     assert len(np.unique(np.concatenate(batches))) == 9
 
 
@@ -380,6 +380,15 @@ def test_fit_stops_at_a_non_finite_loss_and_names_the_step(tmp_path):
     with pytest.raises(FloatingPointError, match="non-finite loss nan at step 3"):
         nn.fit(step, np.arange(10.0)[:, None], 2, 3, rng_(41), log_path=log)
     assert log.read_text() == "step,total\n0,1.0\n1,2.0\n2,3.0\n3,nan\n"
+
+
+def test_fit_writes_the_header_from_the_first_row(tmp_path):
+    log = tmp_path / "loss.csv"
+    history = nn.fit(lambda batch: {"total": 0.5, "a": 0.25, "b": float(batch[0, 0])},
+                     np.arange(4.0)[:, None], 1, 2, rng_(42), log_path=log)
+    lines = log.read_text().splitlines()
+    assert lines[0] == "step,total,a,b"
+    assert lines[1:] == [f"{i},0.5,0.25,{row['b']!r}" for i, row in enumerate(history)]
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +449,21 @@ def test_parameter_names_unique_and_complete():
     mha = nn.MultiHeadAttention(8, 2, rng_(38))
     names = [n for n, _ in mha.named_parameters()]
     assert len(names) == len(set(names)) == 8  # 4 projections x (W, b)
+
+
+def test_named_tensors_walk_each_module_then_its_children():
+    class Net(nn.Module):
+        def __init__(self):
+            super().__init__()
+            self.bn = nn.BatchNorm1d(2)
+            self.scale = Tensor(np.ones(2), requires_grad=True)
+            self.blocks = [nn.Linear(2, 2, rng_(39)), nn.Linear(2, 2, rng_(40), bias=False)]
+
+    net = Net()
+    assert [n for n, _ in net.named_tensors()] == [
+        "scale", "bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var",
+        "blocks.0.weight", "blocks.0.bias", "blocks.1.weight"]
+    assert [n for n, _ in net.named_parameters()] == [
+        "scale", "bn.gamma", "bn.beta", "blocks.0.weight", "blocks.0.bias", "blocks.1.weight"]
+    assert [n for n, _ in net.named_buffers()] == ["bn.running_mean", "bn.running_var"]
+    assert list(net.state_dict()) == [n for n, _ in net.named_tensors()]

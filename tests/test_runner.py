@@ -146,6 +146,13 @@ def test_validate_warns_on_unconventional_learning_rate():
         validate_config(doc)
 
 
+def test_cli_run_exits_2_on_a_foreign_cache(tmp_path, capsys):
+    np.savez(tmp_path / "foreign.npz", features=np.zeros((3, 2)))
+    err = cli_error(tmp_path, capsys, "run",
+                    make_doc(dataset={"cache": "foreign.npz"}, output_dir=str(tmp_path / "runs")))
+    assert "not a nidkit dataset cache" in err and "__version__" in err
+
+
 def test_validate_resolves_cache_path_against_base_dir(tmp_path):
     ds = synth_generate(50, 10, 10, 2.0, seed=0)
     save_dataset(tmp_path / "tiny.npz", ds)
@@ -291,7 +298,7 @@ def test_build_run_sizes_the_projector_to_the_encoder(model, encoder, aug):
     x = train.features[:4] if cols is None else train.features[:4, cols[0]]
     with T.no_grad():
         width = built.encoder(Tensor(x)).shape[1]
-    assert built.projector.fc1.in_features == width
+    assert built.projector.fc1.weight.shape[0] == width
 
 
 SYNTH = {"n_normal": 300, "n_attack": 80, "d": 12, "separation": 6.0}
@@ -442,7 +449,7 @@ def test_checkpoint_rescores_the_stored_test_rows(tmp_path, over):
     np.testing.assert_array_equal(meta["norm_stats"], list(train.norm_stats.values()))
     model, scorer = _rebuilt_scorer(cfg, train, 0, meta)
     if cfg.model in MODEL_KINDS:
-        assert meta["center"].shape == (model.projector.fc1.in_features,)
+        assert meta["center"].shape == (model.projector.fc1.weight.shape[0],)
     if cfg.encoder.get("kind") == "ft_transformer":
         # the categorical embeddings are stored, and training moved them
         assert not np.array_equal(stored["state"]["encoder.embedding"],
