@@ -25,6 +25,11 @@ from .nn import BatchSizeError, ConfigError
 # each kind -> the ``AugmentationSpec`` fields it reads
 KINDS = {"swap_noise": ("p",), "zero_out": ("p",), "gaussian_noise": ("p", "mu", "sigma2"),
          "random_shuffle": (), "subsets": ("k", "overlap_fraction"), "mixup": ("alpha",)}
+# a field -> whether a value is valid, and what an invalid one is told; mu takes any
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")
+RULES = {"p": _UNIT, "alpha": _UNIT, "sigma2": (lambda v: v > 0.0, "must be > 0"),
+         "k": (lambda v: v >= 2, "must be >= 2"),
+         "overlap_fraction": (lambda v: 0.0 <= v < 1.0, "outside [0, 1)")}
 
 
 @dataclass
@@ -43,19 +48,11 @@ class AugmentationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown augmentation kind {self.kind!r}")
-        if self.kind in ("swap_noise", "zero_out", "gaussian_noise"):
-            if not 0.0 <= self.p <= 1.0:
-                raise ConfigError(f"{self.kind}: p={self.p} outside [0, 1]")
-        if self.kind == "gaussian_noise" and self.sigma2 <= 0.0:
-            raise ConfigError(f"gaussian_noise: sigma2={self.sigma2} must be > 0")
-        if self.kind == "subsets":
-            if self.k < 2:
-                raise ConfigError(f"subsets: k={self.k} must be >= 2")
-            if not 0.0 <= self.overlap_fraction < 1.0:
-                raise ConfigError(
-                    f"subsets: overlap_fraction={self.overlap_fraction} outside [0, 1)")
-        if self.kind == "mixup" and not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"mixup: alpha={self.alpha} outside [0, 1]")
+        for field in (f for f in KINDS[self.kind] if f in RULES):
+            valid, told = RULES[field]
+            value = getattr(self, field)
+            if not valid(value):
+                raise ConfigError(f"{self.kind}: {field}={value} {told}")
 
     @property
     def n_views(self) -> int:

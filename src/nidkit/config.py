@@ -19,7 +19,7 @@ import yaml
 
 from .augment import KINDS as AUGMENTATION_KINDS, AugmentationSpec
 from .baselines import BASELINES
-from .data import load_csv, synth_generate
+from .data import check_cache, load_csv, synth_generate
 from .encoders import ENCODERS
 from .nn import ConfigError
 from .ssl_models import MODEL_CLASSES, MODEL_KINDS
@@ -48,11 +48,11 @@ def keywords(builder) -> dict:
 
 
 # Each section is declared once, as key -> default. ``loss:`` takes its
-# model's builder's keywords (a symmetric SSL kind's builder is its loss
-# function), ``encoder:`` its kind's, ``augmentation:`` the fields of
-# ``AugmentationSpec`` its kind reads; ``dataset.synth`` takes the parameters
-# of ``synth_generate``.
-LOSS = {**{kind: keywords(cls.loss or cls) for kind, cls in MODEL_CLASSES.items()},
+# model's keywords: an SSL kind's class's and its loss function's, a
+# baseline's builder's; ``encoder:`` its kind's, ``augmentation:`` the fields
+# of ``AugmentationSpec`` its kind reads; ``dataset.synth`` takes the
+# parameters of ``synth_generate``.
+LOSS = {**{kind: {**keywords(cls), **keywords(cls.loss)} for kind, cls in MODEL_CLASSES.items()},
         **{name: keywords(cls) for name, (cls, _) in BASELINES.items()}}
 ENCODER = {kind: {"kind": REQUIRED, **keywords(cls)} for kind, cls in ENCODERS.items()}
 SYNTH = parameters(synth_generate)
@@ -65,8 +65,10 @@ TRAINING = {"learning_rate": 1e-3, "epochs": 10, "batch_size": 128, "projection_
 # a dataset section holds one mode's keys
 DATASET = {"synth": {"synth": REQUIRED}, "cache": {"cache": REQUIRED},
            "csv": {"csv": REQUIRED, "schema": REQUIRED, **keywords(load_csv)}}
-# layer widths and head counts: below 1 the layer initialisation divides by zero
-SIZES = ("hidden_dim", "heads", "hidden", "latent", "projection_dim")
+# each integer key's least value: below 1 a layer width or head count divides
+# the layer initialisation by zero, and numpy seeds only from integers >= 0
+LEAST = {"hidden_dim": 1, "heads": 1, "hidden": 1, "latent": 1, "projection_dim": 1,
+         "epochs": 1, "batch_size": 2, "runs": 1, "base_seed": 0, "seed": 0}
 # a grid document; an empty axis takes the base's value
 GRID = {"version": REQUIRED, "base": REQUIRED, "grid": REQUIRED}
 AXES = {"model": [], "encoder": [], "augmentation": []}
@@ -181,6 +183,11 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
         if not p.exists():
             raise ConfigError(f"{source}: dataset file not found: {p}")
         dataset[key] = str(p)
+    if "cache" in dataset:   # a file that is not a nidkit cache fails here, not at load
+        try:
+            check_cache(dataset["cache"])
+        except ValueError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
 
     model = top["model"]
     _known(model, LOSS, "model", source)
@@ -196,17 +203,16 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
         encoder, aug = {}, None      # baselines read neither section
 
     training = section(top["training"], TRAINING, "training", source)
-    for name, values in (("encoder", encoder), ("loss", loss), ("training", training)):
-        for key in SIZES:
-            if values.get(key, 1) < 1:
-                raise ConfigError(f"{source}: {name}.{key} must be >= 1, got {values[key]}")
+    for name, values in (("", top), ("dataset.synth.", dataset.get("synth", {})),
+                         ("encoder.", encoder), ("loss.", loss), ("training.", training)):
+        for key, least in LEAST.items():
+            if values.get(key, least) < least:
+                raise ConfigError(f"{source}: {name}{key} must be >= {least}, got {values[key]}")
     lr = training["learning_rate"]
     if lr <= 0:
         raise ConfigError(f"{source}: learning_rate must be positive")
     if not any(abs(lr - c) < 1e-12 for c in CONVENTIONAL_LRS):
         warnings.warn(f"learning_rate {lr} is outside the usual grid {CONVENTIONAL_LRS}")
-    if training["epochs"] < 1 or training["batch_size"] < 2:
-        raise ConfigError(f"{source}: need epochs >= 1 and batch_size >= 2")
     projection_dim = training["projection_dim"]
     if model == "wmse" and loss["slice_size"] <= projection_dim:
         # a slice of n rows has a covariance of rank <= n - 1: below the
@@ -214,8 +220,6 @@ def validate_config(doc: dict, base_dir=".", source="config") -> ExperimentConfi
         warnings.warn(f"{source}: wmse slice_size {loss['slice_size']} <= projection_dim "
                       f"{projection_dim}, so each slice's covariance has rank <= "
                       f"{loss['slice_size'] - 1} and the eps jitter fills the rest")
-    if top["runs"] < 1:
-        raise ConfigError(f"{source}: runs must be >= 1")
     if not 0.0 < top["train_fraction"] < 1.0:
         raise ConfigError(f"{source}: train_fraction must be in (0, 1), got {top['train_fraction']}")
 

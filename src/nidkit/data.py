@@ -15,6 +15,7 @@ import io
 import itertools
 import os
 import warnings
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -159,6 +160,9 @@ def load_schema(path) -> Schema:
                           f"of scalars, got {normal!r}")
     if not isinstance(columns, dict):
         raise SchemaError(f"{path}: 'columns' must be a mapping of column name to kind")
+    drop = doc.get("drop", [])
+    if not (isinstance(drop, list) and all(isinstance(c, (str, int, float)) for c in drop)):
+        raise SchemaError(f"{path}: 'drop' must be a list of column names, got {drop!r}")
     kinds = {}
     for name, kind in columns.items():
         if kind not in ("numeric", "categorical"):
@@ -168,7 +172,7 @@ def load_schema(path) -> Schema:
         label_column=str(label["column"]),
         normal_values={str(v) for v in normal},
         columns=kinds,
-        drop=[str(c) for c in doc.get("drop", [])],
+        drop=[str(c) for c in drop],
     )
 
 
@@ -758,15 +762,25 @@ def save_dataset(path, ds: Dataset) -> None:
         )
 
 
+def check_cache(path) -> None:
+    """Raise ``DataError`` unless ``path`` holds a nidkit dataset cache of this
+    version; reads only the archive's entry names and ``__version__``."""
+    try:   # numpy returns a lone .npy array (no context manager), refuses pickles
+        with np.load(path, allow_pickle=False) as archive:
+            missing = [k for k in _CACHE_ENTRIES if k not in archive.files]
+            version = None if "__version__" in missing else int(archive["__version__"])
+    except (TypeError, ValueError, zipfile.BadZipFile):
+        raise DataError(f"{path} is not a nidkit dataset cache: it is not an npz archive") from None
+    if version not in (None, DATASET_CACHE_VERSION):
+        raise DataError(f"unsupported dataset cache version {version}; "
+                        f"rebuild it with nidkit preprocess")
+    if missing:
+        raise DataError(f"{path} is not a nidkit dataset cache: it has no {', '.join(missing)}")
+
+
 def load_dataset(path) -> Dataset:
+    check_cache(path)
     with np.load(path, allow_pickle=False) as archive:
-        missing = [k for k in _CACHE_ENTRIES if k not in archive.files]
-        version = None if "__version__" in missing else int(archive["__version__"])
-        if version not in (None, DATASET_CACHE_VERSION):
-            raise DataError(f"unsupported dataset cache version {version}; "
-                            f"rebuild it with nidkit preprocess")
-        if missing:
-            raise DataError(f"{path} is not a nidkit dataset cache: it has no {', '.join(missing)}")
         meta = yaml.safe_load(bytes(archive["meta"]).decode())
         return Dataset(
             numeric=archive["numeric"],

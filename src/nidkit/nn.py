@@ -90,9 +90,6 @@ class Module:
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         return ((n, t) for n, t in self.named_tensors() if t.requires_grad)
 
-    def named_buffers(self) -> Iterator[tuple[str, Tensor]]:
-        return ((n, t) for n, t in self.named_tensors() if not t.requires_grad)
-
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 

@@ -1,12 +1,14 @@
 """Five non-contrastive joint-embedding objectives and their training loop.
 
 Each model couples a shared encoder with a two-layer projection head (BN+ReLU
-between the layers, 256-wide output for every kind). BYOL adds a predictor on
-the online branch plus EMA target copies of encoder and projector; SimSiam
-adds only the predictor and stops gradients on the target side; Barlow Twins,
-VICReg, and W-MSE are symmetric and avoid collapse through their statistics
-terms (cross-correlation to identity, variance hinge + covariance penalty,
-and hard whitening respectively).
+between the layers, 256-wide output for every kind), and each kind is a
+declaration: its loss, whether a predictor follows the projector, and whether
+EMA target copies of encoder and projector give the predictor's targets.
+BYOL has both; SimSiam, BYOL without the momentum encoder, has only the
+predictor and stops gradients on its own embeddings; Barlow Twins, VICReg,
+and W-MSE are symmetric and avoid collapse through their statistics terms
+(cross-correlation to identity, variance hinge + covariance penalty, and hard
+whitening respectively).
 
 Gradient-bearing math uses :mod:`nidkit.tensor` throughout so the tape
 provides exact backward rules, including through the Cholesky whitening,
@@ -26,8 +28,6 @@ from . import nn, tensor as T, threads
 from .augment import AugmentationSpec, ViewSet, make_views
 from .nn import BatchSizeError, CheckpointError, ConfigError
 from .tensor import Tensor
-
-MODEL_KINDS = ("byol", "simsiam", "barlow_twins", "vicreg", "wmse")
 
 _NORM_EPS = 1e-12
 
@@ -58,9 +58,10 @@ def byol_loss(q: Tensor, z_target: Tensor) -> Tensor:
     return T.sub(2.0, T.mul(2.0, _mean_cosine(q, z_target)))
 
 
-def simsiam_loss(p: Tensor, p2: Tensor, z: Tensor, z2: Tensor) -> Tensor:
-    """-1/2 cos(p, z') - 1/2 cos(p', z); z and z' must arrive detached."""
-    return T.sub(T.mul(-0.5, _mean_cosine(p, z2)), T.mul(0.5, _mean_cosine(p2, z)))
+def simsiam_loss(p: Tensor, z_target: Tensor) -> Tensor:
+    """One direction of the SimSiam objective: mean -cos(p, z). The caller
+    blocks gradients on ``z_target`` and averages the two view orderings."""
+    return T.mul(-1.0, _mean_cosine(p, z_target))
 
 
 def _column_standardize(z: Tensor) -> Tensor:
@@ -178,10 +179,12 @@ class ProjectionHead(nn.Module):
         return self.fc2(T.relu(self.bn(self.fc1(x))))
 
 
-def _freeze(module: nn.Module) -> nn.Module:
-    for p in module.parameters():
+def _frozen_copy(fresh: nn.Module, online: nn.Module) -> nn.Module:
+    """``fresh`` holding ``online``'s tensors, none of them trainable."""
+    fresh.load_state_dict(online.state_dict())
+    for p in fresh.parameters():
         p.requires_grad = False
-    return module
+    return fresh
 
 
 def ema_update(online: nn.Module, target: nn.Module, tau: float) -> None:
@@ -208,13 +211,16 @@ def _mixup_tensor(y: Tensor, alpha: float, partners: np.ndarray) -> Tensor:
 
 
 class SSLModel(nn.Module):
-    """Shared plumbing: encoder -> (optional representation mixup) -> projector,
-    multi-view pair averaging, per-kind pair loss. A symmetric kind declares
-    ``loss(z, z2, **objective)``, which returns (tensor, terms); the keywords
-    given at build time are its ``objective``."""
+    """Shared plumbing: encoder -> (optional representation mixup) -> projector
+    (-> predictor), multi-view pair averaging, one pair rule. A kind declares
+    its ``loss``; one with ``predicts`` set puts a predictor head after the
+    projector and compares each view's prediction with the other's target,
+    ``loss(p, t)``, the embedding of the ``target`` copies if it keeps them,
+    else its own. A symmetric kind's ``loss(z, z2, **objective)`` returns
+    (tensor, terms); the keywords given at build time are its ``objective``."""
 
-    kind = "base"
-    loss = None
+    predicts = False
+    target = False
 
     def __init__(self, encoder: nn.Module, rep_dim: int,
                  rng: np.random.Generator, dim: int = 256, **objective):
@@ -224,31 +230,34 @@ class SSLModel(nn.Module):
         self.objective = objective
         self.encoder = encoder
         self.projector = ProjectionHead(rep_dim, rng, dim=dim)
+        if self.predicts:
+            self.predictor = ProjectionHead(dim, rng, dim=dim)
 
-    # -- per-kind hooks ------------------------------------------------------
+    def _view(self, view: Tensor, partners: Optional[np.ndarray], stream,
+              alpha: Optional[float]) -> dict:
+        """One view's pass, drawing its dropout masks from ``stream``: its
+        embedding ``z``, or for a predicting kind its prediction ``p`` and
+        its detached target ``t``."""
+        def embed(encoder, projector):
+            y = encoder(view)
+            return projector(y if partners is None else _mixup_tensor(y, alpha, partners))
 
-    @staticmethod
-    def _embed(encoder, projector, view: Tensor, partners: Optional[np.ndarray],
-               alpha: Optional[float]) -> Tensor:
-        y = encoder(view)
-        if partners is not None:
-            y = _mixup_tensor(y, alpha, partners)
-        return projector(y)
-
-    def _view_state(self, view, partners, alpha) -> dict:
-        return {"z": self._embed(self.encoder, self.projector, view, partners, alpha)}
+        with nn.masks_from(stream):
+            z = embed(self.encoder, self.projector)
+            if not self.predicts:
+                return {"z": z}
+            p = self.predictor(z)
+            if self.target:
+                z = embed(self.target_encoder, self.target_projector)
+            return {"p": p, "t": z.detach()}
 
     def _pair_loss(self, si: dict, sj: dict):
-        return self.loss(si["z"], sj["z"], **self.objective)
+        if not self.predicts:
+            return self.loss(si["z"], sj["z"], **self.objective)
+        return T.mul(0.5, T.add(self.loss(si["p"], sj["t"]), self.loss(sj["p"], si["t"]))), {}
 
     def after_step(self) -> None:
         """Post-optimizer hook (EMA update for BYOL)."""
-
-    # -- shared loss ----------------------------------------------------------
-
-    def _branch(self, view, partners, stream, alpha) -> dict:
-        with nn.masks_from(stream):
-            return self._view_state(view, partners, alpha)
 
     def _streams(self, n: int) -> list:
         """One dropout-mask generator per view, seeded in view order from the
@@ -262,8 +271,8 @@ class SSLModel(nn.Module):
         """Mean pairwise loss over all C(k, 2) view pairs.
 
         A mixup view set carries each view's partner rows, used by every
-        branch pass of that view. Each view's pass (``_view_state``) runs as
-        a branch (:func:`T.branches`) that draws its dropout masks from a
+        branch pass of that view. Each view's pass (``_view``) runs as a
+        branch (:func:`T.branches`) that draws its dropout masks from a
         stream of its own (``_streams``); only the pair losses join the views.
         Returns the loss and its row: ``total``, then each term's pair mean.
         """
@@ -271,7 +280,7 @@ class SSLModel(nn.Module):
         if len(views) < 2:
             raise ConfigError("need at least two views")
         partners = view_set.partners or [None] * len(views)
-        states = T.branches([partial(self._branch, v, p, s, view_set.alpha)
+        states = T.branches([partial(self._view, v, p, s, view_set.alpha)
                              for v, p, s in zip(views, partners, self._streams(len(views)))])
         total, terms, n_pairs = None, {}, 0
         for i in range(len(states)):
@@ -291,29 +300,16 @@ class BYOL(SSLModel):
     """Online encoder/projector/predictor against EMA target copies."""
 
     kind = "byol"
+    loss = staticmethod(byol_loss)
+    predicts = target = True
 
     def __init__(self, encoder: nn.Module, target_encoder: nn.Module,
                  rep_dim: int, rng: np.random.Generator, dim: int = 256,
                  tau: float = 0.99):
         super().__init__(encoder, rep_dim, rng, dim=dim)
-        self.predictor = ProjectionHead(dim, rng, dim=dim)
         self.tau = tau
-        target_encoder.load_state_dict(encoder.state_dict())
-        self.target_encoder = _freeze(target_encoder)
-        self.target_projector = ProjectionHead(rep_dim, rng, dim=dim)
-        self.target_projector.load_state_dict(self.projector.state_dict())
-        _freeze(self.target_projector)
-
-    def _view_state(self, view, partners, alpha):
-        state = super()._view_state(view, partners, alpha)
-        state["q"] = self.predictor(state["z"])
-        state["t"] = self._embed(self.target_encoder, self.target_projector,
-                                 view, partners, alpha).detach()
-        return state
-
-    def _pair_loss(self, si, sj):
-        loss = T.mul(0.5, T.add(byol_loss(si["q"], sj["t"]), byol_loss(sj["q"], si["t"])))
-        return loss, {}
+        self.target_encoder = _frozen_copy(target_encoder, encoder)
+        self.target_projector = _frozen_copy(ProjectionHead(rep_dim, rng, dim=dim), self.projector)
 
     def after_step(self):
         ema_update(self.encoder, self.target_encoder, self.tau)
@@ -321,22 +317,11 @@ class BYOL(SSLModel):
 
 
 class SimSiam(SSLModel):
-    """Shared weights on both branches; stop-gradient opposite the predictor."""
+    """BYOL without the momentum encoder: the targets are the online embeddings."""
 
     kind = "simsiam"
-
-    def __init__(self, encoder, rep_dim, rng, dim=256):
-        super().__init__(encoder, rep_dim, rng, dim=dim)
-        self.predictor = ProjectionHead(dim, rng, dim=dim)
-
-    def _view_state(self, view, partners, alpha):
-        state = super()._view_state(view, partners, alpha)
-        state["p"] = self.predictor(state["z"])
-        return state
-
-    def _pair_loss(self, si, sj):
-        loss = simsiam_loss(si["p"], sj["p"], si["z"].detach(), sj["z"].detach())
-        return loss, {}
+    loss = staticmethod(simsiam_loss)
+    predicts = True
 
 
 class BarlowTwins(SSLModel):
@@ -355,16 +340,18 @@ class WMSE(SSLModel):
 
 
 MODEL_CLASSES = {cls.kind: cls for cls in (BYOL, SimSiam, BarlowTwins, VICReg, WMSE)}
+MODEL_KINDS = tuple(MODEL_CLASSES)
 
 
 def build_model(kind: str, encoder_factory, rep_dim: int,
                 rng: np.random.Generator, dim: int = 256, **hyper) -> SSLModel:
     """Construct an SSL model; ``encoder_factory()`` must build a fresh
-    encoder each call (BYOL needs a second copy for the EMA target)."""
+    encoder each call (a kind with EMA targets needs a second copy)."""
     if kind not in MODEL_CLASSES:
         raise ConfigError(f"unknown model kind {kind!r}")
-    encoders = [encoder_factory() for _ in range(2 if kind == "byol" else 1)]
-    return MODEL_CLASSES[kind](*encoders, rep_dim, rng, dim=dim, **hyper)
+    cls = MODEL_CLASSES[kind]
+    encoders = [encoder_factory() for _ in range(2 if cls.target else 1)]
+    return cls(*encoders, rep_dim, rng, dim=dim, **hyper)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,28 @@ def test_spec_rejects_bad_hyperparameters():
         AugmentationSpec(kind=kind)  # defaults are valid for every kind
 
 
+@pytest.mark.parametrize("over,message", [
+    ({"kind": "swap_noise", "p": -0.5}, "swap_noise: p=-0.5 outside [0, 1]"),
+    ({"kind": "zero_out", "p": 1.5}, "zero_out: p=1.5 outside [0, 1]"),
+    ({"kind": "gaussian_noise", "p": 2.0}, "gaussian_noise: p=2.0 outside [0, 1]"),
+    ({"kind": "gaussian_noise", "sigma2": 0.0}, "gaussian_noise: sigma2=0.0 must be > 0"),
+    ({"kind": "subsets", "k": 1}, "subsets: k=1 must be >= 2"),
+    ({"kind": "subsets", "overlap_fraction": 1.0}, "subsets: overlap_fraction=1.0 outside [0, 1)"),
+    ({"kind": "mixup", "alpha": -0.1}, "mixup: alpha=-0.1 outside [0, 1]"),
+])
+def test_spec_names_the_field_and_its_range(over, message):
+    with pytest.raises(ConfigError) as exc:
+        AugmentationSpec(**over)
+    assert str(exc.value) == message
+
+
+def test_spec_checks_only_the_fields_its_kind_reads():
+    # each value below is out of range for the kind that reads it
+    bad = {"p": 2.0, "mu": -1e9, "sigma2": -1.0, "k": 0, "overlap_fraction": 1.5, "alpha": 3.0}
+    for kind, fields in KINDS.items():
+        AugmentationSpec(kind=kind, **{f: v for f, v in bad.items() if f not in fields})
+
+
 def test_every_spec_field_is_read_by_some_kind():
     fields = {f.name for f in dataclasses.fields(AugmentationSpec)} - {"kind"}
     assert set().union(*KINDS.values()) == fields

@@ -79,7 +79,7 @@ def test_svdd_has_zero_bias_parameters():
     assert len(names) == 3
     assert all(name.endswith("weight") for name in names)
     # and no normalization-layer state that could act like a bias
-    assert all("running" not in name for name, _ in model.named_buffers())
+    assert all("running" not in name for name, _ in model.named_tensors())
 
 
 def test_svdd_center_is_mean_initial_output():

@@ -80,6 +80,14 @@ def test_load_schema_names_the_malformed_key(tmp_path, text, key):
         _write_schema(tmp_path, text)
 
 
+@pytest.mark.parametrize("drop", ["extra", "{extra: 1}", "[[extra]]"])
+def test_load_schema_refuses_a_drop_that_is_not_a_list_of_names(tmp_path, drop):
+    # a string would be read letter by letter, and the header check would
+    # then blame the CSV's columns
+    with pytest.raises(SchemaError, match="'drop' must be a list"):
+        _write_schema(tmp_path, SCHEMA_YAML.replace("drop: [id]", f"drop: {drop}"))
+
+
 def test_cli_preprocess_exits_2_on_a_malformed_schema(tmp_path, capsys):
     (tmp_path / "schema.yaml").write_text(MALFORMED_SCHEMAS[0][0])
     path = _write_csv(tmp_path, "id,dur,bytes,proto,label\n1,0.5,100,tcp,normal\n")
@@ -557,6 +565,18 @@ def test_a_foreign_npz_is_not_a_dataset_cache(tmp_path):
     with pytest.raises(DataError, match="is not a nidkit dataset cache: it has no __version__, "
                                         "numeric, codes, numeric_idx, ids, meta$"):
         load_dataset(path)
+
+
+def test_a_file_that_is_not_an_npz_is_not_a_dataset_cache(tmp_path):
+    # np.load reads a lone array, fails on a broken zip, and refuses anything
+    # else as pickled data
+    np.save(tmp_path / "array.npy", np.zeros(3))
+    save_dataset(tmp_path / "cache.npz", synth_generate(40, 10, d=12, separation=2.0, seed=0))
+    (tmp_path / "cut.npz").write_bytes((tmp_path / "cache.npz").read_bytes()[:60])
+    (tmp_path / "text.npz").write_text("dur,label\n")
+    for path in (tmp_path / "array.npy", tmp_path / "cut.npz", tmp_path / "text.npz"):
+        with pytest.raises(DataError, match="is not a nidkit dataset cache: it is not an npz"):
+            load_dataset(path)
 
 
 def test_ingest_cache_and_split_never_build_the_dense_matrix(tmp_path):

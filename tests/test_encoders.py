@@ -379,7 +379,7 @@ def _vicreg_step_grads(kind, composed):
         T.backward(loss)
     T.reset_tape()
     return (float(loss.values), {n: p.grad for n, p in model.named_parameters()},
-            {n: b.values for n, b in model.named_buffers()})
+            {n: b.values for n, b in model.named_tensors() if not b.requires_grad})
 
 
 @pytest.mark.parametrize("kind", ["mlp", "ft_transformer"])

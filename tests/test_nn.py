@@ -465,5 +465,6 @@ def test_named_tensors_walk_each_module_then_its_children():
         "blocks.0.weight", "blocks.0.bias", "blocks.1.weight"]
     assert [n for n, _ in net.named_parameters()] == [
         "scale", "bn.gamma", "bn.beta", "blocks.0.weight", "blocks.0.bias", "blocks.1.weight"]
-    assert [n for n, _ in net.named_buffers()] == ["bn.running_mean", "bn.running_var"]
+    assert [n for n, t in net.named_tensors() if not t.requires_grad] == [
+        "bn.running_mean", "bn.running_var"]
     assert list(net.state_dict()) == [n for n, _ in net.named_tensors()]

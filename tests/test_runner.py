@@ -15,7 +15,7 @@ import pytest
 import scipy
 import yaml
 
-from nidkit import cli, nn, runner, tensor as T, threads
+from nidkit import cli, config, nn, runner, tensor as T, threads
 from nidkit.augment import KINDS as AUG_KINDS
 from nidkit.config import config_hash, validate_config
 from nidkit.data import load_csv, protocol_split, save_dataset, synth_generate
@@ -151,6 +151,54 @@ def test_cli_run_exits_2_on_a_foreign_cache(tmp_path, capsys):
     err = cli_error(tmp_path, capsys, "run",
                     make_doc(dataset={"cache": "foreign.npz"}, output_dir=str(tmp_path / "runs")))
     assert "not a nidkit dataset cache" in err and "__version__" in err
+
+
+def test_validate_refuses_a_foreign_cache(tmp_path, capsys):
+    np.savez(tmp_path / "foreign.npz", features=np.zeros((3, 2)))
+    doc = make_doc(dataset={"cache": "foreign.npz"})
+    with pytest.raises(ConfigError, match=r"^cfg\.yaml: .*foreign\.npz is not a nidkit dataset"):
+        validate_config(doc, base_dir=tmp_path, source="cfg.yaml")
+    err = cli_error(tmp_path, capsys, "validate-config", doc)
+    assert "foreign.npz is not a nidkit dataset cache" in err and "__version__" in err
+    # a grid collects it as one invalid cell per cell that reads the file
+    grid = grid_doc(dataset={"cache": "foreign.npz"})
+    with pytest.raises(ConfigError, match="4 invalid cell") as exc:
+        run_grid(grid, base_dir=tmp_path)
+    assert str(exc.value).count("is not a nidkit dataset cache") == 4
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("key", ["base_seed", "dataset.synth.seed"])
+def test_validate_refuses_a_negative_seed(tmp_path, capsys, key):
+    doc = put(make_doc(), key, -1)
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be >= 0, got -1")):
+        validate_config(doc)
+    assert key in cli_error(tmp_path, capsys, "validate-config", doc)
+
+
+@pytest.mark.parametrize("key, value, least", [
+    ("training.epochs", 0, 1), ("training.batch_size", 1, 2), ("runs", 0, 1)])
+def test_validate_names_a_count_below_its_least_value(key, value, least):
+    doc = put(make_doc(), key, value)
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be >= {least}, got {value}")):
+        validate_config(doc)
+
+
+def test_cli_run_refuses_a_negative_seed_override(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(make_doc(output_dir=str(tmp_path / "runs"))))
+    assert cli.main(["run", str(path), "--seed", "-1"]) == 2
+    assert "base_seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_loss_section_declares_each_models_keywords():
+    # every SSL kind reads its class's keywords and its loss function's
+    assert config.LOSS == {
+        "byol": {"tau": 0.99}, "simsiam": {}, "barlow_twins": {"lambda_bt": 5e-3},
+        "vicreg": {"lam": 25.0, "mu": 25.0, "nu": 1.0, "gamma": 1.0, "eps": 1e-4},
+        "wmse": {"slice_size": 32, "eps": 1e-4},
+        "autoencoder": {"hidden": 256, "latent": 64}, "deep_svdd": {"widths": (256, 64, 32)}}
 
 
 def test_validate_resolves_cache_path_against_base_dir(tmp_path):

@@ -112,25 +112,31 @@ def test_byol_matches_cosine_oracle():
     assert abs(ours - byol_oracle(q, zt)) < 1e-10
 
 
+def simsiam_pair(p, p2, z, z2):
+    """SimSiam over one view pair: the two directions' mean,
+    1/2 loss(p, z') + 1/2 loss(p', z)."""
+    return T.mul(0.5, T.add(S.simsiam_loss(p, z2), S.simsiam_loss(p2, z)))
+
+
 def test_simsiam_endpoints():
     rng = rng_(3)
     p = rng.normal(size=(5, 8))
     p2 = rng.normal(size=(5, 8))
     # parallel: p || z2 and p2 || z
-    val = float(S.simsiam_loss(Tensor(p), Tensor(p2), Tensor(2.0 * p2),
-                               Tensor(0.5 * p)).values)
+    val = float(simsiam_pair(Tensor(p), Tensor(p2), Tensor(2.0 * p2),
+                             Tensor(0.5 * p)).values)
     assert abs(val - (-1.0)) < 1e-8
     # orthogonal pairs
     e1 = np.tile(np.eye(8)[0], (5, 1))
     e2 = np.tile(np.eye(8)[1], (5, 1))
-    val = float(S.simsiam_loss(Tensor(e1), Tensor(e1), Tensor(e2), Tensor(e2)).values)
+    val = float(simsiam_pair(Tensor(e1), Tensor(e1), Tensor(e2), Tensor(e2)).values)
     assert abs(val) < 1e-12
 
 
 def test_simsiam_matches_oracle():
     rng = rng_(4)
     arrs = [rng.normal(size=(6, 32)) for _ in range(4)]
-    ours = float(S.simsiam_loss(*[Tensor(a) for a in arrs]).values)
+    ours = float(simsiam_pair(*[Tensor(a) for a in arrs]).values)
     assert abs(ours - simsiam_oracle(*arrs)) < 1e-10
 
 
@@ -140,10 +146,21 @@ def test_simsiam_stop_gradient_is_exact():
     p2 = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
     z = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
     z2 = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-    loss = S.simsiam_loss(p, p2, z.detach(), z2.detach())
+    loss = simsiam_pair(p, p2, z.detach(), z2.detach())
     T.backward(loss)
     assert p.grad is not None and p2.grad is not None
     assert z.grad is None and z2.grad is None
+
+
+@pytest.mark.parametrize("kind", ["byol", "simsiam"])
+def test_predicting_pair_rule_is_the_two_directions_mean(kind):
+    rng = rng_(15)
+    p, p2, t, t2 = [rng.normal(size=(6, 16)) for _ in range(4)]
+    loss, terms = _tiny_model(kind)._pair_loss({"p": Tensor(p), "t": Tensor(t)},
+                                               {"p": Tensor(p2), "t": Tensor(t2)})
+    expected = (simsiam_oracle(p, p2, t, t2) if kind == "simsiam"
+                else 0.5 * (byol_oracle(p, t2) + byol_oracle(p2, t)))
+    assert abs(float(loss.values) - expected) < 1e-6 and terms == {}
 
 
 def test_barlow_twins_zero_at_identity_correlation():
@@ -287,7 +304,7 @@ def test_byol_loss_grad():
 
 def test_simsiam_loss_grad():
     rng = rng_(14)
-    check_tensor_grad(lambda ts: S.simsiam_loss(ts[0], ts[1], ts[2], ts[3]),
+    check_tensor_grad(lambda ts: simsiam_pair(ts[0], ts[1], ts[2], ts[3]),
                       [rng.normal(size=(4, 5)) for _ in range(4)],
                       rtol=1e-4, label="simsiam")
 
@@ -364,8 +381,8 @@ def test_direction_losses_invariant_to_row_rescale(seed):
     a = float(S.byol_loss(Tensor(q), Tensor(zt)).values)
     b = float(S.byol_loss(Tensor(q * scale), Tensor(zt)).values)
     assert abs(a - b) < 1e-8
-    sa = float(S.simsiam_loss(Tensor(q), Tensor(q), Tensor(zt), Tensor(zt)).values)
-    sb = float(S.simsiam_loss(Tensor(q * scale), Tensor(q), Tensor(zt), Tensor(zt)).values)
+    sa = float(simsiam_pair(Tensor(q), Tensor(q), Tensor(zt), Tensor(zt)).values)
+    sb = float(simsiam_pair(Tensor(q * scale), Tensor(q), Tensor(zt), Tensor(zt)).values)
     assert abs(sa - sb) < 1e-8
 
 
